@@ -1,15 +1,13 @@
 //! Input-layer benchmarks: the tiled z-normalize-once correlation kernel
 //! against the pre-tiling reference (normalised `Vec<Vec>` rows plus an
-//! averaging symmetrise tail), the `f32`-storage variant, the fused
-//! correlation+dissimilarity pass, and the top-K prescreen build that
-//! feeds the sparse construction paths.
+//! averaging symmetrise tail), the `f32`-storage variant, and the fused
+//! correlation+dissimilarity pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pfg_data::{
     correlation_and_dissimilarity, correlation_matrix_f32, correlation_matrix_reference,
     correlation_matrix_with, TileConfig,
 };
-use pfg_graph::TopKCandidates;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -61,16 +59,5 @@ fn bench_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_prescreen(c: &mut Criterion) {
-    let mut group = c.benchmark_group("prescreen");
-    group.sample_size(10);
-    let data = series(2000, 64);
-    let (matrix, _) = correlation_matrix_with(&data, TileConfig::default());
-    group.bench_function(BenchmarkId::new("topk_build", 2000), |b| {
-        b.iter(|| black_box(TopKCandidates::build(&matrix, 48)))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel, bench_prescreen);
+criterion_group!(benches, bench_kernel);
 criterion_main!(benches);

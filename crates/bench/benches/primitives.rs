@@ -1,8 +1,7 @@
 //! Table I microbenchmarks: parallel filter, sort, maximum, and the
-//! priority concurrent writes — plus executor microbenchmarks comparing
-//! the work-stealing executor against the two designs it replaced: the
-//! original spawn-per-call scoped threads and the PR 2 shared-FIFO batch
-//! pool (replicated in [`fifo`] below as the measurement baseline).
+//! priority concurrent writes — plus executor microbenchmarks of the
+//! work-stealing executor: fork–join round trips, deque contention,
+//! skewed work and parallel sort.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pfg_primitives::{par_filter, par_max_index, par_sort_unstable_by, AtomicF64};
@@ -11,218 +10,20 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::hint::black_box;
 
-/// Worker count for the executor comparison. Fixed (rather than detected)
+/// Worker count for the executor benchmarks. Fixed (rather than detected)
 /// so the numbers are comparable across machines; oversubscription on
 /// small boxes still measures exactly what we care about — per-round
 /// scheduling overhead.
 const EXECUTOR_THREADS: usize = 4;
 
-/// A faithful replica of the PR 2 shared-FIFO batch executor, kept here as
-/// the baseline the work-stealing executor is measured against at equal
-/// thread counts: persistent workers parked on a condvar, one shared FIFO
-/// of batches, `4 × threads` statically-decided pieces claimed through an
-/// atomic counter, a `Mutex<Option<R>>` box per piece result, a
-/// mutex-guarded `done` counter bumped per piece, and a `notify_all` per
-/// round.
-mod fifo {
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
-
-    pub struct FifoPool {
-        state: Arc<Shared>,
-        workers: Vec<std::thread::JoinHandle<()>>,
-        pub threads: usize,
-    }
-
-    struct Shared {
-        queue: Mutex<VecDeque<Arc<Batch>>>,
-        work_cv: Condvar,
-        shutdown: AtomicBool,
-    }
-
-    struct Batch {
-        runner: RunnerPtr,
-        total: usize,
-        next: AtomicUsize,
-        done: Mutex<usize>,
-        done_cv: Condvar,
-    }
-
-    struct RunnerPtr(*const (dyn Fn(usize) + Sync));
-    // SAFETY: the pointee lives on the `run_batch` frame, which blocks
-    // until every task completes — identical pinning argument to the PR 2
-    // executor this replicates.
-    unsafe impl Send for RunnerPtr {}
-    // SAFETY: same pinning argument as `Send` directly above.
-    unsafe impl Sync for RunnerPtr {}
-
-    impl Batch {
-        fn claim(&self) -> Option<usize> {
-            if self.next.load(Ordering::Relaxed) >= self.total {
-                return None;
-            }
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            (i < self.total).then_some(i)
-        }
-
-        fn run_one(&self, i: usize) {
-            // SAFETY: `i` was claimed, so the batch is still pinned.
-            unsafe { (*self.runner.0)(i) };
-            let mut done = self.done.lock().unwrap();
-            *done += 1;
-            if *done == self.total {
-                self.done_cv.notify_all();
-            }
-        }
-    }
-
-    impl FifoPool {
-        pub fn new(threads: usize) -> Self {
-            let state = Arc::new(Shared {
-                queue: Mutex::new(VecDeque::new()),
-                work_cv: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-            });
-            let workers = (0..threads.saturating_sub(1))
-                .map(|_| {
-                    let state = Arc::clone(&state);
-                    std::thread::spawn(move || loop {
-                        let batch = {
-                            let mut queue = state.queue.lock().unwrap();
-                            loop {
-                                while queue
-                                    .front()
-                                    .is_some_and(|b| b.next.load(Ordering::Relaxed) >= b.total)
-                                {
-                                    queue.pop_front();
-                                }
-                                if let Some(batch) = queue.front() {
-                                    break Arc::clone(batch);
-                                }
-                                if state.shutdown.load(Ordering::Acquire) {
-                                    return;
-                                }
-                                queue = state.work_cv.wait(queue).unwrap();
-                            }
-                        };
-                        while let Some(i) = batch.claim() {
-                            batch.run_one(i);
-                        }
-                    })
-                })
-                .collect();
-            FifoPool {
-                state,
-                workers,
-                threads,
-            }
-        }
-
-        /// One fork–join round, exactly as PR 2 ran it: enqueue, wake all
-        /// workers, caller helps, per-slot mutex boxes collect results.
-        pub fn run_batch<R, F>(&self, total: usize, task: F) -> Vec<R>
-        where
-            R: Send,
-            F: Fn(usize) -> R + Sync,
-        {
-            let results: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
-            let runner = |i: usize| {
-                *results[i].lock().unwrap() = Some(task(i));
-            };
-            let runner: &(dyn Fn(usize) + Sync) = &runner;
-            // SAFETY: lifetime erasure only; this frame blocks until
-            // `done == total` below.
-            let runner: &'static (dyn Fn(usize) + Sync) =
-                // SAFETY: lifetime erasure only, per the note above.
-                unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(runner) };
-            let batch = Arc::new(Batch {
-                runner: RunnerPtr(runner as *const _),
-                total,
-                next: AtomicUsize::new(0),
-                done: Mutex::new(0),
-                done_cv: Condvar::new(),
-            });
-            self.state
-                .queue
-                .lock()
-                .unwrap()
-                .push_back(Arc::clone(&batch));
-            self.state.work_cv.notify_all();
-            while let Some(i) = batch.claim() {
-                batch.run_one(i);
-            }
-            let mut done = batch.done.lock().unwrap();
-            while *done < total {
-                done = batch.done_cv.wait(done).unwrap();
-            }
-            drop(done);
-            results
-                .into_iter()
-                .map(|slot| slot.into_inner().unwrap().unwrap())
-                .collect()
-        }
-
-        /// PR 2's static piece decision: `4 × threads` pieces of at least
-        /// 128 items.
-        pub fn pieces_for(&self, len: usize) -> usize {
-            (self.threads * 4).min(len.div_ceil(128)).max(1)
-        }
-    }
-
-    impl Drop for FifoPool {
-        fn drop(&mut self) {
-            {
-                let _queue = self.state.queue.lock().unwrap();
-                self.state.shutdown.store(true, Ordering::Release);
-                self.state.work_cv.notify_all();
-            }
-            for w in self.workers.drain(..) {
-                w.join().unwrap();
-            }
-        }
-    }
-}
-
-/// One fork–join round the way the original shim executor ran it: spawn
-/// one scoped thread per contiguous chunk, join them all.
-fn spawn_per_call_map_sum(data: &[f64], threads: usize) -> f64 {
-    let chunk_len = data.len().div_ceil(threads);
-    let partials: Vec<f64> = std::thread::scope(|s| {
-        let handles: Vec<_> = data
-            .chunks(chunk_len)
-            .map(|chunk| s.spawn(move || chunk.iter().map(|&x| x * 1.000_1 + 0.5).sum::<f64>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    partials.iter().sum()
-}
-
-/// The same round on the PR 2 FIFO replica: static pieces, mutex result
-/// boxes, `notify_all` per round.
-fn fifo_map_sum(pool: &fifo::FifoPool, data: &[f64]) -> f64 {
-    let pieces = pool.pieces_for(data.len());
-    let piece_len = data.len().div_ceil(pieces);
-    pool.run_batch(pieces, |p| {
-        let lo = p * piece_len;
-        let hi = ((p + 1) * piece_len).min(data.len());
-        data[lo..hi].iter().map(|&x| x * 1.000_1 + 0.5).sum::<f64>()
-    })
-    .iter()
-    .sum()
-}
-
-/// The same round on the shim's work-stealing executor (one split tree,
-/// halves reclaimed inline when not stolen).
+/// One fork–join map-sum round on the shim's work-stealing executor (one
+/// split tree, halves reclaimed inline when not stolen).
 fn stealing_map_sum(data: &[f64]) -> f64 {
     data.par_iter().map(|&x| x * 1.000_1 + 0.5).sum()
 }
 
 /// Skewed per-item work: the last eighth of the index space spins ~48x
-/// longer than the rest, so one statically-dealt tail piece gates a FIFO
+/// longer than the rest, so a statically-dealt tail piece would gate the
 /// round while the stealing executor keeps splitting the hot subtree.
 fn skewed_work(x: f64, i: usize, n: usize) -> f64 {
     let spins = if i >= n - n / 8 { 48 } else { 1 };
@@ -233,10 +34,10 @@ fn skewed_work(x: f64, i: usize, n: usize) -> f64 {
     acc
 }
 
-/// Executor comparison: many fine-grained fork–join rounds (the pattern
+/// Executor benchmarks: many fine-grained fork–join rounds (the pattern
 /// of TMFG gain recomputation and per-source shortest paths) and a skewed
-/// round, old designs vs the work-stealing executor at equal thread
-/// counts. Also reports parallel-sort throughput against the std sort.
+/// round on the work-stealing executor. Also reports parallel-sort
+/// throughput against the std sort.
 fn bench_executor(c: &mut Criterion) {
     let mut group = c.benchmark_group("executor");
     group.sample_size(20);
@@ -245,38 +46,11 @@ fn bench_executor(c: &mut Criterion) {
         .num_threads(EXECUTOR_THREADS)
         .build()
         .expect("executor bench pool");
-    let fifo_pool = fifo::FifoPool::new(EXECUTOR_THREADS);
     // `rounds` small fork–join rounds per iteration: round-trip overhead
     // dominates, which is exactly the regime stealing's pop-back fast
     // path targets.
     for &(n, rounds) in &[(1_024usize, 128usize), (2_048, 64), (16_384, 16)] {
         let data: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
-        group.bench_with_input(
-            BenchmarkId::new("round_trip/spawn_per_call", n),
-            &data,
-            |b, data| {
-                b.iter(|| {
-                    let mut acc = 0.0;
-                    for _ in 0..rounds {
-                        acc += spawn_per_call_map_sum(data, EXECUTOR_THREADS);
-                    }
-                    black_box(acc)
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("round_trip/fifo_pool", n),
-            &data,
-            |b, data| {
-                b.iter(|| {
-                    let mut acc = 0.0;
-                    for _ in 0..rounds {
-                        acc += fifo_map_sum(&fifo_pool, data);
-                    }
-                    black_box(acc)
-                })
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("round_trip/work_stealing", n),
             &data,
@@ -337,22 +111,6 @@ fn bench_executor(c: &mut Criterion) {
     {
         let n = 32_768usize;
         let data: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
-        group.bench_with_input(BenchmarkId::new("skew/fifo_pool", n), &data, |b, data| {
-            b.iter(|| {
-                let pieces = fifo_pool.pieces_for(data.len());
-                let piece_len = data.len().div_ceil(pieces);
-                let partials = fifo_pool.run_batch(pieces, |p| {
-                    let lo = p * piece_len;
-                    let hi = ((p + 1) * piece_len).min(data.len());
-                    data[lo..hi]
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &x)| skewed_work(x, lo + k, data.len()))
-                        .sum::<f64>()
-                });
-                black_box(partials.iter().sum::<f64>())
-            })
-        });
         group.bench_with_input(
             BenchmarkId::new("skew/work_stealing", n),
             &data,

@@ -37,12 +37,7 @@ fn main() {
                 ins.round, ins.vertex, ins.face, ins.gain
             );
         }
-        let result = ParTdbht::new(pfg_core::ParTdbhtConfig {
-            tmfg: config,
-            prescreen: None,
-        })
-        .run(&s, &d)
-        .expect("valid matrix");
+        let result = ParTdbht::new(config).run(&s, &d).expect("valid matrix");
         let labels = result.clusters(2);
         println!(
             "  2-cluster cut: {:?}  ARI vs {{0,1,2}}/{{3,4,5}} = {:.3}",

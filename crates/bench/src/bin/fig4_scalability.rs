@@ -6,9 +6,9 @@
 //!   for different prefix sizes, on the largest (Crop-like) data set.
 //!   `cargo run --release -p pfg_bench --bin fig4_scalability [scale]`
 //! * **n sweep** (`nsweep [--quick]`): end-to-end input-size scaling of
-//!   the large-`n` configuration — `f32` tiled correlation kernel, top-K
-//!   candidate prescreen, and the on-the-fly dissimilarity view (no dense
-//!   `f64` correlation and no dense dissimilarity matrix are ever
+//!   the large-`n` configuration — `f32` tiled correlation kernel, dense
+//!   TMFG candidate scans, and the on-the-fly dissimilarity view (no
+//!   dense `f64` correlation and no dense dissimilarity matrix are ever
 //!   materialised). Emits one `Record` per size plus mean-time entries in
 //!   `BENCH_fig4_nsweep.json` so `bench_diff` tracks the trajectory.
 //!   `--quick` swaps the full sizes (2 000 / 8 000 / 30 000) for CI-sized
@@ -16,7 +16,7 @@
 
 use pfg_bench::records::{record_dir, write_json_array};
 use pfg_bench::{parse_scale_from_args, BenchDataset, CorrelationRunStats, Record, SuiteConfig};
-use pfg_core::{ParTdbht, ParTdbhtConfig};
+use pfg_core::ParTdbht;
 use pfg_data::{correlation_matrix_f32, ucr_catalogue, TileConfig};
 use pfg_metrics::adjusted_rand_index;
 use rand::rngs::StdRng;
@@ -71,14 +71,13 @@ fn nsweep(quick: bool) {
         &[2000, 8000, 30000]
     };
     let (classes, len, noise) = (24usize, 46usize, 0.35);
-    let (prefix, prescreen_k) = (10usize, 48usize);
+    let prefix = 10usize;
     println!(
-        "# Figure 4 (n sweep): f32 tiled kernel + top-{prescreen_k} prescreen + \
-         PAR-TDBHT-{prefix} over the dissimilarity view"
+        "# Figure 4 (n sweep): f32 tiled kernel + PAR-TDBHT-{prefix} over the dissimilarity view"
     );
     println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>12}",
-        "n", "kernel(s)", "cluster(s)", "total(s)", "ari", "rescans", "matrix(MB)"
+        "{:>8} {:>12} {:>12} {:>12} {:>8} {:>12}",
+        "n", "kernel(s)", "cluster(s)", "total(s)", "ari", "matrix(MB)"
     );
     let mut lines = Vec::new();
     for &n in sizes {
@@ -86,31 +85,28 @@ fn nsweep(quick: bool) {
         let start = Instant::now();
         let (s32, kernel) = correlation_matrix_f32(&series, TileConfig::default());
         let kernel_time = start.elapsed();
-        let runner = ParTdbht::new(ParTdbhtConfig::with_prefix(prefix).with_prescreen(prescreen_k));
         let start = Instant::now();
-        let result = runner.run_f32(&s32).expect("valid matrices");
+        let result = ParTdbht::with_prefix(prefix)
+            .run_f32(&s32)
+            .expect("valid matrices");
         let cluster_time = start.elapsed();
         let total = kernel_time + cluster_time;
         let ari = adjusted_rand_index(&labels, &result.clusters(classes));
-        let stats = CorrelationRunStats::of(&kernel, result.tmfg.prescreen_rescans);
+        let stats = CorrelationRunStats::of(&kernel);
         println!(
-            "{:>8} {:>12.3} {:>12.3} {:>12.3} {:>8.3} {:>10} {:>12.1}",
+            "{:>8} {:>12.3} {:>12.3} {:>12.3} {:>8.3} {:>12.1}",
             n,
             kernel_time.as_secs_f64(),
             cluster_time.as_secs_f64(),
             total.as_secs_f64(),
             ari,
-            stats.prescreen_rescans,
             stats.output_bytes as f64 / 1e6
         );
         Record {
             experiment: "fig4_nsweep".into(),
             dataset: format!("synth-{n}"),
-            method: format!("PAR-TDBHT-{prefix}(f32,topk{prescreen_k})"),
-            params: format!(
-                "n={n},len={len},classes={classes},prescreen_k={prescreen_k}{}",
-                stats.params_suffix()
-            ),
+            method: format!("PAR-TDBHT-{prefix}(f32)"),
+            params: format!("n={n},len={len},classes={classes}{}", stats.params_suffix()),
             seconds: total.as_secs_f64(),
             ari: Some(ari),
             value: Some(kernel_time.as_secs_f64()),

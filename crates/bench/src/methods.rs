@@ -132,9 +132,8 @@ impl PmfgRunStats {
 }
 
 /// Input-layer statistics of one method run: the tiled correlation
-/// kernel's counters (shared by every method reading the data set's
-/// matrices) plus the top-K prescreen's exact-fallback count for runs
-/// that used it. Mirrors [`PmfgRunStats`] / [`DbhtRunStats`].
+/// kernel's counters, shared by every method reading the data set's
+/// matrices. Mirrors [`PmfgRunStats`] / [`DbhtRunStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorrelationRunStats {
     /// Matrix dimension (number of series).
@@ -147,33 +146,27 @@ pub struct CorrelationRunStats {
     pub peak_intermediate_bytes: usize,
     /// Bytes of matrix output the kernel wrote.
     pub output_bytes: usize,
-    /// Exact full-row fallback re-scans of the top-K prescreen (0 when
-    /// the run used dense candidate scans).
-    pub prescreen_rescans: usize,
 }
 
 impl CorrelationRunStats {
-    /// Combines the data set's kernel counters with a run's prescreen
-    /// fallback count.
-    pub fn of(kernel: &CorrelationKernelStats, prescreen_rescans: usize) -> Self {
+    /// The data set's kernel counters.
+    pub fn of(kernel: &CorrelationKernelStats) -> Self {
         Self {
             n: kernel.n,
             tiles_computed: kernel.tiles_computed,
             peak_intermediate_bytes: kernel.peak_intermediate_bytes,
             output_bytes: kernel.output_bytes,
-            prescreen_rescans,
         }
     }
 
     /// Human-readable one-liner for the figure binaries' tables.
     pub fn summary_line(&self) -> String {
         format!(
-            "corr n={} tiles={} peak_mb={:.1} out_mb={:.1} prescreen_rescans={}",
+            "corr n={} tiles={} peak_mb={:.1} out_mb={:.1}",
             self.n,
             self.tiles_computed,
             self.peak_intermediate_bytes as f64 / 1e6,
-            self.output_bytes as f64 / 1e6,
-            self.prescreen_rescans
+            self.output_bytes as f64 / 1e6
         )
     }
 
@@ -181,8 +174,8 @@ impl CorrelationRunStats {
     /// in the machine-readable output too.
     pub fn params_suffix(&self) -> String {
         format!(
-            ",tiles={},peak_bytes={},prescreen_rescans={}",
-            self.tiles_computed, self.peak_intermediate_bytes, self.prescreen_rescans
+            ",tiles={},peak_bytes={}",
+            self.tiles_computed, self.peak_intermediate_bytes
         )
     }
 }
@@ -205,8 +198,8 @@ pub struct MethodOutput {
     /// DBHT back-half counters (HAC rounds, restricted-APSP output), for
     /// the DBHT-based methods.
     pub dbht_stats: Option<DbhtRunStats>,
-    /// Input-layer counters (tiled kernel, prescreen fallbacks), for
-    /// methods that consume the data set's derived matrices.
+    /// Input-layer counters (tiled kernel), for methods that consume the
+    /// data set's derived matrices.
     pub correlation_stats: Option<CorrelationRunStats>,
 }
 
@@ -215,10 +208,7 @@ pub struct MethodOutput {
 pub fn run_method(method: Method, dataset: &BenchDataset) -> MethodOutput {
     let k = dataset.num_classes;
     let start = Instant::now();
-    // The last element is `Some(prescreen_rescans)` for methods that read
-    // the data set's derived matrices (their input went through the tiled
-    // kernel), `None` for the raw-series baselines.
-    let (labels, edge_weight_sum, tmfg_stats, pmfg_stats, dbht_stats, matrix_run) = match method {
+    let (labels, edge_weight_sum, tmfg_stats, pmfg_stats, dbht_stats) = match method {
         Method::ParTdbht { prefix } => {
             let result = ParTdbht::with_prefix(prefix)
                 .run(&dataset.correlation, &dataset.dissimilarity)
@@ -229,7 +219,6 @@ pub fn run_method(method: Method, dataset: &BenchDataset) -> MethodOutput {
                 Some(TmfgRunStats::of(&result.tmfg)),
                 None,
                 Some(result.dbht_stats),
-                Some(result.tmfg.prescreen_rescans),
             )
         }
         Method::SeqTdbht => {
@@ -237,7 +226,6 @@ pub fn run_method(method: Method, dataset: &BenchDataset) -> MethodOutput {
                 .expect("valid benchmark matrices");
             let weight = t.edge_weight_sum();
             let stats = TmfgRunStats::of(&t);
-            let rescans = t.prescreen_rescans;
             let dbht = dbht_for_tmfg(&t, &dataset.dissimilarity).expect("valid DBHT input");
             (
                 dbht.dendrogram.cut_to_clusters(k),
@@ -245,14 +233,12 @@ pub fn run_method(method: Method, dataset: &BenchDataset) -> MethodOutput {
                 Some(stats),
                 None,
                 Some(dbht.stats),
-                Some(rescans),
             )
         }
         Method::PmfgDbht => {
             let p = pmfg(&dataset.correlation).expect("valid benchmark matrices");
             let weight = p.edge_weight_sum();
             let stats = PmfgRunStats::of(&p);
-            let rescans = p.prescreen_rescans;
             let dbht =
                 dbht_for_planar_graph(&p.graph, &dataset.dissimilarity).expect("valid DBHT input");
             (
@@ -261,7 +247,6 @@ pub fn run_method(method: Method, dataset: &BenchDataset) -> MethodOutput {
                 None,
                 Some(stats),
                 Some(dbht.stats),
-                Some(rescans),
             )
         }
         Method::CompleteLinkage => (
@@ -270,7 +255,6 @@ pub fn run_method(method: Method, dataset: &BenchDataset) -> MethodOutput {
             None,
             None,
             None,
-            Some(0),
         ),
         Method::AverageLinkage => (
             hac(&dataset.dissimilarity, Linkage::Average).cut_to_clusters(k),
@@ -278,7 +262,6 @@ pub fn run_method(method: Method, dataset: &BenchDataset) -> MethodOutput {
             None,
             None,
             None,
-            Some(0),
         ),
         Method::KMeans => {
             let result = kmeans(
@@ -290,7 +273,7 @@ pub fn run_method(method: Method, dataset: &BenchDataset) -> MethodOutput {
                     ..KMeansConfig::default()
                 },
             );
-            (result.labels, None, None, None, None, None)
+            (result.labels, None, None, None, None)
         }
         Method::KMeansSpectral { neighbors } => {
             let embedded = spectral_embedding(
@@ -311,15 +294,19 @@ pub fn run_method(method: Method, dataset: &BenchDataset) -> MethodOutput {
                     ..KMeansConfig::default()
                 },
             );
-            (result.labels, None, None, None, None, None)
+            (result.labels, None, None, None, None)
         }
     };
     let elapsed = start.elapsed();
     let ari = adjusted_rand_index(&dataset.labels, &labels);
-    let correlation_stats = match (matrix_run, &dataset.kernel_stats) {
-        (Some(rescans), Some(kernel)) => Some(CorrelationRunStats::of(kernel, rescans)),
-        _ => None,
-    };
+    // Every method but the raw-series baselines reads the data set's
+    // derived matrices, whose input went through the tiled kernel.
+    let matrix_based = !matches!(method, Method::KMeans | Method::KMeansSpectral { .. });
+    let correlation_stats = dataset
+        .kernel_stats
+        .as_ref()
+        .filter(|_| matrix_based)
+        .map(CorrelationRunStats::of);
     MethodOutput {
         labels,
         elapsed,
@@ -395,7 +382,6 @@ mod tests {
                 assert_eq!(stats.n, dataset.len(), "{}", method.name());
                 assert!(stats.tiles_computed >= 1, "{}", method.name());
                 assert!(stats.output_bytes > 0, "{}", method.name());
-                assert_eq!(stats.prescreen_rescans, 0, "{}: dense run", method.name());
             } else {
                 assert!(output.correlation_stats.is_none(), "{}", method.name());
             }

@@ -24,7 +24,7 @@
 //! # Quick example
 //!
 //! ```
-//! use pfg_core::pipeline::{ParTdbht, ParTdbhtConfig};
+//! use pfg_core::pipeline::ParTdbht;
 //! use pfg_graph::SymmetricMatrix;
 //!
 //! // A tiny correlation matrix with two obvious groups {0,1,2} and {3,4,5}.
@@ -33,7 +33,7 @@
 //!     if i == j { 1.0 } else if (i < 3) == (j < 3) { 0.8 } else { 0.1 }
 //! });
 //! let d = s.map(|p| (2.0 * (1.0 - p)).sqrt());
-//! let result = ParTdbht::new(ParTdbhtConfig::default()).run(&s, &d).unwrap();
+//! let result = ParTdbht::default().run(&s, &d).unwrap();
 //! let labels = result.dendrogram.cut_to_clusters(2);
 //! assert_eq!(labels[0], labels[1]);
 //! assert_eq!(labels[3], labels[4]);
@@ -58,8 +58,8 @@ pub use dbht::{
 pub use dendrogram::Dendrogram;
 pub use error::CoreError;
 pub use face::Triangle;
-pub use pipeline::{ParTdbht, ParTdbhtConfig, ParTdbhtResult, StageTimings};
-pub use pmfg::{pmfg, pmfg_prescreened, pmfg_sequential, pmfg_with_config, Pmfg, PmfgConfig};
+pub use pipeline::{ParTdbht, ParTdbhtResult, StageTimings};
+pub use pmfg::{pmfg, pmfg_sequential, pmfg_with_config, Pmfg, PmfgConfig};
 pub use schedule::BatchSchedule;
-pub use tmfg::{tmfg, tmfg_prescreened, Tmfg, TmfgConfig};
+pub use tmfg::{tmfg, Tmfg, TmfgConfig};
 pub use tmfg::{BatchFreshness, RoundStats};

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use pfg_graph::{
     DissimilarityView, PairDistances, SimilaritySource, SourceRows, SymmetricMatrix,
-    SymmetricMatrixF32, TopKCandidates,
+    SymmetricMatrixF32,
 };
 
 use crate::dbht::{
@@ -23,36 +23,7 @@ use crate::dbht::{
 };
 use crate::dendrogram::Dendrogram;
 use crate::error::CoreError;
-use crate::tmfg::{tmfg, tmfg_prescreened, Tmfg, TmfgConfig};
-
-/// Configuration of the PAR-TDBHT pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ParTdbhtConfig {
-    /// TMFG construction parameters (prefix size).
-    pub tmfg: TmfgConfig,
-    /// When `Some(k)`, TMFG candidate refreshes run over the top-`k`
-    /// sparse prescreen ([`TopKCandidates`]) instead of full row scans —
-    /// output-identical by construction (certified candidate lists, exact
-    /// fallback), with the fallback count reported in
-    /// [`Tmfg::prescreen_rescans`]. `None` keeps the dense scans.
-    pub prescreen: Option<usize>,
-}
-
-impl ParTdbhtConfig {
-    /// Pipeline configuration with the given TMFG prefix size.
-    pub fn with_prefix(prefix: usize) -> Self {
-        Self {
-            tmfg: TmfgConfig::with_prefix(prefix),
-            prescreen: None,
-        }
-    }
-
-    /// Enables the top-`k` candidate prescreen.
-    pub fn with_prescreen(mut self, k: usize) -> Self {
-        self.prescreen = Some(k);
-        self
-    }
-}
+use crate::tmfg::{tmfg, Tmfg, TmfgConfig};
 
 /// Wall-clock timings of the pipeline stages (refined Figure 5 categories).
 #[derive(Debug, Clone, Copy, Default)]
@@ -110,18 +81,18 @@ impl ParTdbhtResult {
 /// The PAR-TDBHT pipeline runner.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParTdbht {
-    config: ParTdbhtConfig,
+    config: TmfgConfig,
 }
 
 impl ParTdbht {
-    /// Creates a runner with the given configuration.
-    pub fn new(config: ParTdbhtConfig) -> Self {
+    /// Creates a runner with the given TMFG construction parameters.
+    pub fn new(config: TmfgConfig) -> Self {
         Self { config }
     }
 
     /// Creates a runner with the given TMFG prefix size.
     pub fn with_prefix(prefix: usize) -> Self {
-        Self::new(ParTdbhtConfig::with_prefix(prefix))
+        Self::new(TmfgConfig::with_prefix(prefix))
     }
 
     /// Runs TMFG construction followed by the DBHT.
@@ -172,17 +143,9 @@ impl ParTdbht {
             });
         }
 
-        // Construction: dense row scans, or the top-K prescreen when
-        // configured (identical output; the prescreen build is charged to
-        // the tmfg stage).
+        // Construction (Algorithm 1, with the bubble tree of Algorithm 2).
         let start = Instant::now();
-        let tmfg_result = match self.config.prescreen {
-            None => tmfg(similarity, self.config.tmfg)?,
-            Some(k) => {
-                let topk = TopKCandidates::build(similarity, k);
-                tmfg_prescreened(similarity, &topk, self.config.tmfg)?
-            }
-        };
+        let tmfg_result = tmfg(similarity, self.config)?;
         let tmfg_time = start.elapsed();
 
         // Direction pass (Algorithm 3) — determines the converging bubbles
@@ -409,16 +372,15 @@ mod tests {
     }
 
     #[test]
-    fn f32_prescreened_pipeline_recovers_block_structure() {
-        // The large-n configuration — f32 storage, top-K prescreen, and
-        // the on-the-fly dissimilarity view — must recover the same block
-        // structure as the dense f64 path.
+    fn f32_pipeline_recovers_block_structure() {
+        // The large-n configuration — f32 storage and the on-the-fly
+        // dissimilarity view — must recover the same block structure as
+        // the dense f64 path.
         let (s, d, labels) = blocks(40, 4, 1);
         let dense = ParTdbht::with_prefix(10).run(&s, &d).unwrap();
         let f32_data: Vec<f32> = s.as_slice().iter().map(|&x| x as f32).collect();
         let s32 = SymmetricMatrixF32::from_symmetrized(40, f32_data);
-        let runner = ParTdbht::new(ParTdbhtConfig::with_prefix(10).with_prescreen(12));
-        let r = runner.run_f32(&s32).unwrap();
+        let r = ParTdbht::with_prefix(10).run_f32(&s32).unwrap();
         assert_eq!(r.dendrogram.num_leaves(), 40);
         assert!(r.dendrogram.is_monotone());
         let agreement = pair_agreement(&labels, &r.clusters(4));
@@ -426,21 +388,6 @@ mod tests {
         assert!(
             agreement >= dense_agreement - 1e-9,
             "f32 agreement {agreement} vs dense {dense_agreement}"
-        );
-    }
-
-    #[test]
-    fn prescreened_pipeline_matches_dense_pipeline() {
-        // On the same f64 source, the prescreen knob must not change the
-        // output at all — construction is certified-exact.
-        let (s, d, _) = blocks(36, 3, 5);
-        let dense = ParTdbht::with_prefix(10).run(&s, &d).unwrap();
-        let runner = ParTdbht::new(ParTdbhtConfig::with_prefix(10).with_prescreen(8));
-        let p = runner.run(&s, &d).unwrap();
-        assert_eq!(dense.tmfg.insertions, p.tmfg.insertions);
-        assert_eq!(
-            dense.dendrogram.cut_to_clusters(3),
-            p.dendrogram.cut_to_clusters(3)
         );
     }
 

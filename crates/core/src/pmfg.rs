@@ -61,23 +61,10 @@
 //! construction usually stops long before the full `n(n−1)/2` pair list is
 //! needed, so only top-weight chunks are ever sorted.
 
-//!
-//! Construction is generic over [`SimilaritySource`], and
-//! [`pmfg_prescreened`] runs the same round loop over the sparse top-K
-//! prescreen ([`TopKCandidates`]): the candidate stream starts from the
-//! `O(nK)` prescreen pool instead of all `n(n−1)/2` pairs, and re-scans a
-//! vertex's full row exactly when the emission frontier passes that
-//! vertex's K-th key — the point where its pool view provably becomes
-//! incomplete. The merged stream is *identical* to the dense sorted
-//! stream, so the prescreened PMFG (graph and counters) is byte-identical
-//! to the dense one; only [`Pmfg::prescreen_rescans`] records the exact
-//! fallback work.
-
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-use pfg_graph::{emission_cmp, LrScratch, SimilaritySource, TopKCandidates, WeightedGraph};
+use pfg_graph::{LrScratch, SimilaritySource, WeightedGraph};
 use pfg_primitives::par_sort_unstable_by;
 use rayon::prelude::*;
 
@@ -146,10 +133,6 @@ pub struct Pmfg {
     /// commit, *every* survivor after a round's first acceptance paid
     /// this test. `0` for [`pmfg_sequential`].
     pub commit_retests: usize,
-    /// Full-row re-scans performed by the prescreened candidate stream
-    /// ([`pmfg_prescreened`]) to keep its emission order exact. `0` for
-    /// the dense builders.
-    pub prescreen_rescans: usize,
 }
 
 impl Pmfg {
@@ -182,16 +165,14 @@ struct CandidateStream<'a, S: SimilaritySource> {
     chunk: usize,
 }
 
-/// The candidate order shared by every PMFG stream: [`emission_cmp`] with
-/// the weights read from the similarity source.
+/// The candidate order: weight descending under `f64::total_cmp`, then
+/// smaller `i`, then smaller `j` (pairs are stored with `i < j`). `Less`
+/// means "`a` comes first".
 #[inline]
 fn candidate_cmp<S: SimilaritySource>(s: &S, a: (u32, u32), b: (u32, u32)) -> Ordering {
-    emission_cmp(
-        s.get(a.0 as usize, a.1 as usize),
-        a,
-        s.get(b.0 as usize, b.1 as usize),
-        b,
-    )
+    let wa = s.get(a.0 as usize, a.1 as usize);
+    let wb = s.get(b.0 as usize, b.1 as usize);
+    wb.total_cmp(&wa).then(a.cmp(&b))
 }
 
 impl<'a, S: SimilaritySource> CandidateStream<'a, S> {
@@ -230,28 +211,10 @@ impl<'a, S: SimilaritySource> CandidateStream<'a, S> {
         self.sorted_end += take;
         self.chunk = BatchSchedule::CANDIDATE_CHUNK.grow(self.chunk);
     }
-}
 
-/// What the round loop needs from a candidate stream: the next `k`
-/// candidates of the *dense* sorted order (however they are produced),
-/// peek/consume style. Both implementations emit exactly the same
-/// sequence; they differ only in how much of the matrix they touch.
-trait CandidateSource {
     /// Returns the next (at most) `k` candidates in decreasing-weight
     /// order, without consuming them. Shorter only when the stream is
     /// nearly exhausted.
-    fn peek(&mut self, k: usize) -> &[(u32, u32)];
-
-    /// Consumes the first `k` previously peeked candidates.
-    fn consume(&mut self, k: usize);
-
-    /// Full-row re-scans the stream performed to stay exact.
-    fn rescans(&self) -> usize {
-        0
-    }
-}
-
-impl<S: SimilaritySource> CandidateSource for CandidateStream<'_, S> {
     fn peek(&mut self, k: usize) -> &[(u32, u32)] {
         while self.sorted_end < self.pairs.len() && self.pos + k > self.sorted_end {
             self.extend_sorted();
@@ -259,196 +222,10 @@ impl<S: SimilaritySource> CandidateSource for CandidateStream<'_, S> {
         &self.pairs[self.pos..(self.pos + k).min(self.sorted_end)]
     }
 
+    /// Consumes the first `k` previously peeked candidates.
     fn consume(&mut self, k: usize) {
         self.pos += k;
         debug_assert!(self.pos <= self.sorted_end);
-    }
-}
-
-/// A heap key ordered so that `BinaryHeap::pop` yields the pair that
-/// [`emission_cmp`] emits first. The `vertex` payload (threshold heap
-/// only) breaks ties when one pair is the K-th key of both endpoints.
-#[derive(Debug, Clone, Copy)]
-struct EmissionKey {
-    w: f64,
-    pair: (u32, u32),
-    vertex: u32,
-}
-
-impl Ord for EmissionKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: the emission-earliest key is the heap maximum.
-        emission_cmp(other.w, other.pair, self.w, self.pair).then(other.vertex.cmp(&self.vertex))
-    }
-}
-
-impl PartialOrd for EmissionKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for EmissionKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for EmissionKey {}
-
-/// The prescreened candidate stream: emits the **exact** dense candidate
-/// order while reading only the top-K pool plus counted full-row
-/// re-scans.
-///
-/// Invariant (established by [`TopKCandidates`]): a pair in *neither*
-/// endpoint's list sorts strictly after the K-th key of **both**
-/// endpoints. The stream therefore merges three sources:
-///
-/// * the sorted prescreen **pool** (every pair listed somewhere),
-/// * an **extra** heap of pairs recovered by re-scans, and
-/// * a **threshold** heap holding each overflowed vertex's K-th key.
-///
-/// Before emitting a candidate that sorts strictly after a pending
-/// threshold, the stream *absorbs* that threshold's vertex: one full row
-/// re-scan that pushes every missing pair `(v, u)` whose other endpoint
-/// `u` is already absorbed into the extra heap — each missing pair is
-/// recovered exactly once, at its later endpoint's absorption, and
-/// provably before its emission position is reached. The merged sequence
-/// is therefore identical to the dense sorted sequence, which is what
-/// makes [`pmfg_prescreened`] byte-identical to [`pmfg`].
-struct PrescreenedCandidates<'a, S: SimilaritySource> {
-    s: &'a S,
-    topk: &'a TopKCandidates,
-    /// Materialized prefix of the merged (= dense) emission sequence.
-    merged: Vec<(u32, u32)>,
-    /// Next unconsumed position in `merged`.
-    pos: usize,
-    /// Prescreen pool pairs in emission order.
-    pool: Vec<(u32, u32)>,
-    pool_pos: usize,
-    /// Pairs recovered by absorptions, keyed for earliest-first popping.
-    extra: BinaryHeap<EmissionKey>,
-    /// K-th keys of not-yet-absorbed vertices, earliest-first.
-    thresholds: BinaryHeap<EmissionKey>,
-    /// Whether each vertex has been absorbed (row re-scanned).
-    absorbed: Vec<bool>,
-    rescans: usize,
-}
-
-impl<'a, S: SimilaritySource> PrescreenedCandidates<'a, S> {
-    fn new(s: &'a S, topk: &'a TopKCandidates) -> Self {
-        let mut thresholds = BinaryHeap::with_capacity(topk.n());
-        for v in 0..topk.n() {
-            if let Some((w, i, j)) = topk.kth_key(v) {
-                thresholds.push(EmissionKey {
-                    w,
-                    pair: (i, j),
-                    vertex: v as u32,
-                });
-            }
-        }
-        Self {
-            s,
-            topk,
-            merged: Vec::new(),
-            pos: 0,
-            pool: topk.pool_pairs(),
-            pool_pos: 0,
-            extra: BinaryHeap::new(),
-            thresholds,
-            absorbed: vec![false; topk.n()],
-            rescans: 0,
-        }
-    }
-
-    /// Materializes the next element of the merged sequence, absorbing
-    /// due thresholds first. Returns `false` when the stream is done.
-    fn advance(&mut self) -> bool {
-        loop {
-            // Earliest of pool head and extra head, in emission order.
-            let pool_next = self.pool.get(self.pool_pos).map(|&(i, j)| EmissionKey {
-                w: self.s.get(i as usize, j as usize),
-                pair: (i, j),
-                vertex: 0,
-            });
-            let extra_next = self.extra.peek().copied();
-            let (candidate, from_pool) = match (pool_next, extra_next) {
-                (None, None) => (None, false),
-                (Some(p), None) => (Some(p), true),
-                (None, Some(e)) => (Some(e), false),
-                (Some(p), Some(e)) => {
-                    if emission_cmp(p.w, p.pair, e.w, e.pair) == Ordering::Less {
-                        (Some(p), true)
-                    } else {
-                        (Some(e), false)
-                    }
-                }
-            };
-            // A candidate strictly after a pending threshold may be out of
-            // order: pairs missing at that threshold's vertex could belong
-            // in between. Absorb the vertex (exact row re-scan) and retry.
-            // With no candidate left, drain the thresholds the same way.
-            let due = match (self.thresholds.peek(), &candidate) {
-                (Some(t), Some(c)) => emission_cmp(t.w, t.pair, c.w, c.pair) == Ordering::Less,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if due {
-                let t = self.thresholds.pop().expect("peeked above");
-                self.absorb(t.vertex as usize);
-                continue;
-            }
-            let Some(c) = candidate else {
-                return false;
-            };
-            if from_pool {
-                self.pool_pos += 1;
-            } else {
-                self.extra.pop();
-            }
-            self.merged.push(c.pair);
-            return true;
-        }
-    }
-
-    /// Re-scans row `v`, recovering every pair `(v, u)` that is in
-    /// neither endpoint's list and whose other endpoint was already
-    /// absorbed — the later-endpoint rule that adds each missing pair
-    /// exactly once.
-    fn absorb(&mut self, v: usize) {
-        self.rescans += 1;
-        for u in 0..self.s.n() {
-            if u == v || !self.absorbed[u] {
-                continue;
-            }
-            let w = self.s.get(v, u);
-            if self.topk.in_pool(v, u, w) {
-                continue;
-            }
-            let pair = if v < u {
-                (v as u32, u as u32)
-            } else {
-                (u as u32, v as u32)
-            };
-            self.extra.push(EmissionKey { w, pair, vertex: 0 });
-        }
-        self.absorbed[v] = true;
-    }
-}
-
-impl<S: SimilaritySource> CandidateSource for PrescreenedCandidates<'_, S> {
-    fn peek(&mut self, k: usize) -> &[(u32, u32)] {
-        while self.merged.len() - self.pos < k && self.advance() {}
-        &self.merged[self.pos..(self.pos + k).min(self.merged.len())]
-    }
-
-    fn consume(&mut self, k: usize) {
-        self.pos += k;
-        debug_assert!(self.pos <= self.merged.len());
-    }
-
-    fn rescans(&self) -> usize {
-        self.rescans
     }
 }
 
@@ -472,42 +249,12 @@ pub fn pmfg<S: SimilaritySource>(s: &S) -> Result<Pmfg, CoreError> {
 /// [`CoreError::InvalidBatch`] if `config.initial_batch` is zero or
 /// exceeds `config.max_batch`.
 pub fn pmfg_with_config<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, CoreError> {
-    validate(s, config)?;
-    pmfg_rounds(s, CandidateStream::new(s), config)
-}
-
-/// Builds the PMFG over the top-K prescreen: identical output and
-/// counters to [`pmfg`] on the same source — the merged candidate stream
-/// is provably the dense sorted order (see `PrescreenedCandidates`) —
-/// but only `O(nK)` similarity reads up front, plus one full-row re-scan
-/// per exhausted vertex, counted in [`Pmfg::prescreen_rescans`].
-///
-/// # Panics
-/// Panics if `topk` was built for a different number of vertices.
-///
-/// # Errors
-/// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows, and
-/// [`CoreError::InvalidBatch`] on a bad `config` batch schedule.
-pub fn pmfg_prescreened<S: SimilaritySource>(
-    s: &S,
-    topk: &TopKCandidates,
-    config: PmfgConfig,
-) -> Result<Pmfg, CoreError> {
-    assert_eq!(
-        topk.n(),
-        s.n(),
-        "prescreen was built for a different matrix"
-    );
-    validate(s, config)?;
-    pmfg_rounds(s, PrescreenedCandidates::new(s, topk), config)
-}
-
-fn validate<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<(), CoreError> {
     let n = s.n();
     if n < 4 {
         return Err(CoreError::TooFewVertices { got: n });
     }
-    config.batch.validate()
+    config.batch.validate()?;
+    pmfg_rounds(s, config)
 }
 
 /// Incremental union-find over the committed graph's vertices, with
@@ -574,15 +321,10 @@ impl RoundDsu {
     }
 }
 
-/// The round loop, generic over how candidates are produced. Both streams
-/// emit the same sequence, so everything downstream — graph, counters,
-/// determinism across thread counts — is source-independent.
-fn pmfg_rounds<S: SimilaritySource, C: CandidateSource>(
-    s: &S,
-    mut stream: C,
-    config: PmfgConfig,
-) -> Result<Pmfg, CoreError> {
+/// The round loop over the lazily sorted candidate stream.
+fn pmfg_rounds<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, CoreError> {
     let n = s.n();
+    let mut stream = CandidateStream::new(s);
     let target_edges = 3 * n - 6;
     let mut graph = WeightedGraph::new(n);
     let mut commit_scratch = LrScratch::new();
@@ -668,7 +410,6 @@ fn pmfg_rounds<S: SimilaritySource, C: CandidateSource>(
         rounds,
         parallel_rejections,
         commit_retests,
-        prescreen_rescans: stream.rescans(),
     })
 }
 
@@ -713,7 +454,6 @@ pub fn pmfg_sequential<S: SimilaritySource>(s: &S) -> Result<Pmfg, CoreError> {
         rounds: 0,
         parallel_rejections: 0,
         commit_retests: 0,
-        prescreen_rescans: 0,
     })
 }
 
@@ -1088,92 +828,17 @@ mod tests {
     }
 
     #[test]
-    fn prescreened_stream_matches_full_sort() {
-        // The merged (pool + recovered) sequence must equal the dense
-        // sorted pair sequence for every K, including Ks small enough to
-        // force many absorptions.
-        let s = random_similarity(24, 13);
-        let n = s.n();
-        let mut full: Vec<(u32, u32)> = (0..n as u32)
-            .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
-            .collect();
-        full.sort_by(|&a, &b| candidate_cmp(&s, a, b));
-        for k in [1usize, 2, 5, 16, 23] {
-            let topk = TopKCandidates::build(&s, k);
-            let mut stream = PrescreenedCandidates::new(&s, &topk);
-            let mut streamed = Vec::new();
-            // Uneven peek sizes exercise absorptions mid-batch.
-            for take in [1usize, 7, 64, 3, 1000].iter().cycle() {
-                let batch = stream.peek(*take);
-                if batch.is_empty() {
-                    break;
-                }
-                streamed.extend_from_slice(batch);
-                let len = batch.len();
-                stream.consume(len);
-            }
-            assert_eq!(streamed, full, "K = {k}");
-            if k < n - 1 {
-                assert!(stream.rescans() > 0, "K = {k} must exhaust some vertex");
-            } else {
-                assert_eq!(stream.rescans(), 0, "complete lists never re-scan");
-            }
-        }
-    }
-
-    #[test]
-    fn prescreened_matches_dense() {
-        // The tentpole guarantee: prescreened construction is
-        // byte-identical to the dense path — graph, weights, and every
-        // counter — with only `prescreen_rescans` recording the exact
-        // fallback work.
-        for (name, s) in [
-            ("random", random_similarity(60, 7)),
-            ("clustered", clustered_similarity(48, 4, 21)),
-        ] {
-            let dense = pmfg(&s).unwrap();
-            // Small K: the construction must outrun the pool and trigger
-            // exact re-scans. Large K: the pool covers everything.
-            for k in [6usize, s.n() - 1] {
-                let topk = TopKCandidates::build(&s, k);
-                let p = pmfg_prescreened(&s, &topk, PmfgConfig::default()).unwrap();
-                let ctx = format!("{name}, K = {k}");
-                assert_eq!(edge_list(&dense), edge_list(&p), "{ctx}: edges");
-                assert_eq!(dense.rounds, p.rounds, "{ctx}: rounds");
-                assert_eq!(
-                    dense.candidates_examined, p.candidates_examined,
-                    "{ctx}: examined"
-                );
-                assert_eq!(dense.rejections, p.rejections, "{ctx}: rejections");
-                assert_eq!(
-                    dense.parallel_rejections, p.parallel_rejections,
-                    "{ctx}: parallel rejections"
-                );
-                assert_eq!(
-                    dense.commit_retests, p.commit_retests,
-                    "{ctx}: commit re-tests"
-                );
-                if k == s.n() - 1 {
-                    assert_eq!(p.prescreen_rescans, 0, "{ctx}: complete pool");
-                }
-            }
-            assert_eq!(dense.prescreen_rescans, 0, "{name}: dense path");
-        }
-    }
-
-    #[test]
-    fn prescreened_runs_on_f32_storage() {
-        // The f32 matrix is a different SimilaritySource with different
-        // (rounded) weights; prescreened and dense must still agree with
-        // each other on that source.
+    fn f32_storage_matches_widened_f64() {
+        // Construction sees a source only through `get`, so the f32 matrix
+        // and the f64 matrix holding its widened entries build the same
+        // graph, bit for bit.
         let s = random_similarity(40, 29);
         let f32_data: Vec<f32> = s.as_slice().iter().map(|&x| x as f32).collect();
+        let widened = SymmetricMatrix::from_fn(s.n(), |i, j| f32_data[i * s.n() + j] as f64);
         let s32 = pfg_graph::SymmetricMatrixF32::from_symmetrized(s.n(), f32_data);
-        let dense = pmfg(&s32).unwrap();
-        let topk = TopKCandidates::build(&s32, 8);
-        let p = pmfg_prescreened(&s32, &topk, PmfgConfig::default()).unwrap();
-        assert_eq!(edge_list(&dense), edge_list(&p));
-        assert_eq!(dense.graph.num_edges(), 3 * s.n() - 6);
+        let p = pmfg(&s32).unwrap();
+        assert_eq!(edge_list(&p), edge_list(&pmfg(&widened).unwrap()));
+        assert_eq!(p.graph.num_edges(), 3 * s.n() - 6);
     }
 
     #[test]

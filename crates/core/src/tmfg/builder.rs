@@ -13,13 +13,13 @@
 
 use std::collections::BinaryHeap;
 
-use pfg_graph::{SimilaritySource, TopKCandidates, WeightedGraph};
+use pfg_graph::{SimilaritySource, WeightedGraph};
 use rayon::prelude::*;
 
 use crate::bubble_tree::BubbleTree;
 use crate::error::CoreError;
 use crate::face::Triangle;
-use crate::tmfg::gains::{GainTable, NextBest};
+use crate::tmfg::gains::{CandidateList, GainTable, NextBest};
 
 /// How a selected batch is placed within a round.
 ///
@@ -142,8 +142,8 @@ pub struct RoundStats {
 /// `placement_ns` is wall-clock noise, not algorithm state: two
 /// byte-identical constructions time differently, so the timer is excluded
 /// from equality. The differential tests compare `round_stats` across
-/// thread counts, prescreen modes and chaos seeds, and must keep passing
-/// bit-for-bit on every *semantic* counter.
+/// thread counts and chaos seeds, and must keep passing bit-for-bit on
+/// every *semantic* counter.
 impl PartialEq for RoundStats {
     fn eq(&self, other: &Self) -> bool {
         self.target == other.target
@@ -186,9 +186,6 @@ pub struct Tmfg {
     pub rounds: usize,
     /// Per-round fill-rate and staleness counters, one entry per round.
     pub round_stats: Vec<RoundStats>,
-    /// Candidate refreshes the top-K prescreen could not certify as exact
-    /// and that fell back to a full scan (always 0 on the dense path).
-    pub prescreen_rescans: usize,
 }
 
 impl Tmfg {
@@ -263,49 +260,12 @@ pub fn tmfg<S: SimilaritySource>(s: &S, config: TmfgConfig) -> Result<Tmfg, Core
     if let Some((row, col)) = s.find_nan() {
         return Err(CoreError::NanSimilarity { row, col });
     }
-    Ok(Builder::new(s, config, None).run())
+    Ok(Builder::new(s, config).run())
 }
 
 /// Builds the sequential TMFG (equivalent to `prefix = 1`).
 pub fn tmfg_sequential<S: SimilaritySource>(s: &S) -> Result<Tmfg, CoreError> {
     tmfg(s, TmfgConfig::with_prefix(1))
-}
-
-/// Builds the TMFG through the top-K sparse prescreen: the initial clique
-/// comes from the prescreen's exact row sums, and candidate refreshes
-/// gather from the corners' top-K neighbor lists whenever the K-th-weight
-/// bound certifies the pooled result equals the full scan's (falling back
-/// to the full scan — counted in [`Tmfg::prescreen_rescans`] — when it
-/// cannot). The constructed graph is therefore *identical* to
-/// [`tmfg`]'s, at a fraction of the per-round scan work for `K ≪ n`.
-///
-/// # Errors
-/// The same conditions as [`tmfg`]; the NaN scan reuses the entry the
-/// prescreen pass recorded, so no extra `O(n²)` sweep runs here.
-///
-/// # Panics
-/// Panics if `topk` was built over a different number of vertices.
-pub fn tmfg_prescreened<S: SimilaritySource>(
-    s: &S,
-    topk: &TopKCandidates,
-    config: TmfgConfig,
-) -> Result<Tmfg, CoreError> {
-    assert_eq!(
-        topk.n(),
-        s.n(),
-        "prescreen and similarity source disagree on vertex count"
-    );
-    if config.prefix == 0 {
-        return Err(CoreError::InvalidPrefix);
-    }
-    let n = s.n();
-    if n < 4 {
-        return Err(CoreError::TooFewVertices { got: n });
-    }
-    if let Some((row, col)) = topk.nan_entry() {
-        return Err(CoreError::NanSimilarity { row, col });
-    }
-    Ok(Builder::new(s, config, Some(topk)).run())
 }
 
 /// A drawn `(face, vertex, gain)` candidate in the round's selection heap.
@@ -356,10 +316,6 @@ impl Ord for Candidate {
 /// Internal construction state for Algorithm 1.
 struct Builder<'a, S: SimilaritySource> {
     s: &'a S,
-    /// When present, candidate refreshes go through the certified top-K
-    /// pool first (see [`GainTable::compute_candidates_prescreened`]).
-    prescreen: Option<&'a TopKCandidates>,
-    prescreen_rescans: usize,
     prefix: usize,
     freshness: BatchFreshness,
     graph: WeightedGraph,
@@ -383,15 +339,11 @@ struct Builder<'a, S: SimilaritySource> {
 }
 
 impl<'a, S: SimilaritySource> Builder<'a, S> {
-    fn new(s: &'a S, config: TmfgConfig, prescreen: Option<&'a TopKCandidates>) -> Self {
+    fn new(s: &'a S, config: TmfgConfig) -> Self {
         let n = s.n();
         // Lines 1–2: the four vertices with the highest row sums and all six
-        // edges among them. The prescreen carries exact row sums, so its
-        // seed is bitwise the same selection.
-        let top = match prescreen {
-            Some(topk) => topk.top_rows_by_sum(4),
-            None => s.top_rows_by_sum(4),
-        };
+        // edges among them.
+        let top = s.top_rows_by_sum(4);
         let initial_clique = [top[0], top[1], top[2], top[3]];
         let mut graph = WeightedGraph::new(n);
         for i in 0..4 {
@@ -421,24 +373,20 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         // Line 5: the candidate lists for each initial face.
         let mut gains = GainTable::new(n, config.prefix);
         let depth = gains.depth();
-        let face_candidates: Vec<(crate::tmfg::gains::CandidateList, bool)> = faces
+        let face_candidates: Vec<CandidateList> = faces
             .par_iter()
-            .map(|&t| refreshed_candidates(s, prescreen, t, &remaining, num_remaining, depth))
+            .map(|&t| GainTable::compute_candidates(s, t, &remaining, depth))
             .collect();
         let mut face_active = Vec::with_capacity(4);
         let mut face_bubble = Vec::with_capacity(4);
-        let mut prescreen_rescans = 0;
-        for ((list, truncated), fell_back) in face_candidates {
+        for (list, truncated) in face_candidates {
             let id = gains.push_face();
             face_active.push(true);
             face_bubble.push(0);
             gains.install(id, list, truncated);
-            prescreen_rescans += fell_back as usize;
         }
         Self {
             s,
-            prescreen,
-            prescreen_rescans,
             prefix: config.prefix,
             freshness: config.freshness,
             graph,
@@ -486,7 +434,6 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
             insertions: self.insertions,
             rounds: self.rounds,
             round_stats: self.round_stats,
-            prescreen_rescans: self.prescreen_rescans,
         }
     }
 
@@ -645,56 +592,45 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         // one fused scan of the remaining pool (4 similarity loads per
         // vertex instead of 9 — the follow-up paper's gain maintenance).
         // Children consumed later in the same round (intra-round freshness)
-        // are skipped at install. The prescreened source keeps the per-face
-        // certified refresh instead: its pooled top-K gather is already
-        // sublinear, and the exactness certificate is per-face.
-        if self.prescreen.is_none() {
-            let fused: Vec<(ChildGroup, [crate::tmfg::gains::CandidateList; 3])> = groups
-                .par_iter()
-                .map(|&g| {
-                    (
-                        g,
-                        GainTable::compute_candidates_for_children(
-                            s, g.parent, g.vertex, remaining, depth,
-                        ),
-                    )
-                })
-                .collect();
-            for (g, lists) in fused {
-                for (slot, (list, truncated)) in lists.into_iter().enumerate() {
-                    let f = g.children[slot];
-                    if self.face_active[f] {
-                        self.gains.install(f, list, truncated);
-                    }
+        // are skipped at install.
+        let fused: Vec<(ChildGroup, [CandidateList; 3])> = groups
+            .par_iter()
+            .map(|&g| {
+                (
+                    g,
+                    GainTable::compute_candidates_for_children(
+                        s, g.parent, g.vertex, remaining, depth,
+                    ),
+                )
+            })
+            .collect();
+        for (g, lists) in fused {
+            for (slot, (list, truncated)) in lists.into_iter().enumerate() {
+                let f = g.children[slot];
+                if self.face_active[f] {
+                    self.gains.install(f, list, truncated);
                 }
             }
-        } else {
-            faces_to_refresh.extend(groups.iter().flat_map(|g| g.children));
         }
 
         faces_to_refresh.sort_unstable();
         faces_to_refresh.dedup();
         faces_to_refresh.retain(|&f| self.face_active[f]);
 
-        // Line 16, drained survivors (and, on the prescreened path, the
-        // children): recompute the candidate lists in parallel (each face
-        // scans the remaining vertex set — or, when the prescreen certifies
-        // it, just the corners' pooled top-K lists).
-        let prescreen = self.prescreen;
-        let num_remaining = self.num_remaining;
+        // Line 16, drained survivors: recompute their candidate lists in
+        // parallel, each face scanning the remaining vertex set.
         let faces = &self.faces;
-        let updates: Vec<(usize, (crate::tmfg::gains::CandidateList, bool))> = faces_to_refresh
+        let updates: Vec<(usize, CandidateList)> = faces_to_refresh
             .par_iter()
             .map(|&f| {
                 (
                     f,
-                    refreshed_candidates(s, prescreen, faces[f], remaining, num_remaining, depth),
+                    GainTable::compute_candidates(s, faces[f], remaining, depth),
                 )
             })
             .collect();
-        for (f, ((list, truncated), fell_back)) in updates {
+        for (f, (list, truncated)) in updates {
             self.gains.install(f, list, truncated);
-            self.prescreen_rescans += fell_back as usize;
         }
     }
 
@@ -833,28 +769,6 @@ struct ChildGroup {
     parent: Triangle,
     vertex: usize,
     children: [usize; 3],
-}
-
-/// One candidate refresh, routed through the prescreen when available:
-/// returns the list plus whether the prescreen failed to certify exactness
-/// and a full scan ran instead.
-fn refreshed_candidates<S: SimilaritySource>(
-    s: &S,
-    prescreen: Option<&TopKCandidates>,
-    t: Triangle,
-    remaining: &[bool],
-    num_remaining: usize,
-    depth: usize,
-) -> (crate::tmfg::gains::CandidateList, bool) {
-    if let Some(topk) = prescreen {
-        if let Some(list) =
-            GainTable::compute_candidates_prescreened(s, topk, t, remaining, num_remaining, depth)
-        {
-            return (list, false);
-        }
-        return (GainTable::compute_candidates(s, t, remaining, depth), true);
-    }
-    (GainTable::compute_candidates(s, t, remaining, depth), false)
 }
 
 #[cfg(test)]
@@ -1229,75 +1143,23 @@ mod tests {
     }
 
     #[test]
-    fn prescreened_matches_dense() {
-        // The prescreened TMFG must be byte-identical to the dense one:
-        // identical seed clique (exact row sums), identical insertion
-        // trace (certified candidate lists or full-scan fallback), and
-        // identical counters — only `prescreen_rescans` differs from
-        // zero, counting faces whose certificate failed.
-        let clustered = |n: usize, blocks: usize, seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            SymmetricMatrix::from_fn(n, |i, j| {
-                if i == j {
-                    1.0
-                } else {
-                    let base = if i % blocks == j % blocks { 0.8 } else { 0.2 };
-                    base + rng.gen_range(0.0..0.1)
-                }
-            })
-        };
-        for (name, s) in [
-            ("random", random_similarity(60, 7)),
-            ("clustered", clustered(48, 4, 21)),
-        ] {
-            for prefix in [1, 10] {
-                let config = TmfgConfig {
-                    prefix,
-                    freshness: BatchFreshness::IntraRound,
-                };
-                let dense = tmfg(&s, config).unwrap();
-                assert_eq!(dense.prescreen_rescans, 0, "dense path never rescans");
-                // Small K forces certificate failures; a near-complete K
-                // certifies everything.
-                for k in [8usize, s.n() - 1] {
-                    let topk = TopKCandidates::build(&s, k);
-                    let p = tmfg_prescreened(&s, &topk, config).unwrap();
-                    let ctx = format!("{name}, prefix {prefix}, K = {k}");
-                    assert_eq!(dense.initial_clique, p.initial_clique, "{ctx}: seed");
-                    assert_eq!(dense.insertions, p.insertions, "{ctx}: insertions");
-                    assert_eq!(dense.rounds, p.rounds, "{ctx}: rounds");
-                    assert_eq!(dense.round_stats, p.round_stats, "{ctx}: round stats");
-                    let dense_edges: Vec<_> = dense.graph.edges().collect();
-                    let p_edges: Vec<_> = p.graph.edges().collect();
-                    assert_eq!(dense_edges, p_edges, "{ctx}: edges");
-                    assert_eq!(
-                        format!("{:?}", dense.bubble_tree),
-                        format!("{:?}", p.bubble_tree),
-                        "{ctx}: bubble tree"
-                    );
-                    if k == s.n() - 1 {
-                        assert_eq!(p.prescreen_rescans, 0, "{ctx}: complete lists");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn prescreened_runs_on_f32_storage() {
-        // Same guarantee on the f32 source: prescreened == dense over the
-        // rounded weights.
+    fn f32_storage_matches_widened_f64() {
+        // Construction sees a source only through `get` and its row sums,
+        // so the f32 matrix and the f64 matrix holding its widened entries
+        // build the same TMFG, bit for bit.
         let s = random_similarity(40, 29);
         let f32_data: Vec<f32> = s.as_slice().iter().map(|&x| x as f32).collect();
+        let widened = SymmetricMatrix::from_fn(s.n(), |i, j| f32_data[i * s.n() + j] as f64);
         let s32 = pfg_graph::SymmetricMatrixF32::from_symmetrized(s.n(), f32_data);
         let config = TmfgConfig::default();
-        let dense = tmfg(&s32, config).unwrap();
-        let topk = TopKCandidates::build(&s32, 8);
-        let p = tmfg_prescreened(&s32, &topk, config).unwrap();
-        assert_eq!(dense.insertions, p.insertions);
-        let dense_edges: Vec<_> = dense.graph.edges().collect();
-        let p_edges: Vec<_> = p.graph.edges().collect();
-        assert_eq!(dense_edges, p_edges);
+        let narrow = tmfg(&s32, config).unwrap();
+        let wide = tmfg(&widened, config).unwrap();
+        assert_eq!(narrow.initial_clique, wide.initial_clique);
+        assert_eq!(narrow.insertions, wide.insertions);
+        assert_eq!(narrow.round_stats, wide.round_stats);
+        let narrow_edges: Vec<_> = narrow.graph.edges().collect();
+        let wide_edges: Vec<_> = wide.graph.edges().collect();
+        assert_eq!(narrow_edges, wide_edges);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! gain can never be selected (mirroring `pfg_primitives::par_max_index`,
 //! whose NaN keys never win).
 
-use pfg_graph::{SimilaritySource, TopKCandidates};
+use pfg_graph::SimilaritySource;
 
 use crate::face::Triangle;
 use crate::schedule::BatchSchedule;
@@ -403,92 +403,6 @@ impl GainTable {
     ) -> Option<(usize, f64)> {
         let (list, _) = Self::compute_candidates(s, triangle, remaining, 1);
         list.first().copied()
-    }
-
-    /// Prescreened variant of [`GainTable::compute_candidates`]: gathers
-    /// candidates from the union of the three corners' top-K neighbor
-    /// lists instead of scanning all `remaining` vertices, and *certifies*
-    /// that the result equals the full scan's before returning it.
-    ///
-    /// The certificate: a remaining vertex `v` outside all three lists has
-    /// `s(v, x) <= kth_weight(x)` for each corner `x` (otherwise its pair
-    /// would have made `x`'s list), so its gain is at most
-    /// `B = kth(a) + kth(b) + kth(c)`. If the pool yields a full `depth`
-    /// candidates whose worst gain is **strictly** above `B` (strict, so
-    /// an outside vertex can never displace an entry via the smaller-id
-    /// tie-break either), the pool's top-`depth` is exactly the full
-    /// scan's top-`depth`. When some corner's list is complete (the vertex
-    /// has fewer than K neighbors), there are no outside vertices at all
-    /// and the pool is trivially exact. Returns `None` when the bound
-    /// cannot certify exactness — the caller falls back to the full scan
-    /// and counts a prescreen rescan.
-    ///
-    /// `num_remaining` is the population of the `remaining` mask (tracked
-    /// by the builder; passing it avoids an O(n) recount here).
-    pub fn compute_candidates_prescreened<S: SimilaritySource>(
-        s: &S,
-        topk: &TopKCandidates,
-        triangle: Triangle,
-        remaining: &[bool],
-        num_remaining: usize,
-        depth: usize,
-    ) -> Option<CandidateList> {
-        let [a, b, c] = triangle.corners();
-        let mut pool: Vec<usize> = Vec::with_capacity(3 * topk.k());
-        for corner in [a, b, c] {
-            for &(other, _) in topk.neighbors(corner) {
-                let v = other as usize;
-                if remaining[v] {
-                    pool.push(v);
-                }
-            }
-        }
-        // Increasing id order with duplicates removed, so the selection
-        // loop below resolves gain ties exactly like the full scan.
-        pool.sort_unstable();
-        pool.dedup();
-        let outside = num_remaining - pool.len();
-        let bound = if outside > 0 {
-            match (topk.kth_weight(a), topk.kth_weight(b), topk.kth_weight(c)) {
-                (Some(wa), Some(wb), Some(wc)) => Some(wa + wb + wc),
-                // A complete corner list covers every remaining vertex, so
-                // `outside > 0` is impossible here; unreachable in
-                // practice, but fall back conservatively.
-                _ => return None,
-            }
-        } else {
-            None
-        };
-        // The same selection loop as the full scan, over the pool only.
-        let mut list: Vec<(usize, f64)> = Vec::with_capacity(depth + 1);
-        let mut truncated = false;
-        for &v in &pool {
-            let gain = Self::gain_of(s, triangle, v);
-            if gain.is_nan() {
-                continue;
-            }
-            if list.len() == depth {
-                let (_, worst) = list[depth - 1];
-                if gain <= worst {
-                    truncated = true;
-                    continue;
-                }
-                truncated = true;
-            }
-            let at = list.partition_point(|&(_, g)| g >= gain);
-            list.insert(at, (v, gain));
-            list.truncate(depth);
-        }
-        if let Some(bound) = bound {
-            // Outside vertices exist: exact only if the pool filled the
-            // whole list with gains strictly above what any outside vertex
-            // can reach.
-            if list.len() < depth || list[depth - 1].1 <= bound {
-                return None;
-            }
-            truncated = true;
-        }
-        Some((list, truncated))
     }
 }
 

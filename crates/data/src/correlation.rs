@@ -31,7 +31,7 @@
 //! multiplication is commutative, and `0.5 * (x + x) == x` exactly).
 //! Differential tests in this module assert the equality.
 
-use pfg_graph::{SimilaritySource, SymmetricMatrix, SymmetricMatrixF32};
+use pfg_graph::{SymmetricMatrix, SymmetricMatrixF32};
 use pfg_primitives::{DisjointWriteAudit, SendPtr};
 use rayon::prelude::*;
 
@@ -135,22 +135,6 @@ impl ZProfile {
     /// Heap footprint of the profile buffer in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<f64>()
-    }
-}
-
-/// A [`ZProfile`] *is* a similarity source: correlations are computed on
-/// demand from the `n · L` profile, so filtered-graph construction (e.g.
-/// through the top-K prescreen) can run without ever materialising any
-/// `n²` matrix at all.
-impl SimilaritySource for ZProfile {
-    #[inline]
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn get(&self, i: usize, j: usize) -> f64 {
-        self.correlation(i, j)
     }
 }
 

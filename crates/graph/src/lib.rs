@@ -27,6 +27,6 @@ pub use shortest_paths::{
     all_pairs_shortest_paths, dijkstra, group_restricted_shortest_paths, shortest_path_rows,
     GroupBlocks, PairDistances, SourceRows,
 };
-pub use similarity::{emission_cmp, DissimilarityView, SimilaritySource, TopKCandidates};
+pub use similarity::{DissimilarityView, SimilaritySource};
 pub use union_find::UnionFind;
 pub use weighted_graph::WeightedGraph;

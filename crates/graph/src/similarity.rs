@@ -1,24 +1,12 @@
-//! Abstraction over similarity-matrix storage plus the top-K sparse
-//! candidate prescreen.
+//! Abstraction over similarity-matrix storage.
 //!
 //! Filtered-graph construction (TMFG, PMFG) only ever *reads* the
 //! similarity matrix — single entries, row sums, and the best-row seed —
 //! and only *compares* the weights it reads. [`SimilaritySource`] captures
 //! exactly that surface, so the same construction code runs over the dense
-//! `f64` matrix, the half-footprint `f32` matrix, or any derived view.
-//!
-//! [`TopKCandidates`] is the sparse prescreen: one pass over the source
-//! keeps the K strongest neighbors of every vertex under the strict
-//! `(weight desc, i asc, j asc)` total order — the same order PMFG's
-//! candidate stream and TMFG's gain tie-breaks use — plus the *exact*
-//! full row sums and each vertex's K-th key. The K-th keys are what make
-//! prescreened construction provably identical to the dense path: a pair
-//! absent from the prescreen must sort strictly after the K-th key of
-//! *both* its endpoints, so consumers know precisely when their view of
-//! the candidate order becomes incomplete and can fall back to an exact
-//! re-scan of the affected vertex (counted, and differentially tested).
-
-use std::cmp::Ordering;
+//! `f64` matrix and the half-footprint `f32` matrix.
+//! [`DissimilarityView`] derives the DBHT's edge lengths from any source
+//! on the fly.
 
 use rayon::prelude::*;
 
@@ -118,251 +106,6 @@ impl SimilaritySource for SymmetricMatrixF32 {
     }
 }
 
-/// The strict total order in which candidate pairs are emitted by PMFG's
-/// stream and ranked by the prescreen: weight descending under
-/// `f64::total_cmp`, then smaller `i`, then smaller `j` (pairs normalized
-/// to `i < j`). `Less` means "`a` comes first".
-#[inline]
-pub fn emission_cmp(wa: f64, pa: (u32, u32), wb: f64, pb: (u32, u32)) -> Ordering {
-    wb.total_cmp(&wa)
-        .then(pa.0.cmp(&pb.0))
-        .then(pa.1.cmp(&pb.1))
-}
-
-#[inline]
-fn normalized(v: usize, u: usize) -> (u32, u32) {
-    if v < u {
-        (v as u32, u as u32)
-    } else {
-        (u as u32, v as u32)
-    }
-}
-
-/// Per-vertex result of the prescreen pass.
-struct VertexScreen {
-    /// The K strongest neighbors `(other, weight)` in emission order.
-    list: Vec<(u32, f64)>,
-    /// Key of the K-th kept pair; `None` when the list holds *every*
-    /// neighbor of the vertex (the view of this vertex is complete).
-    kth: Option<(f64, u32, u32)>,
-    /// Exact full row sum (diagonal included, index order).
-    row_sum: f64,
-    /// First NaN column strictly right of the diagonal, if any.
-    nan_col: Option<usize>,
-}
-
-/// The top-K sparse candidate prescreen over a [`SimilaritySource`].
-///
-/// One parallel pass keeps, for every vertex, the K neighbors whose pairs
-/// sort earliest under [`emission_cmp`], the key of the K-th kept pair
-/// (the vertex's *exhaustion threshold*), and the exact full row sum —
-/// accumulated in index order, so seeds chosen by
-/// [`TopKCandidates::top_rows_by_sum`] are bitwise identical to the dense
-/// [`SimilaritySource::top_rows_by_sum`].
-///
-/// The structural guarantee consumers build on: a pair `(i, j)` that is in
-/// *neither* endpoint's list sorts strictly after **both** `kth_key(i)`
-/// and `kth_key(j)`. Equivalently, `(i, j)` is in the prescreen pool if
-/// and only if its key is `<=` the K-th key of at least one endpoint —
-/// which is what [`TopKCandidates::in_pool`] tests without any search.
-pub struct TopKCandidates {
-    n: usize,
-    k: usize,
-    lists: Vec<Vec<(u32, f64)>>,
-    kth: Vec<Option<(f64, u32, u32)>>,
-    row_sums: Vec<f64>,
-    nan_entry: Option<(usize, usize)>,
-}
-
-impl TopKCandidates {
-    /// Runs the prescreen, keeping the `k` strongest neighbors per vertex.
-    pub fn build<S: SimilaritySource>(s: &S, k: usize) -> Self {
-        let n = s.n();
-        let k = k.max(1);
-        let screens: Vec<VertexScreen> = (0..n)
-            .into_par_iter()
-            .with_max_len(1)
-            .map(|v| Self::screen_vertex(s, v, k))
-            .collect();
-        let mut lists = Vec::with_capacity(n);
-        let mut kth = Vec::with_capacity(n);
-        let mut row_sums = Vec::with_capacity(n);
-        let mut nan_entry: Option<(usize, usize)> = None;
-        for (v, screen) in screens.into_iter().enumerate() {
-            if let Some(col) = screen.nan_col {
-                let entry = (v, col);
-                nan_entry = Some(match nan_entry {
-                    Some(prev) if prev <= entry => prev,
-                    _ => entry,
-                });
-            }
-            lists.push(screen.list);
-            kth.push(screen.kth);
-            row_sums.push(screen.row_sum);
-        }
-        Self {
-            n,
-            k,
-            lists,
-            kth,
-            row_sums,
-            nan_entry,
-        }
-    }
-
-    fn screen_vertex<S: SimilaritySource>(s: &S, v: usize, k: usize) -> VertexScreen {
-        let n = s.n();
-        let mut row_sum = 0.0;
-        let mut list: Vec<(u32, f64)> = Vec::with_capacity(k + 1);
-        let mut overflowed = false;
-        let mut nan_col = None;
-        for u in 0..n {
-            let w = s.get(v, u);
-            row_sum += w;
-            if u == v {
-                continue;
-            }
-            if w.is_nan() && u > v && nan_col.is_none() {
-                nan_col = Some(u);
-            }
-            let pair = normalized(v, u);
-            let pos = list.partition_point(|&(other, ow)| {
-                emission_cmp(ow, normalized(v, other as usize), w, pair) == Ordering::Less
-            });
-            if pos >= k {
-                overflowed = true;
-                continue;
-            }
-            list.insert(pos, (u as u32, w));
-            if list.len() > k {
-                list.pop();
-                overflowed = true;
-            }
-        }
-        let kth = if overflowed {
-            debug_assert_eq!(list.len(), k);
-            let (other, w) = list[k - 1];
-            let (i, j) = normalized(v, other as usize);
-            Some((w, i, j))
-        } else {
-            None
-        };
-        VertexScreen {
-            list,
-            kth,
-            row_sum,
-            nan_col,
-        }
-    }
-
-    /// Number of vertices.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The per-vertex list budget K.
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The K strongest neighbors of `v` as `(other, weight)`, in emission
-    /// order.
-    #[inline]
-    pub fn neighbors(&self, v: usize) -> &[(u32, f64)] {
-        &self.lists[v]
-    }
-
-    /// The exhaustion threshold of `v`: the key of its K-th kept pair, or
-    /// `None` when the list holds every neighbor (a complete view that
-    /// never exhausts).
-    #[inline]
-    pub fn kth_key(&self, v: usize) -> Option<(f64, u32, u32)> {
-        self.kth[v]
-    }
-
-    /// The K-th kept *weight* of `v`, or `None` for a complete view. Any
-    /// neighbor of `v` missing from the list has weight `<=` this.
-    #[inline]
-    pub fn kth_weight(&self, v: usize) -> Option<f64> {
-        self.kth[v].map(|(w, _, _)| w)
-    }
-
-    /// Whether the pair `(i, j)` with weight `w` is in the pool (in at
-    /// least one endpoint's list). No search: membership is equivalent to
-    /// the pair's key sorting `<=` the K-th key of either endpoint.
-    pub fn in_pool(&self, i: usize, j: usize, w: f64) -> bool {
-        let pair = normalized(i, j);
-        let covered = |v: usize| match self.kth[v] {
-            None => true,
-            Some((kw, ki, kj)) => emission_cmp(w, pair, kw, (ki, kj)) != Ordering::Greater,
-        };
-        covered(i) || covered(j)
-    }
-
-    /// Exact full row sums (bitwise identical to the dense
-    /// [`SimilaritySource::row_sum`]).
-    #[inline]
-    pub fn row_sums(&self) -> &[f64] {
-        &self.row_sums
-    }
-
-    /// Indices of the `k` rows with the largest exact row sums — the same
-    /// selection, order, and tie-break as the dense
-    /// [`SimilaritySource::top_rows_by_sum`].
-    pub fn top_rows_by_sum(&self, k: usize) -> Vec<usize> {
-        let sums = &self.row_sums;
-        let mut idx: Vec<usize> = (0..self.n).collect();
-        idx.sort_by(|&a, &b| sums[b].total_cmp(&sums[a]).then(a.cmp(&b)));
-        idx.truncate(k);
-        idx
-    }
-
-    /// First NaN entry of the strict upper triangle in `(row, col)` order,
-    /// recorded for free during the prescreen pass (same result as
-    /// [`SimilaritySource::find_nan`]).
-    #[inline]
-    pub fn nan_entry(&self) -> Option<(usize, usize)> {
-        self.nan_entry
-    }
-
-    /// All distinct pairs of the pool, sorted by [`emission_cmp`] — the
-    /// seed list of the prescreened PMFG candidate stream.
-    pub fn pool_pairs(&self) -> Vec<(u32, u32)> {
-        let mut keyed: Vec<(f64, u32, u32)> = Vec::new();
-        for (v, list) in self.lists.iter().enumerate() {
-            for &(other, w) in list {
-                let (i, j) = normalized(v, other as usize);
-                // Keep each pair once: at its smaller endpoint if listed
-                // there, otherwise at the larger one.
-                if v == i as usize || !self.listed_at(i as usize, j as usize) {
-                    keyed.push((w, i, j));
-                }
-            }
-        }
-        keyed.par_sort_unstable_by(|a, b| emission_cmp(a.0, (a.1, a.2), b.0, (b.1, b.2)));
-        keyed.into_iter().map(|(_, i, j)| (i, j)).collect()
-    }
-
-    /// Whether pair `(v, u)` appears in `v`'s own list.
-    fn listed_at(&self, v: usize, u: usize) -> bool {
-        self.lists[v].iter().any(|&(other, _)| other as usize == u)
-    }
-
-    /// Approximate heap footprint of the prescreen structure in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        let list_bytes: usize = self
-            .lists
-            .iter()
-            .map(|l| l.capacity() * std::mem::size_of::<(u32, f64)>())
-            .sum();
-        list_bytes
-            + self.kth.capacity() * std::mem::size_of::<Option<(f64, u32, u32)>>()
-            + self.row_sums.capacity() * std::mem::size_of::<f64>()
-    }
-}
-
 /// A [`PairDistances`] view deriving the dissimilarity
 /// `d = sqrt(2 (1 − s))` from a similarity source on the fly — no dense
 /// `n²` dissimilarity matrix is ever materialized.
@@ -408,13 +151,17 @@ mod tests {
         SymmetricMatrix::from_fn(n, |i, j| if i == j { 1.0 } else { 2.0 * next() - 1.0 })
     }
 
+    fn f32_copy(m: &SymmetricMatrix) -> SymmetricMatrixF32 {
+        let data: Vec<f32> = m.as_slice().iter().map(|&x| x as f32).collect();
+        SymmetricMatrixF32::from_symmetrized(m.n(), data)
+    }
+
     #[test]
     fn matrix_sources_agree_on_reads() {
         let m = random_matrix(12, 7);
         let n = SimilaritySource::n(&m);
         assert_eq!(n, 12);
-        let f32_data: Vec<f32> = m.as_slice().iter().map(|&x| x as f32).collect();
-        let m32 = SymmetricMatrixF32::from_symmetrized(12, f32_data);
+        let m32 = f32_copy(&m);
         for i in 0..n {
             for j in 0..n {
                 let wide = SimilaritySource::get(&m32, i, j);
@@ -425,101 +172,43 @@ mod tests {
     }
 
     #[test]
-    fn top_k_lists_match_brute_force() {
-        let m = random_matrix(20, 3);
-        let k = 5;
-        let topk = TopKCandidates::build(&m, k);
-        for v in 0..20 {
-            let mut pairs: Vec<(f64, (u32, u32), u32)> = (0..20)
-                .filter(|&u| u != v)
-                .map(|u| (m.get(v, u), normalized(v, u), u as u32))
-                .collect();
-            pairs.sort_by(|a, b| emission_cmp(a.0, a.1, b.0, b.1));
-            let expected: Vec<(u32, f64)> = pairs.iter().take(k).map(|p| (p.2, p.0)).collect();
-            assert_eq!(topk.neighbors(v), expected.as_slice(), "vertex {v}");
-            let (kw, ki, kj) = topk.kth_key(v).expect("n - 1 > k so every list overflows");
-            assert_eq!((kw, (ki, kj)), (pairs[k - 1].0, pairs[k - 1].1));
-        }
-    }
-
-    #[test]
-    fn small_graphs_are_complete() {
-        let m = random_matrix(4, 9);
-        let topk = TopKCandidates::build(&m, 10);
-        for v in 0..4 {
-            assert_eq!(topk.neighbors(v).len(), 3);
-            assert!(topk.kth_key(v).is_none());
-            assert!(topk.in_pool(v, (v + 1) % 4, m.get(v, (v + 1) % 4)));
-        }
-    }
-
-    #[test]
     fn row_sums_are_bitwise_exact() {
-        let m = random_matrix(17, 11);
-        let topk = TopKCandidates::build(&m, 3);
-        for v in 0..17 {
-            assert_eq!(topk.row_sums()[v].to_bits(), m.row_sum(v).to_bits());
-        }
-        assert_eq!(topk.top_rows_by_sum(4), m.top_rows_by_sum(4));
-    }
-
-    #[test]
-    fn missing_pairs_sort_after_both_thresholds() {
-        let m = random_matrix(24, 5);
-        let topk = TopKCandidates::build(&m, 4);
-        for i in 0..24 {
-            for j in (i + 1)..24 {
-                let w = m.get(i, j);
-                let in_i = topk.neighbors(i).iter().any(|&(o, _)| o as usize == j);
-                let in_j = topk.neighbors(j).iter().any(|&(o, _)| o as usize == i);
-                assert_eq!(topk.in_pool(i, j, w), in_i || in_j, "pair ({i},{j})");
-                if !in_i && !in_j {
-                    for v in [i, j] {
-                        let (kw, ki, kj) = topk.kth_key(v).unwrap();
-                        assert_eq!(
-                            emission_cmp(w, (i as u32, j as u32), kw, (ki, kj)),
-                            Ordering::Greater,
-                            "missing pair must sort strictly after kth({v})"
-                        );
-                    }
-                }
+        // The row sums pick the TMFG seed clique, so every source must
+        // return the index-order sum of its own entries, bit for bit, and
+        // seed with the rows of largest sum.
+        fn check<S: SimilaritySource>(s: &S) {
+            let n = s.n();
+            let sums = s.row_sums();
+            for (i, &sum) in sums.iter().enumerate() {
+                let expected: f64 = (0..n).map(|j| s.get(i, j)).sum();
+                assert_eq!(sum.to_bits(), expected.to_bits(), "row {i}");
             }
+            let top = s.top_rows_by_sum(4);
+            assert!(top.windows(2).all(|w| sums[w[0]] >= sums[w[1]]));
+            let floor = sums[top[3]];
+            assert!((0..n)
+                .filter(|v| !top.contains(v))
+                .all(|v| sums[v] <= floor));
         }
-    }
-
-    #[test]
-    fn pool_pairs_sorted_and_distinct() {
-        let m = random_matrix(18, 13);
-        let topk = TopKCandidates::build(&m, 4);
-        let pool = topk.pool_pairs();
-        for w in pool.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            assert_ne!(a, b);
-            assert_eq!(
-                emission_cmp(
-                    m.get(a.0 as usize, a.1 as usize),
-                    a,
-                    m.get(b.0 as usize, b.1 as usize),
-                    b
-                ),
-                Ordering::Less
-            );
-        }
-        let brute: usize = (0..18)
-            .flat_map(|i| (i + 1..18).map(move |j| (i, j)))
-            .filter(|&(i, j)| topk.in_pool(i, j, m.get(i, j)))
-            .count();
-        assert_eq!(pool.len(), brute);
+        let m = random_matrix(17, 11);
+        check(&m);
+        check(&f32_copy(&m));
     }
 
     #[test]
     fn nan_entry_matches_dense_scan() {
+        // The parallel `find_nan` must report the first NaN of a
+        // sequential row-major scan of the strict upper triangle.
         let mut m = random_matrix(10, 21);
+        assert_eq!(SimilaritySource::find_nan(&m), None);
         m.set(3, 7, f64::NAN);
         m.set(2, 9, f64::NAN);
-        let topk = TopKCandidates::build(&m, 3);
-        assert_eq!(topk.nan_entry(), Some((2, 9)));
-        assert_eq!(topk.nan_entry(), m.find_nan());
+        let scan = (0..10)
+            .flat_map(|i| ((i + 1)..10).map(move |j| (i, j)))
+            .find(|&(i, j)| m.get(i, j).is_nan());
+        assert_eq!(scan, Some((2, 9)));
+        assert_eq!(SimilaritySource::find_nan(&m), scan);
+        assert_eq!(f32_copy(&m).find_nan(), scan);
     }
 
     #[test]

@@ -47,8 +47,8 @@ where
 
 /// Parallel unstable sort by a comparison function. Above the threshold
 /// this delegates to rayon's `par_sort_unstable_by` (under the shim, the
-/// same buffer-based merge sort with unstable leaf sorts and the same
-/// ~4k/single-thread fallback). Elements only need `T: Send`.
+/// same stable buffer-based merge sort with the same ~4k/single-thread
+/// fallback). Elements only need `T: Send`.
 pub fn par_sort_unstable_by<T, F>(items: &mut [T], cmp: F)
 where
     T: Send,

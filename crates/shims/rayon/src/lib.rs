@@ -27,24 +27,24 @@
 //!   `count`) runs — a chain of k adapters costs one split tree and no
 //!   intermediate allocations.
 //! * `sort` (internal) — a buffer-based parallel merge sort behind
-//!   [`ParallelSliceMut::par_sort_by`] / `par_sort_unstable_by`: std run
-//!   sorts at the leaves, `join`-recursive merges that split the larger
-//!   run at its midpoint and binary-search the partner, moving elements
-//!   through one scratch buffer. Requires only `T: Send`, like real rayon
-//!   (the PR 2 index-merge sort needed `T: Sync` as well). Taken only
-//!   when both the pool and the hardware offer parallelism
-//!   (oversubscription cannot win at sorting).
+//!   [`ParallelSliceMut::par_sort_by`] / `par_sort_unstable_by`: std
+//!   stable run sorts at the leaves, `join`-recursive merges that split
+//!   the larger run at its midpoint and binary-search the partner, moving
+//!   elements through one scratch buffer. Requires only `T: Send`, like
+//!   real rayon (an earlier index-merge sort needed `T: Sync` as well).
+//!   Taken only when both the pool and the hardware offer parallelism
+//!   (oversubscription cannot win at sorting); otherwise the std stable
+//!   sort runs. Both sorts are stable on both paths, so they return the
+//!   same permutation either way.
 //!
 //! Observable semantics match rayon for the operations the algorithms rely
 //! on: `collect` preserves input order, `fold`/`reduce` see one
 //! accumulator per contiguous piece combined left to right, `par_sort_by`
 //! is stable — and every one of those results is deterministic across
-//! runs *and* across all multi-threaded worker counts (stealing may
-//! reorder execution, never results). A single-threaded configuration
-//! runs fully inline — plain sequential semantics with one accumulator —
-//! so float-reduction grouping (and hence bits) can differ between one
-//! thread and several, exactly as before; `collect` and the sorts agree
-//! across *all* counts.
+//! runs *and* across all worker counts, one included (stealing may
+//! reorder execution, never results). A single-threaded pool walks the
+//! same length-determined piece tree inline, so float reductions group
+//! identically at every thread count.
 //!
 //! Supported surface:
 //!
@@ -94,7 +94,9 @@ pub trait ParallelSliceMut<T: Send> {
     fn par_sort_by<F>(&mut self, cmp: F)
     where
         F: Fn(&T, &T) -> Ordering + Sync;
-    /// Parallel unstable sort by comparator.
+    /// Parallel unstable sort by comparator. The shim sorts stably (one
+    /// of the orders an unstable sort may return), so ties land in the
+    /// same order at every worker count.
     fn par_sort_unstable_by<F>(&mut self, cmp: F)
     where
         F: Fn(&T, &T) -> Ordering + Sync;
@@ -111,14 +113,14 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
     where
         F: Fn(&T, &T) -> Ordering + Sync,
     {
-        sort::par_merge_sort_by(self, &cmp, true);
+        sort::par_merge_sort_by(self, &cmp);
     }
 
     fn par_sort_unstable_by<F>(&mut self, cmp: F)
     where
         F: Fn(&T, &T) -> Ordering + Sync,
     {
-        sort::par_merge_sort_by(self, &cmp, false);
+        sort::par_merge_sort_by(self, &cmp);
     }
 
     fn par_chunks_mut(&mut self, chunk_size: usize) -> iter::ChunksMutSource<'_, T> {

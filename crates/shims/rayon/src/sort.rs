@@ -1,5 +1,6 @@
 //! Buffer-based parallel merge sort for `par_sort_by` /
-//! `par_sort_unstable_by`.
+//! `par_sort_unstable_by`. Both sorts are stable: a stable order is
+//! unique, so every path below returns the same permutation.
 //!
 //! The PR 2 implementation merged sorted runs into *index* vectors
 //! (`order[k]` = slice position of the k-th smallest element) and applied
@@ -15,15 +16,15 @@
 //!    count), so the sort is byte-for-byte deterministic across
 //!    `RAYON_NUM_THREADS` and across steals.
 //! 2. **Recursive sort via [`crate::join`]** — each node sorts its two
-//!    halves (leaves use the std sorts in place, stable or unstable to
-//!    match the caller) and then merges them.
+//!    halves (leaves use the std stable sort in place) and then merges
+//!    them.
 //! 3. **Buffer-based parallel merge** — a node merges its two sorted
 //!    halves into the matching range of one shared scratch buffer, then
 //!    memcpy-moves the range back. The merge splits the *larger* run at
 //!    its midpoint, binary-searches the partner for the matching split
-//!    (ties keep left-run elements first, so the stable variant is stable
-//!    end to end), and recurses over the two independent sub-merges via
-//!    `join`; small sub-merges run sequentially.
+//!    (ties keep left-run elements first, so the sort is stable end to
+//!    end), and recurses over the two independent sub-merges via `join`;
+//!    small sub-merges run sequentially.
 //!
 //! Every sub-problem owns *disjoint* ranges of the slice and the buffer,
 //! so closures carry raw range pointers ([`SendPtr`]) rather than shared
@@ -44,8 +45,8 @@ use pfg_audit::{DisjointWriteAudit, SendPtr};
 
 use crate::pool;
 
-/// Below this length (or on a single-threaded pool) the std sorts are used
-/// directly: they are highly optimised and the merge machinery only pays
+/// Below this length (or on a single-threaded pool) the std stable sort is
+/// used directly: it is highly optimised and the merge machinery only pays
 /// for itself once several workers sort runs concurrently.
 pub(crate) const MIN_PAR_SORT_LEN: usize = 4096;
 
@@ -61,15 +62,15 @@ const MAX_RUNS: usize = 64;
 /// Sub-merges at or below this many elements run sequentially.
 const MERGE_SEQ_LEN: usize = 4096;
 
-/// Sorts `v` by `cmp` on the current pool. `stable` selects the std sort
-/// used for the leaf runs; the merge keeps left-run elements first on
-/// ties, so stability is exactly that of the run sort.
+/// Stably sorts `v` by `cmp` on the current pool.
 ///
 /// The parallel path is taken only when the pool *and the hardware* offer
 /// parallelism: on a single-core machine an oversubscribed pool (e.g.
 /// `RAYON_NUM_THREADS=4` on 1-CPU CI) could only add merge overhead, so
-/// the std sorts are used regardless of the configured worker count.
-pub(crate) fn par_merge_sort_by<T, F>(v: &mut [T], cmp: &F, stable: bool)
+/// the std stable sort is used regardless of the configured worker count.
+/// Both paths sort stably, so the gate picks the faster one without
+/// changing the result.
+pub(crate) fn par_merge_sort_by<T, F>(v: &mut [T], cmp: &F)
 where
     T: Send,
     F: Fn(&T, &T) -> Ordering + Sync,
@@ -78,20 +79,16 @@ where
         || pool::hardware_parallelism() <= 1
         || v.len() < MIN_PAR_SORT_LEN
     {
-        if stable {
-            v.sort_by(cmp);
-        } else {
-            v.sort_unstable_by(cmp);
-        }
+        v.sort_by(cmp);
         return;
     }
-    par_merge_sort_impl(v, cmp, stable);
+    par_merge_sort_impl(v, cmp);
 }
 
 /// The ungated parallel merge sort. Split out so tests (and only tests)
 /// can exercise the parallel machinery even on single-core CI machines,
-/// where [`par_merge_sort_by`] deliberately falls back to std sorts.
-pub(crate) fn par_merge_sort_impl<T, F>(v: &mut [T], cmp: &F, stable: bool)
+/// where [`par_merge_sort_by`] deliberately falls back to the std sort.
+pub(crate) fn par_merge_sort_impl<T, F>(v: &mut [T], cmp: &F)
 where
     T: Send,
     F: Fn(&T, &T) -> Ordering + Sync,
@@ -99,11 +96,7 @@ where
     let n = v.len();
     let runs = n.div_ceil(RUN_TARGET_LEN).clamp(1, MAX_RUNS);
     if runs < 2 {
-        if stable {
-            v.sort_by(cmp);
-        } else {
-            v.sort_unstable_by(cmp);
-        }
+        v.sort_by(cmp);
         return;
     }
     let run_len = n.div_ceil(runs);
@@ -117,7 +110,7 @@ where
         base: DisjointWriteAudit::ranges("sort slice"),
         scratch: DisjointWriteAudit::ranges("sort scratch"),
     };
-    sort_runs(base, scratch, n, run_len, 0, runs, cmp, stable, &audits);
+    sort_runs(base, scratch, n, run_len, 0, runs, cmp, &audits);
 }
 
 /// Shadow-write registries for the two buffers the sort writes: the slice
@@ -145,7 +138,6 @@ fn sort_runs<T, F>(
     run_lo: usize,
     run_hi: usize,
     cmp: &F,
-    stable: bool,
     audits: &SortAudits,
 ) where
     T: Send,
@@ -158,26 +150,14 @@ fn sort_runs<T, F>(
         // SAFETY: this call has exclusive access to `[lo, hi)` (disjoint
         // leaf ranges), and `base` points at `n >= hi` valid elements.
         let run = unsafe { std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo) };
-        if stable {
-            run.sort_by(cmp);
-        } else {
-            run.sort_unstable_by(cmp);
-        }
+        run.sort_by(cmp);
         return;
     }
     let run_mid = run_lo + (run_hi - run_lo) / 2;
     let mid = (run_mid * run_len).min(n);
     crate::join(
-        || {
-            sort_runs(
-                base, scratch, n, run_len, run_lo, run_mid, cmp, stable, audits,
-            )
-        },
-        || {
-            sort_runs(
-                base, scratch, n, run_len, run_mid, run_hi, cmp, stable, audits,
-            )
-        },
+        || sort_runs(base, scratch, n, run_len, run_lo, run_mid, cmp, audits),
+        || sort_runs(base, scratch, n, run_len, run_mid, run_hi, cmp, audits),
     );
     // SAFETY: both halves of `[lo, hi)` are sorted and exclusively ours;
     // the matching scratch range is disjoint from every other node's.
@@ -321,7 +301,7 @@ mod tests {
     use std::cell::Cell;
 
     // The hardware gate in `par_merge_sort_by` means the public path may
-    // legitimately use std sorts on single-core CI machines, so the
+    // legitimately use the std sort on single-core CI machines, so the
     // parallel machinery is exercised here through `par_merge_sort_impl`
     // directly, under an installed (possibly oversubscribed) pool.
 
@@ -340,16 +320,14 @@ mod tests {
             .collect();
         let mut expected = v.clone();
         expected.sort_unstable();
-        with_pool(4, || par_merge_sort_impl(&mut v, &|a, b| a.cmp(b), false));
+        with_pool(4, || par_merge_sort_impl(&mut v, &|a, b| a.cmp(b)));
         assert_eq!(v, expected);
     }
 
     #[test]
     fn parallel_path_is_stable() {
         let mut v: Vec<(i64, usize)> = (0..30_000).map(|i| ((i as i64 * 31) % 10, i)).collect();
-        with_pool(4, || {
-            par_merge_sort_impl(&mut v, &|a, b| a.0.cmp(&b.0), true)
-        });
+        with_pool(4, || par_merge_sort_impl(&mut v, &|a, b| a.0.cmp(&b.0)));
         for pair in v.windows(2) {
             assert!(pair[0].0 <= pair[1].0);
             if pair[0].0 == pair[1].0 {
@@ -367,7 +345,7 @@ mod tests {
             .map(|i| Cell::new((i * 48_271) % 65_537))
             .collect();
         with_pool(4, || {
-            par_merge_sort_impl(&mut v, &|a, b| a.get().cmp(&b.get()), true)
+            par_merge_sort_impl(&mut v, &|a, b| a.get().cmp(&b.get()))
         });
         let got: Vec<i64> = v.iter().map(Cell::get).collect();
         let mut expected: Vec<i64> = (0..40_000).map(|i| (i * 48_271) % 65_537).collect();
@@ -376,16 +354,29 @@ mod tests {
     }
 
     #[test]
+    fn parallel_path_matches_std_fallback_on_ties() {
+        // The gate in `par_merge_sort_by` falls back to the std stable
+        // sort, so the merge path must produce the same permutation of a
+        // tie-heavy input. Run on a 1-thread pool so 1-core hosts cover it.
+        let input: Vec<(i64, usize)> = (0..40_000).map(|i| ((i as i64 * 37) % 11, i)).collect();
+        let mut expected = input.clone();
+        expected.sort_by_key(|p| p.0);
+        let mut v = input;
+        with_pool(1, || par_merge_sort_impl(&mut v, &|a, b| a.0.cmp(&b.0)));
+        assert_eq!(v, expected);
+    }
+
+    #[test]
     fn parallel_path_deterministic_across_worker_counts() {
         let input: Vec<(i64, usize)> = (0..60_000).map(|i| ((i as i64 * 131) % 257, i)).collect();
         let mut reference = input.clone();
         with_pool(1, || {
-            par_merge_sort_impl(&mut reference, &|a, b| a.0.cmp(&b.0), false)
+            par_merge_sort_impl(&mut reference, &|a, b| a.0.cmp(&b.0))
         });
         for threads in [2, 4, 8] {
             let mut v = input.clone();
             with_pool(threads, || {
-                par_merge_sort_impl(&mut v, &|a, b| a.0.cmp(&b.0), false)
+                par_merge_sort_impl(&mut v, &|a, b| a.0.cmp(&b.0))
             });
             assert_eq!(v, reference, "threads = {threads}");
         }
@@ -396,16 +387,12 @@ mod tests {
         let mut v: Vec<i64> = (0..20_000).rev().collect();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             with_pool(4, || {
-                par_merge_sort_impl(
-                    &mut v,
-                    &|a: &i64, b: &i64| {
-                        if *a == 13 && *b != 13 {
-                            panic!("comparator panic");
-                        }
-                        a.cmp(b)
-                    },
-                    false,
-                )
+                par_merge_sort_impl(&mut v, &|a: &i64, b: &i64| {
+                    if *a == 13 && *b != 13 {
+                        panic!("comparator panic");
+                    }
+                    a.cmp(b)
+                })
             })
         }));
         assert!(caught.is_err());
@@ -421,7 +408,7 @@ mod tests {
         // drops or leaks would abort/fail under the allocator checks in
         // debug runs, and the value check catches any lost element.
         let mut v: Vec<Box<i64>> = (0..10_000).map(|i| Box::new((i * 7_919) % 1_000)).collect();
-        with_pool(4, || par_merge_sort_impl(&mut v, &|a, b| a.cmp(b), true));
+        with_pool(4, || par_merge_sort_impl(&mut v, &|a, b| a.cmp(b)));
         let mut expected: Vec<i64> = (0..10_000).map(|i| (i * 7_919) % 1_000).collect();
         expected.sort();
         assert_eq!(v.iter().map(|b| **b).collect::<Vec<_>>(), expected);
@@ -430,13 +417,13 @@ mod tests {
     #[test]
     fn parallel_path_tiny_inputs() {
         let mut empty: Vec<i64> = Vec::new();
-        par_merge_sort_impl(&mut empty, &|a: &i64, b: &i64| a.cmp(b), true);
+        par_merge_sort_impl(&mut empty, &|a: &i64, b: &i64| a.cmp(b));
         assert!(empty.is_empty());
         let mut one = vec![9i64];
-        par_merge_sort_impl(&mut one, &|a, b| a.cmp(b), false);
+        par_merge_sort_impl(&mut one, &|a, b| a.cmp(b));
         assert_eq!(one, vec![9]);
         let mut few = vec![3i64, 1, 2];
-        with_pool(4, || par_merge_sort_impl(&mut few, &|a, b| a.cmp(b), true));
+        with_pool(4, || par_merge_sort_impl(&mut few, &|a, b| a.cmp(b)));
         assert_eq!(few, vec![1, 2, 3]);
     }
 

@@ -56,10 +56,9 @@ pub mod prelude {
         dbht_for_tmfg, dissimilarity_graph, restricted_distances,
     };
     pub use pfg_core::{
-        pmfg, pmfg_prescreened, pmfg_sequential, pmfg_with_config, tmfg, tmfg_prescreened,
-        BatchFreshness, Dbht, DbhtDistanceStats, DbhtDistances, DbhtRunStats, Dendrogram,
-        HacBackend, HacStats, ParTdbht, ParTdbhtConfig, ParTdbhtResult, Pmfg, PmfgConfig,
-        RoundStats, Tmfg, TmfgConfig, VertexAssignment,
+        pmfg, pmfg_sequential, pmfg_with_config, tmfg, BatchFreshness, Dbht, DbhtDistanceStats,
+        DbhtDistances, DbhtRunStats, Dendrogram, HacBackend, HacStats, ParTdbht, ParTdbhtResult,
+        Pmfg, PmfgConfig, RoundStats, Tmfg, TmfgConfig, VertexAssignment,
     };
     pub use pfg_data::{
         correlation_and_dissimilarity, correlation_matrix, correlation_matrix_f32,
@@ -69,7 +68,7 @@ pub mod prelude {
     pub use pfg_graph::{
         all_pairs_shortest_paths, group_restricted_shortest_paths, shortest_path_rows,
         DissimilarityView, GroupBlocks, LrScratch, PairDistances, SimilaritySource, SourceRows,
-        SymmetricMatrix, SymmetricMatrixF32, TopKCandidates, WeightedGraph,
+        SymmetricMatrix, SymmetricMatrixF32, WeightedGraph,
     };
     pub use pfg_metrics::{adjusted_mutual_information, adjusted_rand_index};
 }

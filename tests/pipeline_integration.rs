@@ -199,7 +199,7 @@ fn f32_storage_matches_f64_quality_on_ecg_style_data() {
     let f64_ari = adjusted_rand_index(&dataset.labels, &f64_labels);
 
     let (correlation_f32, _stats) = correlation_matrix_f32(&dataset.series, TileConfig::default());
-    let f32_labels = ParTdbht::new(ParTdbhtConfig::with_prefix(10))
+    let f32_labels = ParTdbht::with_prefix(10)
         .run_f32(&correlation_f32)
         .unwrap()
         .clusters(k);
@@ -209,44 +209,6 @@ fn f32_storage_matches_f64_quality_on_ecg_style_data() {
     assert!(
         (f32_ari - f64_ari).abs() < 0.05,
         "f32 ARI {f32_ari} drifted from f64 ARI {f64_ari}"
-    );
-}
-
-#[test]
-fn prescreened_f32_pipeline_reaches_f64_quality() {
-    // The full large-n configuration — f32 storage plus the top-K candidate
-    // prescreen — against the dense f64 reference on the same data.
-    let config = TimeSeriesConfig {
-        num_series: 150,
-        length: 140,
-        num_classes: 5,
-        noise: 0.4,
-        seed: 11,
-    };
-    let dataset = TimeSeriesDataset::generate("ecg-style", &config);
-    let k = dataset.num_classes();
-
-    let correlation = correlation_matrix(&dataset.series);
-    let dissimilarity = dissimilarity_from_correlation(&correlation);
-    let f64_ari = adjusted_rand_index(
-        &dataset.labels,
-        &ParTdbht::with_prefix(10)
-            .run(&correlation, &dissimilarity)
-            .unwrap()
-            .clusters(k),
-    );
-
-    let (correlation_f32, _stats) = correlation_matrix_f32(&dataset.series, TileConfig::default());
-    let sparse_ari = adjusted_rand_index(
-        &dataset.labels,
-        &ParTdbht::new(ParTdbhtConfig::with_prefix(10).with_prescreen(24))
-            .run_f32(&correlation_f32)
-            .unwrap()
-            .clusters(k),
-    );
-    assert!(
-        (sparse_ari - f64_ari).abs() < 0.05,
-        "prescreened f32 ARI {sparse_ari} drifted from f64 ARI {f64_ari}"
     );
 }
 
