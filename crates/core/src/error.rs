@@ -23,11 +23,12 @@ pub enum CoreError {
     /// The PMFG batch schedule is invalid: the initial batch must be at
     /// least 1 and no larger than the maximum batch.
     InvalidBatch,
-    /// The similarity matrix contains a NaN entry. NaN gains are never
-    /// selected by the batch selector, so a vertex whose similarities are
-    /// all NaN could never be inserted; the input is rejected up front
-    /// instead.
-    NanSimilarity {
+    /// The similarity matrix contains a non-finite (NaN or ±∞) entry.
+    /// NaN gains are never selected by the batch selector, and an
+    /// infinity of either sign can produce them (∞ − ∞), so a vertex whose
+    /// gains are all NaN could never be inserted; the input is rejected up
+    /// front instead.
+    NonFiniteSimilarity {
         /// Row of the offending entry.
         row: usize,
         /// Column of the offending entry.
@@ -53,8 +54,8 @@ impl fmt::Display for CoreError {
                 f,
                 "PMFG batch schedule is invalid: need 1 <= initial_batch <= max_batch"
             ),
-            CoreError::NanSimilarity { row, col } => {
-                write!(f, "similarity matrix entry ({row}, {col}) is NaN")
+            CoreError::NonFiniteSimilarity { row, col } => {
+                write!(f, "similarity matrix entry ({row}, {col}) is not finite")
             }
         }
     }
@@ -77,5 +78,7 @@ mod tests {
         assert!(e.to_string().contains("5x5"));
         assert!(CoreError::InvalidPrefix.to_string().contains("prefix"));
         assert!(CoreError::InvalidBatch.to_string().contains("batch"));
+        let e = CoreError::NonFiniteSimilarity { row: 1, col: 3 };
+        assert!(e.to_string().contains("(1, 3) is not finite"));
     }
 }

@@ -45,10 +45,14 @@ impl BatchSchedule {
     };
 
     /// TMFG per-face candidate cache depth, clamped from the insertion
-    /// prefix: at least 4 so single-insertion rounds rarely re-scan, at
-    /// most 32 because a face's cache only shrinks by entries *stolen* by
-    /// other faces of the same round (≤ prefix − 1 of them) and deeper
-    /// lists just cost memory and insert time.
+    /// prefix. A list drains as its vertices are inserted elsewhere; a
+    /// drained face then keeps its last entry's gain as a stale bound and
+    /// is rescanned only if that bound could win a draw. At least 4, so a
+    /// face survives a few insertions of its best vertices before it goes
+    /// stale and its bound sits close to its true head; at most 32,
+    /// because within a round a face's cache only shrinks by entries
+    /// *stolen* by other faces (≤ prefix − 1 of them) and deeper lists
+    /// just cost memory and insert time.
     pub const TMFG_CACHE_DEPTH: BatchSchedule = BatchSchedule {
         initial: 4,
         cap: 32,

@@ -10,8 +10,20 @@
 //! matching the paper's semantics where near-sequential quality at
 //! moderate prefixes depends on contested faces staying in the running
 //! with fresh next-best choices rather than sitting the round out.
-
-use std::collections::BinaryHeap;
+//!
+//! The draw runs on one max (tournament) tree over face ids that lives
+//! across rounds. Each active face's leaf holds its key: the head of its
+//! cached list, or — for a stale face, whose truncated list drained — the
+//! list's last gain as an upper bound (see [`GainTable::stale_bound`]).
+//! A stale face is rescanned only when its bound reaches the top of the
+//! tree, i.e. only when it could win the draw; stale faces that surface
+//! together are rescanned in one parallel batch. Accepting a pair, a
+//! conflict refill and a rescan each update one leaf in O(log faces), and
+//! the leaves a round changed are reset from the gain table after the
+//! round is applied, so no step of a round touches every face. Every leaf
+//! is at or above its face's true best pair, so each accepted pair is the
+//! greatest available one and the construction is exactly the eager
+//! greedy draw, bit for bit.
 
 use pfg_graph::{SimilaritySource, WeightedGraph};
 use rayon::prelude::*;
@@ -118,11 +130,18 @@ pub struct RoundStats {
     pub selected: usize,
     /// Drawn candidates discarded because their vertex was already taken
     /// by a higher-gain pair this round (each one triggers a next-best
-    /// refill for the losing face).
+    /// refill for the losing face). A stale face rescanned mid-round skips
+    /// the heads already taken this round without counting a conflict.
     pub conflicts: usize,
-    /// Refills that outran the face's cached candidate list and fell back
-    /// to a full rescan of the remaining pool.
+    /// Round-local head lookups that outran a face's cached candidate list
+    /// — a conflict refill, or a mid-round rescan whose fresh list was all
+    /// taken — and fell back to a scan of the remaining pool excluding
+    /// this round's selections.
     pub rescans: usize,
+    /// Full rescans of stale faces (truncated lists that drained): each
+    /// one rebuilds the face's cached list from the remaining pool because
+    /// its bound reached the top of the selector.
+    pub refreshes: usize,
     /// Cohort vertices placed into a face created earlier in the same
     /// round instead of their round-start face (always 0 under
     /// [`BatchFreshness::Simultaneous`]). A high count means the
@@ -150,6 +169,7 @@ impl PartialEq for RoundStats {
             && self.selected == other.selected
             && self.conflicts == other.conflicts
             && self.rescans == other.rescans
+            && self.refreshes == other.refreshes
             && self.reassigned == other.reassigned
     }
 }
@@ -224,6 +244,11 @@ impl Tmfg {
         self.round_stats.iter().map(|r| r.rescans).sum()
     }
 
+    /// Total full rescans of stale faces (see [`RoundStats::refreshes`]).
+    pub fn total_refreshes(&self) -> usize {
+        self.round_stats.iter().map(|r| r.refreshes).sum()
+    }
+
     /// Total cohort vertices whose placement moved to a fresher face than
     /// their round-start selection (staleness absorbed by intra-round
     /// placement).
@@ -243,9 +268,10 @@ impl Tmfg {
 /// # Errors
 /// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows,
 /// [`CoreError::InvalidPrefix`] if `config.prefix == 0`, and
-/// [`CoreError::NanSimilarity`] if any off-diagonal entry is NaN — the
-/// selector never picks NaN gains, so a vertex with an all-NaN row could
-/// never be inserted and construction would not terminate.
+/// [`CoreError::NonFiniteSimilarity`] if any off-diagonal entry is NaN or
+/// ±∞ — the selector never picks NaN gains, and opposite infinities sum
+/// to NaN, so a vertex whose gains are all NaN could never be inserted and
+/// construction would not terminate.
 pub fn tmfg<S: SimilaritySource>(s: &S, config: TmfgConfig) -> Result<Tmfg, CoreError> {
     if config.prefix == 0 {
         return Err(CoreError::InvalidPrefix);
@@ -257,8 +283,8 @@ pub fn tmfg<S: SimilaritySource>(s: &S, config: TmfgConfig) -> Result<Tmfg, Core
     // Parallel scan (one row per task, matching the builder's other
     // whole-matrix passes); the trait default's `min` makes the reported
     // entry deterministic.
-    if let Some((row, col)) = s.find_nan() {
-        return Err(CoreError::NanSimilarity { row, col });
+    if let Some((row, col)) = s.find_non_finite() {
+        return Err(CoreError::NonFiniteSimilarity { row, col });
     }
     Ok(Builder::new(s, config).run())
 }
@@ -268,25 +294,34 @@ pub fn tmfg_sequential<S: SimilaritySource>(s: &S) -> Result<Tmfg, CoreError> {
     tmfg(s, TmfgConfig::with_prefix(1))
 }
 
-/// A drawn `(face, vertex, gain)` candidate in the round's selection heap.
+/// A face's key in the [`Selector`]: a drawn `(face, vertex, gain)`
+/// candidate, or a stale face's bound.
 ///
-/// The heap pops the maximum gain first; ties break towards the smaller
-/// face id, then the smaller vertex id, so the pop order is a strict total
-/// order (each face has at most one live entry) and the selection is
-/// deterministic regardless of worker count.
+/// The selector draws the maximum gain first; ties break towards the
+/// smaller face id, then the smaller vertex id, so the draw order is a
+/// strict total order (each face has at most one key) and the selection
+/// is deterministic regardless of worker count.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     face: usize,
     vertex: usize,
     gain: f64,
-    /// Position of this candidate in the face's cached list, or
-    /// [`OFF_CACHE`] if it came from a full rescan (a later refill for the
-    /// same face must rescan again).
-    pos: usize,
+    origin: Origin,
 }
 
-/// Sentinel list position for candidates produced by a full rescan.
-const OFF_CACHE: usize = usize::MAX;
+/// Where a [`Candidate`] key came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// The entry at this position of the face's cached list.
+    Cached(usize),
+    /// A scan of the pool excluding this round's selections; a later
+    /// refill for the same face must scan again.
+    Rescan,
+    /// A stale face: `gain` is its bound and `vertex` is 0, the most
+    /// favourable vertex tie-break, so the key ranks at or above the
+    /// face's true head. Drawing it rescans the face.
+    Stale,
+}
 
 impl PartialEq for Candidate {
     fn eq(&self, other: &Self) -> bool {
@@ -313,6 +348,48 @@ impl Ord for Candidate {
     }
 }
 
+/// The batch selector: an array-backed max (tournament) tree over face
+/// ids. Leaf `f` holds face `f`'s [`Candidate`] key (`None` for a used,
+/// inactive or exhausted face) and every internal node the larger of its
+/// children, so the root is the greatest key. Sized once for the `3n − 8`
+/// faces a construction creates.
+struct Selector {
+    /// Number of leaves (a power of two); face `f` is node `leaves + f`.
+    leaves: usize,
+    /// `nodes[1]` is the root and node `i`'s children are `2i`, `2i + 1`.
+    nodes: Vec<Option<Candidate>>,
+}
+
+impl Selector {
+    fn new(faces: usize) -> Self {
+        let leaves = faces.next_power_of_two();
+        Self {
+            leaves,
+            nodes: vec![None; 2 * leaves],
+        }
+    }
+
+    /// The greatest key.
+    fn top(&self) -> Option<Candidate> {
+        self.nodes[1]
+    }
+
+    /// Face `face`'s key.
+    fn leaf(&self, face: usize) -> Option<Candidate> {
+        self.nodes[self.leaves + face]
+    }
+
+    /// Sets face `face`'s key and repairs its root path: O(log faces).
+    fn set(&mut self, face: usize, key: Option<Candidate>) {
+        let mut node = self.leaves + face;
+        self.nodes[node] = key;
+        while node > 1 {
+            node /= 2;
+            self.nodes[node] = self.nodes[2 * node].max(self.nodes[2 * node + 1]);
+        }
+    }
+}
+
 /// Internal construction state for Algorithm 1.
 struct Builder<'a, S: SimilaritySource> {
     s: &'a S,
@@ -330,7 +407,17 @@ struct Builder<'a, S: SimilaritySource> {
     /// Vertex → still waiting to be inserted?
     remaining: Vec<bool>,
     num_remaining: usize,
+    /// The `remaining` vertex ids in ascending order: the pool every
+    /// candidate scan walks, filtered once per round.
+    pool: Vec<usize>,
+    /// Vertex → selected earlier in the current round? Cleared as each
+    /// round is applied.
+    taken: Vec<bool>,
     gains: GainTable,
+    selector: Selector,
+    /// Faces whose selector leaf may differ from the gain table's view
+    /// this round; reset in [`Builder::apply_batch`].
+    touched: Vec<usize>,
     tree: BubbleTree,
     initial_clique: [usize; 4],
     insertions: Vec<Insertion>,
@@ -366,6 +453,7 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
             remaining[v] = false;
         }
         let num_remaining = n - 4;
+        let pool: Vec<usize> = (0..n).filter(|&v| remaining[v]).collect();
         // Lines 6–7: the bubble tree starts with the initial clique and the
         // outer face {v1, v2, v3}.
         let outer_face = Triangle::new(v1, v2, v3);
@@ -375,7 +463,7 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         let depth = gains.depth();
         let face_candidates: Vec<CandidateList> = faces
             .par_iter()
-            .map(|&t| GainTable::compute_candidates(s, t, &remaining, depth))
+            .map(|&t| GainTable::compute_candidates(s, t, &pool, depth))
             .collect();
         let mut face_active = Vec::with_capacity(4);
         let mut face_bubble = Vec::with_capacity(4);
@@ -385,7 +473,7 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
             face_bubble.push(0);
             gains.install(id, list, truncated);
         }
-        Self {
+        let mut builder = Self {
             s,
             prefix: config.prefix,
             freshness: config.freshness,
@@ -396,19 +484,36 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
             face_bubble,
             remaining,
             num_remaining,
+            pool,
+            taken: vec![false; n],
             gains,
+            // Four seed faces, then three per inserted vertex.
+            selector: Selector::new(3 * n - 8),
+            touched: Vec::new(),
             tree,
             initial_clique,
             insertions: Vec::with_capacity(num_remaining),
             rounds: 0,
             round_stats: Vec::new(),
+        };
+        for face in 0..4 {
+            let key = builder.leaf_key(face);
+            builder.selector.set(face, key);
         }
+        builder
     }
 
     fn run(mut self) -> Tmfg {
         // Lines 8–17: insert the remaining vertices in rounds of up to
         // `prefix` vertices.
         while self.num_remaining > 0 {
+            debug_assert!(
+                (0..self.faces.len()).all(|f| {
+                    let bits = |c: Candidate| (c.gain.to_bits(), c.vertex, c.origin);
+                    self.selector.leaf(f).map(bits) == self.leaf_key(f).map(bits)
+                }),
+                "every selector leaf must match the gain table at round start"
+            );
             self.rounds += 1;
             let mut stats = RoundStats {
                 target: self
@@ -442,87 +547,121 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
     /// *without* shrinking the batch — a face that loses its candidate
     /// re-enters the draw with its next-best vertex. Returns
     /// `(face_id, vertex, gain)` triples in the order they were accepted
-    /// (non-increasing gain).
-    fn select_batch(&self, stats: &mut RoundStats) -> Vec<(usize, usize, f64)> {
-        // Gather the head candidate of every active face. The filter and
-        // the lookup fuse into one parallel pass over the face ids,
-        // preserving face order, so the result is independent of the
-        // worker count.
-        let candidates: Vec<Candidate> = (0..self.faces.len())
-            .into_par_iter()
-            .filter(|&f| self.face_active[f])
-            .filter_map(|f| {
-                let (vertex, gain) = self.gains.head(f)?;
-                debug_assert!(self.remaining[vertex], "heads must be fresh");
-                Some(Candidate {
-                    face: f,
-                    vertex,
-                    gain,
-                    pos: self.gains.head_pos(f),
-                })
-            })
-            .collect();
-
-        if self.prefix == 1 {
-            // Fast path: a single parallel maximum (Line 9 simplification).
-            // Gains, faces and vertices reproduce the heap's pop order, so
-            // ties resolve identically to the general path below.
-            let best = pfg_primitives::par_max_index(&candidates, |c| c.gain)
-                .expect("at least one candidate while vertices remain");
-            let c = candidates[best];
-            return vec![(c.face, c.vertex, c.gain)];
-        }
-
-        let target = stats.target;
-        let mut heap: BinaryHeap<Candidate> = candidates.into();
-        let mut taken = vec![false; self.remaining.len()];
-        let mut selected: Vec<(usize, usize, f64)> = Vec::with_capacity(target);
-        while selected.len() < target {
-            let Some(c) = heap.pop() else { break };
-            if !taken[c.vertex] {
-                taken[c.vertex] = true;
+    /// (non-increasing gain). `prefix = 1` is the same draw stopped after
+    /// one pair.
+    fn select_batch(&mut self, stats: &mut RoundStats) -> Vec<(usize, usize, f64)> {
+        let mut selected: Vec<(usize, usize, f64)> = Vec::with_capacity(stats.target);
+        while selected.len() < stats.target {
+            let Some(c) = self.selector.top() else { break };
+            if c.origin == Origin::Stale {
+                self.refresh_stale(stats);
+                continue;
+            }
+            if !self.taken[c.vertex] {
+                debug_assert!(self.remaining[c.vertex], "keys must be fresh");
+                self.taken[c.vertex] = true;
                 selected.push((c.face, c.vertex, c.gain));
+                self.set_leaf(c.face, None);
                 continue;
             }
             // Conflict: a higher-gain pair already claimed this vertex.
             // Refill the face with its next-best available candidate so the
             // conflict shrinks neither the batch nor the candidate pool.
             stats.conflicts += 1;
-            let next = if c.pos == OFF_CACHE {
-                NextBest::Exhausted { truncated: true }
-            } else {
-                self.gains
-                    .next_best(c.face, c.pos + 1, &self.remaining, &taken)
-            };
-            match next {
-                NextBest::Found { pos, vertex, gain } => heap.push(Candidate {
-                    face: c.face,
-                    vertex,
-                    gain,
-                    pos,
-                }),
-                NextBest::Exhausted { truncated: true } => {
-                    // The cached list ran dry but the remaining pool holds
-                    // more: rescan it, excluding this round's selections.
-                    stats.rescans += 1;
-                    if let Some((vertex, gain)) = GainTable::rescan_excluding(
-                        self.s,
-                        self.faces[c.face],
-                        &self.remaining,
-                        &taken,
-                    ) {
-                        heap.push(Candidate {
-                            face: c.face,
-                            vertex,
-                            gain,
-                            pos: OFF_CACHE,
-                        });
-                    }
+            let next = match c.origin {
+                Origin::Cached(pos) => {
+                    self.gains
+                        .next_best(c.face, pos + 1, &self.remaining, &self.taken)
                 }
-                NextBest::Exhausted { truncated: false } => {}
-            }
+                _ => NextBest::Exhausted { truncated: true },
+            };
+            let key = self.round_key(c.face, next, stats);
+            self.set_leaf(c.face, key);
         }
         selected
+    }
+
+    /// Rescans every stale face whose bound ranks above the best fresh
+    /// key — the stale keys at the top of the selector — in one parallel
+    /// batch, installs the new lists and keys each face by its best
+    /// candidate not yet taken this round.
+    fn refresh_stale(&mut self, stats: &mut RoundStats) {
+        let mut batch: Vec<usize> = Vec::new();
+        while let Some(c) = self.selector.top() {
+            if c.origin != Origin::Stale {
+                break;
+            }
+            batch.push(c.face);
+            self.selector.set(c.face, None);
+        }
+        stats.refreshes += batch.len();
+        let (s, faces, pool, depth) = (self.s, &self.faces, &self.pool, self.gains.depth());
+        let lists: Vec<CandidateList> = batch
+            .par_iter()
+            .map(|&f| GainTable::compute_candidates(s, faces[f], pool, depth))
+            .collect();
+        for (face, (list, truncated)) in batch.into_iter().zip(lists) {
+            self.gains.install(face, list, truncated);
+            let next = self.gains.next_best(face, 0, &self.remaining, &self.taken);
+            let key = self.round_key(face, next, stats);
+            self.set_leaf(face, key);
+        }
+    }
+
+    /// The round-local key for `face` given its next available cached
+    /// candidate: that candidate, or — when a truncated list ran dry — the
+    /// best of a scan of the pool excluding this round's selections.
+    fn round_key(&self, face: usize, next: NextBest, stats: &mut RoundStats) -> Option<Candidate> {
+        match next {
+            NextBest::Found { pos, vertex, gain } => Some(Candidate {
+                face,
+                vertex,
+                gain,
+                origin: Origin::Cached(pos),
+            }),
+            NextBest::Exhausted { truncated: true } => {
+                stats.rescans += 1;
+                GainTable::rescan_excluding(self.s, self.faces[face], &self.pool, &self.taken).map(
+                    |(vertex, gain)| Candidate {
+                        face,
+                        vertex,
+                        gain,
+                        origin: Origin::Rescan,
+                    },
+                )
+            }
+            NextBest::Exhausted { truncated: false } => None,
+        }
+    }
+
+    /// Sets a selector leaf mid-round and marks it for the end-of-round
+    /// reset.
+    fn set_leaf(&mut self, face: usize, key: Option<Candidate>) {
+        self.selector.set(face, key);
+        self.touched.push(face);
+    }
+
+    /// Face `face`'s key as the gain table sees it between rounds: its
+    /// cached head, its stale bound, or `None` if it is inactive or has no
+    /// candidate left.
+    fn leaf_key(&self, face: usize) -> Option<Candidate> {
+        if !self.face_active[face] {
+            return None;
+        }
+        if let Some((vertex, gain)) = self.gains.head(face) {
+            return Some(Candidate {
+                face,
+                vertex,
+                gain,
+                origin: Origin::Cached(self.gains.head_pos(face)),
+            });
+        }
+        self.gains.stale_bound(face).map(|gain| Candidate {
+            face,
+            vertex: 0,
+            gain,
+            origin: Origin::Stale,
+        })
     }
 
     /// Inserts `v` into face `face_id`: adds the three edges, updates the
@@ -540,6 +679,7 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         let new_bubble = self.tree.insert(v, t, bubble);
         // Line 14: replace face t by the three new faces.
         self.face_active[face_id] = false;
+        self.touched.push(face_id);
         let mut ids = [0usize; 3];
         for (slot, new_face) in t.split_with(v).into_iter().enumerate() {
             let id = self.gains.push_face();
@@ -549,20 +689,25 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
             debug_assert_eq!(id, self.faces.len() - 1);
             ids[slot] = id;
         }
+        self.touched.extend(ids);
         self.num_active_faces += 2;
         ids
     }
 
     /// Lines 11–17: insert the selected vertices, update faces, the gain
-    /// table and the bubble tree.
+    /// table and the bubble tree, then reset the selector leaves the round
+    /// changed.
     fn apply_batch(&mut self, selected: &[(usize, usize, f64)], stats: &mut RoundStats) {
         // Line 11: remove the selected vertices from V first, so candidate
         // maintenance below never proposes a vertex inserted this round.
         for &(_, v, _) in selected {
             debug_assert!(self.remaining[v]);
             self.remaining[v] = false;
+            self.taken[v] = false;
             self.num_remaining -= 1;
         }
+        let remaining = &self.remaining;
+        self.pool.retain(|&v| remaining[v]);
 
         let placement_start = std::time::Instant::now();
         let groups: Vec<ChildGroup> = match self.freshness {
@@ -572,35 +717,29 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         stats.placement_ns = placement_start.elapsed().as_nanos() as u64;
 
         // Line 15: lazily advance the faces whose head vertex was inserted
-        // this round; only faces whose truncated cache drained need a full
-        // recomputation.
-        let mut faces_to_refresh: Vec<usize> = Vec::new();
+        // this round. A face whose truncated list drains is not rescanned
+        // here: it goes stale and keeps its bound until the selector draws
+        // it.
         for &(_, v, _) in selected {
-            self.gains.on_vertex_inserted(
-                v,
-                &self.remaining,
-                &self.face_active,
-                &mut faces_to_refresh,
-            );
+            self.gains
+                .on_vertex_inserted(v, &self.remaining, &self.face_active, &mut self.touched);
         }
 
         let s = self.s;
-        let remaining = &self.remaining;
+        let pool = &self.pool;
         let depth = self.gains.depth();
 
-        // Line 16, children: each insertion's three new faces refresh off
-        // one fused scan of the remaining pool (4 similarity loads per
-        // vertex instead of 9 — the follow-up paper's gain maintenance).
-        // Children consumed later in the same round (intra-round freshness)
-        // are skipped at install.
+        // Line 16: each insertion's three new faces refresh off one fused
+        // scan of the remaining pool (4 similarity loads per vertex instead
+        // of 9 — the follow-up paper's gain maintenance). Children consumed
+        // later in the same round (intra-round freshness) are skipped at
+        // install.
         let fused: Vec<(ChildGroup, [CandidateList; 3])> = groups
             .par_iter()
             .map(|&g| {
                 (
                     g,
-                    GainTable::compute_candidates_for_children(
-                        s, g.parent, g.vertex, remaining, depth,
-                    ),
+                    GainTable::compute_candidates_for_children(s, g.parent, g.vertex, pool, depth),
                 )
             })
             .collect();
@@ -613,25 +752,15 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
             }
         }
 
-        faces_to_refresh.sort_unstable();
-        faces_to_refresh.dedup();
-        faces_to_refresh.retain(|&f| self.face_active[f]);
-
-        // Line 16, drained survivors: recompute their candidate lists in
-        // parallel, each face scanning the remaining vertex set.
-        let faces = &self.faces;
-        let updates: Vec<(usize, CandidateList)> = faces_to_refresh
-            .par_iter()
-            .map(|&f| {
-                (
-                    f,
-                    GainTable::compute_candidates(s, faces[f], remaining, depth),
-                )
-            })
-            .collect();
-        for (f, (list, truncated)) in updates {
-            self.gains.install(f, list, truncated);
+        // Every leaf this round changed — drawn, refilled, refreshed,
+        // consumed, created or advanced — takes the gain table's view.
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        for &f in &self.touched {
+            let key = self.leaf_key(f);
+            self.selector.set(f, key);
         }
+        self.touched.clear();
     }
 
     /// Applies every selected pair against the round-start face set (the
@@ -828,8 +957,50 @@ mod tests {
         for prefix in [1, 3] {
             assert!(matches!(
                 tmfg(&s, TmfgConfig::with_prefix(prefix)),
-                Err(CoreError::NanSimilarity { .. })
+                Err(CoreError::NonFiniteSimilarity { .. })
             ));
+        }
+        // Opposite infinities make every face's gain for vertex 4 NaN
+        // (∞ − ∞): unchecked, prefix 1 found no candidate and panicked and
+        // prefix 10 repeated an empty round forever.
+        let s = SymmetricMatrix::from_fn(5, |i, j| match (i.min(j), i.max(j)) {
+            (a, b) if a == b => 1.0,
+            (0 | 1, 4) => f64::INFINITY,
+            (2 | 3, 4) => f64::NEG_INFINITY,
+            _ => 0.5,
+        });
+        for prefix in [1, 10] {
+            assert_eq!(
+                tmfg(&s, TmfgConfig::with_prefix(prefix)).err(),
+                Some(CoreError::NonFiniteSimilarity { row: 0, col: 4 }),
+                "prefix {prefix}"
+            );
+        }
+    }
+
+    #[test]
+    fn signed_zero_gains_rank_alike_at_every_prefix() {
+        // Vertex 4's gain is −0.0 + −0.0 + −0.0 into {0,1,2} and a mix of
+        // ±0.0 elsewhere. Every gain is zero, so the smallest face wins at
+        // every prefix; ranking −0.0 below +0.0 at some prefixes but not
+        // others would send the vertex to a different face.
+        let s = SymmetricMatrix::from_fn(5, |i, j| match (i.min(j), i.max(j)) {
+            (a, b) if a == b => 1.0,
+            (0..=2, 4) => -0.0,
+            (3, 4) => 0.0,
+            _ => 0.5,
+        });
+        for prefix in [1, 10] {
+            let t = tmfg(&s, TmfgConfig::with_prefix(prefix)).unwrap();
+            assert_eq!(t.initial_clique, [0, 1, 2, 3]);
+            assert_eq!(t.insertions.len(), 1);
+            let ins = t.insertions[0];
+            assert_eq!(
+                (ins.vertex, ins.face),
+                (4, Triangle::new(0, 1, 2)),
+                "prefix {prefix}"
+            );
+            assert_eq!(ins.gain.to_bits(), 0.0f64.to_bits(), "prefix {prefix}");
         }
     }
 
@@ -1030,10 +1201,7 @@ mod tests {
         // Reference: a fresh sequential TMFG computed via best_for_face
         // scans only (no caching), validating the cached selector.
         let n = s.n();
-        let mut remaining = vec![true; n];
-        for &v in &seq.initial_clique {
-            remaining[v] = false;
-        }
+        let mut pool: Vec<usize> = (0..n).filter(|v| !seq.initial_clique.contains(v)).collect();
         let mut faces = vec![
             Triangle::new(
                 seq.initial_clique[0],
@@ -1064,7 +1232,7 @@ mod tests {
                 if !active[f] {
                     continue;
                 }
-                if let Some((v, g)) = GainTable::best_for_face(&s, t, &remaining) {
+                if let Some((v, g)) = GainTable::best_for_face(&s, t, &pool) {
                     let better = match best {
                         None => true,
                         Some((bf, bv, bg)) => g
@@ -1082,7 +1250,7 @@ mod tests {
             assert_eq!(ins.vertex, v);
             assert_eq!(ins.face, faces[f]);
             assert!((ins.gain - g).abs() < 1e-12);
-            remaining[v] = false;
+            pool.retain(|&u| u != v);
             active[f] = false;
             for nf in faces[f].split_with(v) {
                 faces.push(nf);
@@ -1091,22 +1259,135 @@ mod tests {
         }
     }
 
+    /// A test-only uncached reference of the conflict-aware selector with
+    /// [`BatchFreshness::Simultaneous`] placement. Every round recomputes
+    /// every active face's full candidate order over the remaining pool
+    /// — no cache, no bound, no tree — ranks all `(face, vertex)` pairs by
+    /// gain, then smaller face, then smaller vertex, and accepts pairs in
+    /// that order while neither the face nor the vertex is used, up to
+    /// `min(prefix, |remaining|, |active faces|)` of them.
+    fn uncached_conflict_aware_reference(
+        s: &SymmetricMatrix,
+        prefix: usize,
+        initial_clique: [usize; 4],
+    ) -> Vec<Insertion> {
+        let [v1, v2, v3, v4] = initial_clique;
+        let mut faces = vec![
+            Triangle::new(v1, v2, v3),
+            Triangle::new(v1, v2, v4),
+            Triangle::new(v1, v3, v4),
+            Triangle::new(v2, v3, v4),
+        ];
+        let mut active = vec![true; 4];
+        let mut pool: Vec<usize> = (0..s.n()).filter(|v| !initial_clique.contains(v)).collect();
+        let mut insertions = Vec::new();
+        let mut round = 0;
+        while !pool.is_empty() {
+            round += 1;
+            let active_faces: Vec<usize> = (0..faces.len()).filter(|&f| active[f]).collect();
+            let target = prefix.min(pool.len()).min(active_faces.len());
+            let mut pairs: Vec<(f64, usize, usize)> = Vec::new();
+            for &f in &active_faces {
+                let (order, truncated) =
+                    GainTable::compute_candidates(s, faces[f], &pool, pool.len());
+                assert!(!truncated);
+                pairs.extend(order.into_iter().map(|(v, g)| (g, f, v)));
+            }
+            pairs.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
+            let mut face_used = vec![false; faces.len()];
+            let mut taken = vec![false; s.n()];
+            let mut selected = Vec::new();
+            for (gain, f, v) in pairs {
+                if selected.len() == target {
+                    break;
+                }
+                if !face_used[f] && !taken[v] {
+                    face_used[f] = true;
+                    taken[v] = true;
+                    selected.push((f, v, gain));
+                }
+            }
+            for (f, v, gain) in selected {
+                insertions.push(Insertion {
+                    vertex: v,
+                    face: faces[f],
+                    gain,
+                    round,
+                });
+                active[f] = false;
+                for child in faces[f].split_with(v) {
+                    faces.push(child);
+                    active.push(true);
+                }
+                pool.retain(|&u| u != v);
+            }
+        }
+        insertions
+    }
+
+    #[test]
+    fn batched_selector_matches_uncached_reference() {
+        // The cached lists, stale bounds and selector tree must draw
+        // exactly what an uncached, eager draw does at prefix > 1 — gain
+        // bits included. Block-clustered similarities with a shared
+        // within-block ranking make faces share their best vertices, so
+        // truncated lists drain and stale faces are common; quantized
+        // similarities make exact gain ties (including ties with stale
+        // bounds) common. Prefix 50 (cache depth 32) needs more rounds
+        // than n = 150 gives before a drained face's bound can win.
+        for (prefix, n) in [(2, 150), (10, 150), (50, 400)] {
+            let mut rng = StdRng::seed_from_u64(41);
+            let block: Vec<usize> = (0..n).map(|_| rng.gen_range(0..3)).collect();
+            let pull: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let noise = random_similarity(n, 43);
+            let blocks = SymmetricMatrix::from_fn(n, |i, j| {
+                if i == j {
+                    1.0
+                } else if block[i] == block[j] {
+                    0.5 + 0.4 * pull[i] * pull[j] + 0.1 * noise.get(i, j)
+                } else {
+                    0.3 * noise.get(i, j)
+                }
+            });
+            let quantized = SymmetricMatrix::from_fn(n, |i, j| {
+                if i == j {
+                    1.0
+                } else {
+                    (noise.get(i, j) * 2.0).floor() / 2.0
+                }
+            });
+            for (name, s) in [("blocks", &blocks), ("quantized", &quantized)] {
+                let t = tmfg(s, TmfgConfig::with_prefix(prefix).simultaneous()).unwrap();
+                let reference = uncached_conflict_aware_reference(s, prefix, t.initial_clique);
+                let ctx = format!("{name} n {n} prefix {prefix}");
+                assert_eq!(t.insertions.len(), reference.len(), "{ctx}");
+                for (i, (got, want)) in t.insertions.iter().zip(&reference).enumerate() {
+                    assert_eq!(
+                        (got.vertex, got.face, got.round, got.gain.to_bits()),
+                        (want.vertex, want.face, want.round, want.gain.to_bits()),
+                        "{ctx}: insertion {i}"
+                    );
+                }
+                assert!(t.total_refreshes() > 0, "{ctx}: no stale face was drawn");
+            }
+        }
+    }
+
     #[test]
     fn parallel_pool_matches_sequential_reference() {
-        // The candidate maintenance, head gathering and batch selection
-        // run on the work-stealing executor; their results must be
-        // bit-identical to the single-threaded reference for every worker
-        // count (the split-tree decomposition depends on input length
-        // only, stealing may reorder execution but never results,
-        // candidate order is preserved, and the selection heap is a
-        // strict total order).
+        // The candidate maintenance runs on the work-stealing executor;
+        // its results must be bit-identical to the single-threaded
+        // reference for every worker count (the split-tree decomposition
+        // depends on input length only, stealing may reorder execution but
+        // never results, candidate order is preserved, and the selector is
+        // a strict total order).
         //
-        // n is chosen so the parallel path actually dispatches: the shim
-        // runs pipelines under 512 items inline, and select_batch iterates
-        // every tracked face id (4 + 3·(n − 4)), so n = 300 pushes the
-        // candidate-gathering pipeline well past the threshold in the
-        // later rounds. With n = 60 both runs would execute the identical
-        // inline code path and the comparison would be vacuous.
+        // The per-round parallel steps — the fused child refresh and the
+        // stale-face rescans — are short pipelines (at most a few dozen
+        // scans), which the shim runs inline under its 512-item gate; the
+        // comparison pins that the construction, selector counters
+        // included, is independent of the pool it runs on. n = 300 gives
+        // prefixes 10 and 50 many conflict, rescan and refresh rounds.
         let n = 300;
         let s = random_similarity(n, 13);
         for freshness in [BatchFreshness::IntraRound, BatchFreshness::Simultaneous] {

@@ -12,10 +12,13 @@
 //! the draw with its next-best remaining vertex, so conflicts shrink
 //! neither the batch nor the candidate pool — each round inserts exactly
 //! `min(PREFIX, |remaining|, |active faces|)` vertices. The per-face
-//! candidate lists are maintained lazily (see [`GainTable`]) and rebuilt in
-//! parallel only for newly created faces and for faces whose cached
-//! candidates ran dry. With `prefix = 1` the construction is identical to
-//! the sequential TMFG of Massara et al.
+//! candidate lists are maintained lazily (see [`GainTable`]): newly
+//! created faces are scanned every round, three per insertion off one
+//! fused scan of the remaining pool, while a face whose truncated list ran
+//! dry keeps its last gain as an upper bound and is rescanned only when
+//! that bound reaches the top of the batch selector, a max-tree over
+//! faces. Lazy maintenance changes no selection: with `prefix = 1` the
+//! construction is identical to the sequential TMFG of Massara et al.
 //!
 //! The bubble tree (Algorithm 2) is maintained during construction at no
 //! extra asymptotic cost and is returned alongside the graph.

@@ -51,15 +51,15 @@ pub trait SimilaritySource: Sync {
         idx
     }
 
-    /// First NaN entry of the strict upper triangle in `(row, col)`
-    /// lexicographic order, scanned in parallel.
-    fn find_nan(&self) -> Option<(usize, usize)> {
+    /// First non-finite (NaN or ±∞) entry of the strict upper triangle in
+    /// `(row, col)` lexicographic order, scanned in parallel.
+    fn find_non_finite(&self) -> Option<(usize, usize)> {
         let n = self.n();
         (0..n)
             .into_par_iter()
             .filter_map(|row| {
                 ((row + 1)..n)
-                    .find(|&col| self.get(row, col).is_nan())
+                    .find(|&col| !self.get(row, col).is_finite())
                     .map(|col| (row, col))
             })
             .min()
@@ -197,18 +197,27 @@ mod tests {
 
     #[test]
     fn nan_entry_matches_dense_scan() {
-        // The parallel `find_nan` must report the first NaN of a
-        // sequential row-major scan of the strict upper triangle.
+        // The parallel `find_non_finite` must report the first NaN or ±∞
+        // of a sequential row-major scan of the strict upper triangle.
         let mut m = random_matrix(10, 21);
-        assert_eq!(SimilaritySource::find_nan(&m), None);
+        assert_eq!(SimilaritySource::find_non_finite(&m), None);
         m.set(3, 7, f64::NAN);
         m.set(2, 9, f64::NAN);
-        let scan = (0..10)
-            .flat_map(|i| ((i + 1)..10).map(move |j| (i, j)))
-            .find(|&(i, j)| m.get(i, j).is_nan());
-        assert_eq!(scan, Some((2, 9)));
-        assert_eq!(SimilaritySource::find_nan(&m), scan);
-        assert_eq!(f32_copy(&m).find_nan(), scan);
+        let scan = |m: &SymmetricMatrix| {
+            (0..10)
+                .flat_map(|i| ((i + 1)..10).map(move |j| (i, j)))
+                .find(|&(i, j)| !m.get(i, j).is_finite())
+        };
+        assert_eq!(scan(&m), Some((2, 9)));
+        assert_eq!(SimilaritySource::find_non_finite(&m), scan(&m));
+        assert_eq!(f32_copy(&m).find_non_finite(), scan(&m));
+        // Infinities count too, in either sign.
+        m.set(1, 4, f64::NEG_INFINITY);
+        assert_eq!(scan(&m), Some((1, 4)));
+        assert_eq!(SimilaritySource::find_non_finite(&m), scan(&m));
+        m.set(0, 8, f64::INFINITY);
+        assert_eq!(SimilaritySource::find_non_finite(&m), Some((0, 8)));
+        assert_eq!(f32_copy(&m).find_non_finite(), Some((0, 8)));
     }
 
     #[test]
