@@ -38,11 +38,11 @@ fn bench_tmfg(c: &mut Criterion) {
 }
 
 fn bench_pmfg(c: &mut Criterion) {
-    // PMFG runs a planarity test per candidate edge; keep the sizes
-    // moderate. "n" is the round-based parallel construction (the label
-    // the seed used for the sequential one, so bench_diff tracks the
-    // trajectory of the default `pmfg()` entry point across PRs);
-    // "seq_n" is the one-candidate-at-a-time baseline on the same
+    // The sequential PMFG runs a planarity test per candidate edge; keep
+    // the sizes moderate. "n" is the round-based parallel construction
+    // (the label the seed used for the sequential one, so bench_diff
+    // tracks the trajectory of the default `pmfg()` entry point across
+    // PRs); "seq_n" is the one-candidate-at-a-time baseline on the same
     // scratch-reusing planarity core.
     let mut group = c.benchmark_group("pmfg");
     group.sample_size(10);

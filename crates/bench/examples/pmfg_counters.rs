@@ -14,7 +14,7 @@ fn main() {
         .into_iter()
         .find(|s| s.name == "ECG5000")
         .unwrap();
-    for scale in [0.02f64, 0.05] {
+    for scale in [0.02f64, 0.05, 0.1] {
         let cfg = SuiteConfig {
             scale,
             ..SuiteConfig::default()
@@ -56,12 +56,13 @@ fn main() {
             }
             let p = p.unwrap();
             println!(
-                "  ({ib:>3},{mb:>5}): examined={} rounds={} par_rej={} commit_rej={} retests={} min {:.1}ms",
+                "  ({ib:>3},{mb:>5}): examined={} rounds={} par_rej={} commit_rej={} retests={} tests={} min {:.1}ms",
                 p.candidates_examined,
                 p.rounds,
                 p.parallel_rejections,
                 p.rejections - p.parallel_rejections,
                 p.commit_retests,
+                p.planarity_tests,
                 best
             );
         }

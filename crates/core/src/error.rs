@@ -24,10 +24,11 @@ pub enum CoreError {
     /// least 1 and no larger than the maximum batch.
     InvalidBatch,
     /// The similarity matrix contains a non-finite (NaN or ±∞) entry.
-    /// NaN gains are never selected by the batch selector, and an
+    /// TMFG: NaN gains are never selected by the batch selector, and an
     /// infinity of either sign can produce them (∞ − ∞), so a vertex whose
-    /// gains are all NaN could never be inserted; the input is rejected up
-    /// front instead.
+    /// gains are all NaN could never be inserted. PMFG: a NaN would rank
+    /// as a heavy edge and an infinity would make the edge-weight sum
+    /// infinite. Both reject the input up front instead.
     NonFiniteSimilarity {
         /// Row of the offending entry.
         row: usize,
@@ -52,7 +53,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidPrefix => write!(f, "prefix size must be at least 1"),
             CoreError::InvalidBatch => write!(
                 f,
-                "PMFG batch schedule is invalid: need 1 <= initial_batch <= max_batch"
+                "PMFG batch schedule is invalid: need 1 <= batch.initial <= batch.cap"
             ),
             CoreError::NonFiniteSimilarity { row, col } => {
                 write!(f, "similarity matrix entry ({row}, {col}) is not finite")

@@ -3,17 +3,20 @@
 //!
 //! The PMFG considers all pairwise similarities in decreasing order and
 //! adds each edge iff the graph remains planar, stopping once the maximal
-//! planar edge count `3n − 6` is reached. Every candidate costs a
-//! left–right planarity test, which is what makes the PMFG orders of
-//! magnitude slower than the TMFG — the runtime gap reproduced by the
-//! Figure 1/3 experiments. Following the parallel PMFG of Yu & Shun
-//! (ICDE 2023), [`pmfg`] attacks that cost with *speculative batches*:
+//! planar edge count `3n − 6` is reached. The sequential baseline
+//! ([`pmfg_sequential`]) pays a left–right planarity test per candidate,
+//! which is what makes the PMFG orders of magnitude slower than the TMFG
+//! — the runtime gap reproduced by the Figure 1/3 experiments. Following
+//! the parallel PMFG of Yu & Shun (ICDE 2023), [`pmfg`] attacks that cost
+//! with *speculative batches*, and skips the test wherever component
+//! counts already decide it:
 //!
 //! 1. **Parallel phase.** Each round takes the next prefix of the
-//!    weight-sorted candidate list and tests every candidate against the
-//!    committed graph concurrently, through the borrowed one-extra-edge
-//!    view of [`pfg_graph::LrScratch`] (one warm scratch per pool worker,
-//!    zero allocation and zero graph mutation per test).
+//!    weight-sorted candidate list and decides every candidate against
+//!    the committed graph concurrently: by the component screen of point
+//!    4, or by a test through the borrowed one-extra-edge view of
+//!    [`pfg_graph::LrScratch`] (one warm scratch per pool worker, zero
+//!    allocation and zero graph mutation per test).
 //! 2. **Monotone rejection.** Planarity is monotone under edge addition:
 //!    a subgraph of a planar graph is planar, so if `G + e` is non-planar
 //!    then `G' + e` is non-planar for every supergraph `G' ⊇ G`. A
@@ -53,6 +56,25 @@
 //!    which is most of the `3n − 6` acceptances — exactly the
 //!    acceptance-heavy rounds where the old unconditional re-validation
 //!    concentrated.
+//! 4. **Component screen.** Before any planarity test — in the parallel
+//!    phase against the round-start components, and for a dirty survivor
+//!    against the current ones — the same union-find decides the
+//!    candidate `(u, v)` from component counts when it can:
+//!    * `u` and `v` in different components: **planar**, no test. A
+//!      bridge between two planar graphs keeps the graph planar.
+//!    * both in component `r` with `k ≥ 3` vertices that already holds
+//!      `3k − 6` edges: **non-planar**, no test. A simple planar graph on
+//!      `k ≥ 3` vertices has at most `3k − 6` edges, and planarity is
+//!      decided per component.
+//!    * otherwise: a left–right test, which covers only the component
+//!      the candidate lands in (see [`LrScratch::stays_planar_with_edge`]).
+//!
+//!    Both verdicts are exactly what the test would return, so parallel
+//!    rejections stay final, dirty survivors still count as commit
+//!    re-tests, and the output and counters are unchanged. On clustered
+//!    inputs the committed graph stays disconnected until nearly the
+//!    last acceptance, and most rejections fall in saturated components:
+//!    [`Pmfg::planarity_tests`] counts the tests that still run.
 //!
 //! The batch size adapts deterministically to the observed rejection rate:
 //! early rounds are acceptance-heavy (small batches avoid useless stale
@@ -133,6 +155,11 @@ pub struct Pmfg {
     /// commit, *every* survivor after a round's first acceptance paid
     /// this test. `0` for [`pmfg_sequential`].
     pub commit_retests: usize,
+    /// Left–right planarity tests actually run, in the parallel phases and
+    /// at commit. Candidates the component screen decides (module docs,
+    /// point 4) run none. Equals `candidates_examined` for
+    /// [`pmfg_sequential`], which tests every candidate.
+    pub planarity_tests: usize,
 }
 
 impl Pmfg {
@@ -237,7 +264,9 @@ impl<'a, S: SimilaritySource> CandidateStream<'a, S> {
 /// the monotone-rejection argument.
 ///
 /// # Errors
-/// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows.
+/// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows, and
+/// [`CoreError::NonFiniteSimilarity`] if any off-diagonal entry is NaN or
+/// ±∞.
 pub fn pmfg<S: SimilaritySource>(s: &S) -> Result<Pmfg, CoreError> {
     pmfg_with_config(s, PmfgConfig::default())
 }
@@ -245,34 +274,55 @@ pub fn pmfg<S: SimilaritySource>(s: &S) -> Result<Pmfg, CoreError> {
 /// Builds the PMFG with an explicit batch schedule.
 ///
 /// # Errors
-/// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows, and
-/// [`CoreError::InvalidBatch`] if `config.initial_batch` is zero or
-/// exceeds `config.max_batch`.
+/// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows,
+/// [`CoreError::InvalidBatch`] if `config.batch.initial` is zero or
+/// exceeds `config.batch.cap`, and [`CoreError::NonFiniteSimilarity`] if
+/// any off-diagonal entry is NaN or ±∞.
 pub fn pmfg_with_config<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, CoreError> {
-    let n = s.n();
-    if n < 4 {
-        return Err(CoreError::TooFewVertices { got: n });
-    }
+    check_input(s)?;
     config.batch.validate()?;
     pmfg_rounds(s, config)
 }
 
+/// Rejects inputs below the 4-vertex minimum, and NaN or ±∞ similarities:
+/// `total_cmp` ranks a positive NaN above every weight, so it would be
+/// kept as a heavy edge, and an infinite weight makes the edge-weight sum
+/// infinite.
+fn check_input<S: SimilaritySource>(s: &S) -> Result<(), CoreError> {
+    let n = s.n();
+    if n < 4 {
+        return Err(CoreError::TooFewVertices { got: n });
+    }
+    if let Some((row, col)) = s.find_non_finite() {
+        return Err(CoreError::NonFiniteSimilarity { row, col });
+    }
+    Ok(())
+}
+
 /// Incremental union-find over the committed graph's vertices, with
-/// round-stamped components — the conflict structure of the commit phase.
+/// round-stamped components and per-component edge counts — the conflict
+/// structure of the commit phase and the component screen.
 ///
 /// Components only ever merge (edges are only added), so one structure
-/// serves the whole construction. Each acceptance unions its endpoints
-/// and stamps the merged component with the current round id; a survivor
-/// is **clean** iff neither endpoint's component carries the current
-/// round's stamp, i.e. no edge accepted earlier this round has an
-/// endpoint in either component (see the module docs for why clean
-/// survivors commit without a re-test). Stamps live on roots and every
-/// union re-stamps the winning root, so staleness cannot survive a merge.
+/// serves the whole construction. Each acceptance unions its endpoints,
+/// counts the edge, and stamps the merged component with the current
+/// round id; a survivor is **clean** iff neither endpoint's component
+/// carries the current round's stamp, i.e. no edge accepted earlier this
+/// round has an endpoint in either component (see the module docs for
+/// why clean survivors commit without a re-test). Stamps live on roots
+/// and every union re-stamps the winning root, so staleness cannot
+/// survive a merge.
+///
+/// `find` does not compress paths, so the parallel phase can screen
+/// candidates through `&self`; union by size keeps every path at most
+/// `log₂ n` long.
 struct RoundDsu {
-    /// Parent forest with path halving; roots point at themselves.
+    /// Parent forest; roots point at themselves.
     parent: Vec<u32>,
     /// Component size, for union by size (valid at roots).
     size: Vec<u32>,
+    /// Committed edges inside the component (valid at roots).
+    edges: Vec<u32>,
     /// Id of the last round that accepted an edge with an endpoint in
     /// this component (valid at roots; 0 = never, round ids start at 1).
     stamp: Vec<usize>,
@@ -283,30 +333,38 @@ impl RoundDsu {
         RoundDsu {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
+            edges: vec![0; n],
             stamp: vec![0; n],
         }
     }
 
-    fn find(&mut self, mut v: usize) -> usize {
+    fn find(&self, mut v: usize) -> usize {
         while self.parent[v] as usize != v {
-            // Path halving: point at the grandparent as we walk.
-            let grandparent = self.parent[self.parent[v] as usize];
-            self.parent[v] = grandparent;
-            v = grandparent as usize;
+            v = self.parent[v] as usize;
         }
         v
     }
 
     /// `true` iff neither endpoint's component was touched by an
     /// acceptance stamped `round`.
-    fn is_clean(&mut self, u: usize, v: usize, round: usize) -> bool {
-        let ru = self.find(u);
-        let rv = self.find(v);
-        self.stamp[ru] != round && self.stamp[rv] != round
+    fn is_clean(&self, u: usize, v: usize, round: usize) -> bool {
+        self.stamp[self.find(u)] != round && self.stamp[self.find(v)] != round
+    }
+
+    /// The component screen (module docs, point 4): `Some(planar)` when
+    /// component counts decide whether the committed graph plus `(u, v)`
+    /// is planar, `None` when it takes a planarity test.
+    fn screen(&self, u: usize, v: usize) -> Option<bool> {
+        let r = self.find(u);
+        if r != self.find(v) {
+            return Some(true);
+        }
+        let (k, m) = (self.size[r], self.edges[r]);
+        (k >= 3 && m + 1 > 3 * k - 6).then_some(false)
     }
 
     /// Records the acceptance of edge `(u, v)` in `round`: unions the
-    /// components and stamps the merged root.
+    /// components, counts the edge and stamps the merged root.
     fn accept(&mut self, u: usize, v: usize, round: usize) {
         let mut ru = self.find(u);
         let mut rv = self.find(v);
@@ -316,8 +374,26 @@ impl RoundDsu {
             }
             self.parent[rv] = ru as u32;
             self.size[ru] += self.size[rv];
+            self.edges[ru] += self.edges[rv];
         }
+        self.edges[ru] += 1;
         self.stamp[ru] = round;
+    }
+}
+
+/// Decides whether the committed `graph` plus `(u, v)` is planar: by the
+/// component screen when it can, else by a left–right test on `scratch`.
+/// Returns the verdict and whether a test ran.
+fn decide(
+    dsu: &RoundDsu,
+    scratch: &mut LrScratch,
+    graph: &WeightedGraph,
+    u: usize,
+    v: usize,
+) -> (bool, bool) {
+    match dsu.screen(u, v) {
+        Some(planar) => (planar, false),
+        None => (scratch.stays_planar_with_edge(graph, u, v), true),
     }
 }
 
@@ -335,25 +411,31 @@ fn pmfg_rounds<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, C
     let mut rounds = 0;
     let mut parallel_rejections = 0;
     let mut commit_retests = 0;
+    let mut planarity_tests = 0;
     while graph.num_edges() < target_edges {
         let batch = stream.peek(batch_size);
         if batch.is_empty() {
             break; // safety net: a full matrix always reaches 3n − 6 first
         }
-        // Parallel phase: speculative tests against the committed graph.
-        // `with_max_len(1)` makes every test its own stealable leaf, so
-        // even the small early rounds spread across (and steal-balance
+        // Parallel phase: speculative verdicts against the committed graph,
+        // screened against its components (module docs, point 4).
+        // `with_max_len(1)` makes every candidate its own stealable leaf,
+        // so even the small early rounds spread across (and steal-balance
         // over) the pool.
-        let verdicts: Vec<bool> = {
-            let graph = &graph;
+        let verdicts: Vec<(bool, bool)> = {
+            let (graph, dsu) = (&graph, &dsu);
             batch
                 .par_iter()
                 .with_max_len(1)
                 .map(|&(u, v)| {
                     SPECULATIVE_SCRATCH.with(|scratch| {
-                        scratch
-                            .borrow_mut()
-                            .stays_planar_with_edge(graph, u as usize, v as usize)
+                        decide(
+                            dsu,
+                            &mut scratch.borrow_mut(),
+                            graph,
+                            u as usize,
+                            v as usize,
+                        )
                     })
                 })
                 .collect()
@@ -361,9 +443,10 @@ fn pmfg_rounds<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, C
         // Speculative rejections are final (monotonicity): count them all
         // before the commit loop so the counters don't depend on where the
         // graph happens to become maximal inside the batch.
-        let round_rejections = verdicts.iter().filter(|&&ok| !ok).count();
+        let round_rejections = verdicts.iter().filter(|&&(ok, _)| !ok).count();
         parallel_rejections += round_rejections;
         rejections += round_rejections;
+        planarity_tests += verdicts.iter().filter(|&&(_, tested)| tested).count();
         candidates_examined += batch.len();
         // Commit phase: survivors in sorted order through the conflict
         // structure — only a survivor whose component was touched by an
@@ -372,7 +455,7 @@ fn pmfg_rounds<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, C
         // start at 1 so the zero-initialised stamps read as "never".
         let round_id = rounds + 1;
         for (k, &(u, v)) in batch.iter().enumerate() {
-            if !verdicts[k] {
+            if !verdicts[k].0 {
                 continue;
             }
             if graph.num_edges() == target_edges {
@@ -380,11 +463,13 @@ fn pmfg_rounds<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, C
             }
             let (u, v) = (u as usize, v as usize);
             let accepted = dsu.is_clean(u, v, round_id) || {
-                // The sequential algorithm would have made this exact
-                // test against this exact graph: accept and reject
+                // The sequential algorithm would have decided this exact
+                // candidate against this exact graph: accept and reject
                 // outcomes are both final.
                 commit_retests += 1;
-                commit_scratch.stays_planar_with_edge(&graph, u, v)
+                let (ok, tested) = decide(&dsu, &mut commit_scratch, &graph, u, v);
+                planarity_tests += usize::from(tested);
+                ok
             };
             if accepted {
                 graph.add_edge(u, v, s.get(u, v));
@@ -410,6 +495,7 @@ fn pmfg_rounds<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, C
         rounds,
         parallel_rejections,
         commit_retests,
+        planarity_tests,
     })
 }
 
@@ -419,15 +505,17 @@ fn pmfg_rounds<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, C
 ///
 /// Each candidate is tested through the borrowed one-extra-edge view of a
 /// single warm [`LrScratch`] (no graph clone, no add/test/remove
-/// round-trip, no per-test allocation).
+/// round-trip, no per-test allocation). There is no component screen:
+/// every candidate pays a test, so this is also the reference the
+/// screen is tested against.
 ///
 /// # Errors
-/// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows.
+/// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows, and
+/// [`CoreError::NonFiniteSimilarity`] if any off-diagonal entry is NaN or
+/// ±∞.
 pub fn pmfg_sequential<S: SimilaritySource>(s: &S) -> Result<Pmfg, CoreError> {
+    check_input(s)?;
     let n = s.n();
-    if n < 4 {
-        return Err(CoreError::TooFewVertices { got: n });
-    }
     let target_edges = 3 * n - 6;
     let mut stream = CandidateStream::new(s);
     let mut scratch = LrScratch::new();
@@ -454,6 +542,7 @@ pub fn pmfg_sequential<S: SimilaritySource>(s: &S) -> Result<Pmfg, CoreError> {
         rounds: 0,
         parallel_rejections: 0,
         commit_retests: 0,
+        planarity_tests: candidates_examined,
     })
 }
 
@@ -502,6 +591,23 @@ mod tests {
             pmfg_sequential(&s),
             Err(CoreError::TooFewVertices { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_non_finite_similarities() {
+        // An 8×8 matrix with one bad entry: NaN used to be kept as an
+        // edge (with a NaN weight sum), ±∞ accepted silently.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut s = random_similarity(8, 41);
+            s.set(2, 5, bad);
+            let expected = Err(CoreError::NonFiniteSimilarity { row: 2, col: 5 });
+            assert_eq!(pmfg(&s).map(|p| p.graph.num_edges()), expected, "{bad}");
+            assert_eq!(
+                pmfg_sequential(&s).map(|p| p.graph.num_edges()),
+                expected,
+                "{bad}"
+            );
+        }
     }
 
     #[test]
@@ -619,6 +725,20 @@ mod tests {
                 assert_eq!(
                     baseline.commit_retests, par.commit_retests,
                     "{ctx}: commit re-tests"
+                );
+                assert_eq!(
+                    baseline.planarity_tests, par.planarity_tests,
+                    "{ctx}: planarity tests"
+                );
+            }
+            if name == "clustered" {
+                // The component screen decides some candidates without a
+                // test: blocks saturate before they join.
+                assert!(
+                    baseline.planarity_tests < baseline.candidates_examined,
+                    "screen never fired: {} tests for {} candidates",
+                    baseline.planarity_tests,
+                    baseline.candidates_examined
                 );
             }
         }
@@ -854,10 +974,14 @@ mod tests {
         assert!(p.rounds >= 1);
         // Only processed survivors re-test, and never a round's first.
         assert!(p.commit_retests <= accepted + (p.rejections - p.parallel_rejections));
+        // Every test the parallel builder runs decides one examined
+        // candidate or one dirty survivor.
+        assert!(p.planarity_tests <= p.candidates_examined + p.commit_retests);
         let seq = pmfg_sequential(&s).unwrap();
         assert_eq!(seq.rounds, 0);
         assert_eq!(seq.parallel_rejections, 0);
         assert_eq!(seq.commit_retests, 0);
+        assert_eq!(seq.planarity_tests, seq.candidates_examined);
         assert_eq!(
             seq.candidates_examined,
             seq.graph.num_edges() + seq.rejections

@@ -2,10 +2,11 @@
 //! scratch-reusing core built for hot loops.
 //!
 //! The PMFG (§II of the paper) adds the heaviest remaining edge iff the
-//! graph stays planar, which means a planarity test per candidate edge —
-//! thousands of tests against graphs that differ by a single edge. The
-//! round-based parallel PMFG in `pfg_core` additionally runs many such
-//! tests concurrently. This module is built for that access pattern:
+//! graph stays planar, which means a planarity test per candidate edge
+//! (the parallel PMFG in `pfg_core` skips the ones component counts
+//! decide) — thousands of tests against graphs that differ by a single
+//! edge, many of them concurrent. This module is built for that access
+//! pattern:
 //!
 //! * **Dense indexed state.** Every undirected edge gets an integer id
 //!   `0..m`; all per-edge tables of the LR algorithm (`lowpt`, `lowpt2`,
@@ -21,6 +22,12 @@
 //!   never cloned or mutated, so many speculative tests can share one
 //!   immutable graph — this is what makes the parallel PMFG's batch phase
 //!   safe and cheap.
+//! * **One-component speculative tests.** Planarity is decided per
+//!   connected component, and a speculative test's graph `G` is planar by
+//!   precondition (the PMFG only ever commits planar graphs), so only the
+//!   component `e` lands in can fail. Both passes run from one endpoint
+//!   of `e` and never enter another component. [`LrScratch::is_planar`]
+//!   has no such precondition and runs from every root.
 //! * **Iterative DFS.** Both passes run on explicit stacks held in the
 //!   scratch, so deep planar graphs (paths, filtered graphs on large `n`)
 //!   cannot overflow the call stack.
@@ -31,11 +38,14 @@
 //! which is all PMFG needs). It runs two depth-first passes:
 //!
 //! 1. an *orientation* pass that orients edges away from the DFS roots and
-//!    computes `lowpt`, `lowpt2` and a nesting order for the outgoing edges
-//!    of each vertex, and
+//!    computes `lowpt`, `lowpt2` and a nesting depth for every oriented
+//!    edge, after which one counting sort over nesting depth orders the
+//!    outgoing edges of each vertex (as in Brandes' formulation), and
 //! 2. a *testing* pass that maintains a stack of conflict pairs of edge
 //!    intervals; the graph is planar iff no interval pair ever conflicts on
 //!    both sides.
+
+use std::ops::Range;
 
 use crate::weighted_graph::WeightedGraph;
 
@@ -158,6 +168,10 @@ pub struct LrScratch {
     // vertex v's ordered edges are ordered[ord_off[v]..ord_off[v+1]].
     ord_off: Vec<u32>,
     ordered: Vec<u32>,
+    // Counting sort of the oriented edges by nesting depth: bucket starts
+    // per depth, and the edges in (depth, id) order.
+    depth_start: Vec<u32>,
+    by_depth: Vec<u32>,
     // Explicit stacks.
     conflicts: Vec<ConflictPair>,
     dfs: Vec<Frame>,
@@ -189,9 +203,17 @@ impl LrScratch {
     /// planar. The graph is borrowed — never cloned or mutated — so
     /// concurrent speculative tests can share one `&WeightedGraph`.
     ///
-    /// The caller must ensure `u != v` and that `(u, v)` is not already an
-    /// edge of `graph` (checked with `debug_assert!`; the PMFG candidate
-    /// stream never re-tests a decided edge).
+    /// **Precondition:** `graph` must be planar, as every graph the PMFG
+    /// commits is. The test then covers only the component of `G + (u, v)`
+    /// that contains the new edge: every other component is a component
+    /// of `graph`, hence planar. On a non-planar `graph` the answer is
+    /// unspecified (a non-planar component the new edge does not touch
+    /// goes unseen); test `G + (u, v)` with [`is_planar`](Self::is_planar)
+    /// instead.
+    ///
+    /// The caller must also ensure `u != v` and that `(u, v)` is not
+    /// already an edge of `graph` (checked with `debug_assert!`; the PMFG
+    /// candidate stream never re-tests a decided edge).
     pub fn stays_planar_with_edge(&mut self, graph: &WeightedGraph, u: usize, v: usize) -> bool {
         debug_assert!(u != v, "self loops are never planar candidates");
         debug_assert!(
@@ -303,11 +325,11 @@ impl LrScratch {
 
     // ---- Phase 1: orientation DFS (iterative) ----------------------------------
 
-    /// Orients every edge away from the DFS roots, computing `lowpt`,
-    /// `lowpt2` and the nesting depth of each oriented edge.
-    fn orient_all(&mut self) {
-        let n = self.height.len();
-        for r in 0..n as u32 {
+    /// Orients every edge reachable from `roots`, starting a DFS at each
+    /// root not yet visited, and computes `lowpt`, `lowpt2` and the
+    /// nesting depth of each oriented edge.
+    fn orient(&mut self, roots: Range<u32>) {
+        for r in roots {
             if self.height[r as usize] != NONE {
                 continue;
             }
@@ -400,24 +422,53 @@ impl LrScratch {
     }
 
     /// Groups the oriented edges by source vertex, sorted by nesting depth
-    /// (ties by edge id, so the order is deterministic).
+    /// (ties by edge id, so the order is deterministic). Unoriented edges
+    /// (outside the tested component) are left out.
+    ///
+    /// One counting sort over depth, then a stable scatter into per-source
+    /// ranges: `O(n + m)`, no comparisons. Depth is `2·lowpt (+ 1)` with
+    /// `lowpt` a DFS height `< n`, so it is `< 2n`.
     fn order_adjacency(&mut self) {
         let n = self.height.len();
-        self.ordered.clear();
+        // Counts, shifted by one slot so the prefix sums give range starts.
+        self.depth_start.clear();
+        self.depth_start.resize(2 * n + 1, 0);
         self.ord_off.clear();
-        for v in 0..n {
-            self.ord_off.push(self.ordered.len() as u32);
-            for slot in self.xadj[v]..self.xadj[v + 1] {
-                let e = self.eadj[slot as usize];
-                if self.src[e as usize] == v as u32 {
-                    self.ordered.push(e);
-                }
+        self.ord_off.resize(n + 1, 0);
+        for (e, &s) in self.src.iter().enumerate() {
+            if s != NONE {
+                self.depth_start[self.nesting[e] as usize + 1] += 1;
+                self.ord_off[s as usize + 1] += 1;
             }
-            let start = self.ord_off[v] as usize;
-            let nesting = &self.nesting;
-            self.ordered[start..].sort_unstable_by_key(|&e| (nesting[e as usize], e));
         }
-        self.ord_off.push(self.ordered.len() as u32);
+        for d in 0..2 * n {
+            self.depth_start[d + 1] += self.depth_start[d];
+        }
+        for v in 0..n {
+            self.ord_off[v + 1] += self.ord_off[v];
+        }
+        // Edge ids in increasing order, so each depth keeps id order.
+        let oriented = self.ord_off[n] as usize;
+        self.by_depth.clear();
+        self.by_depth.resize(oriented, 0);
+        for (e, &s) in self.src.iter().enumerate() {
+            if s != NONE {
+                let d = self.nesting[e] as usize;
+                self.by_depth[self.depth_start[d] as usize] = e as u32;
+                self.depth_start[d] += 1;
+            }
+        }
+        // Stable scatter into per-source ranges; `cursor` is free after
+        // `load`.
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.ord_off[..n]);
+        self.ordered.clear();
+        self.ordered.resize(oriented, 0);
+        for &e in &self.by_depth {
+            let s = self.src[e as usize] as usize;
+            self.ordered[self.cursor[s] as usize] = e;
+            self.cursor[s] += 1;
+        }
     }
 
     // ---- Phase 2: testing DFS (iterative) --------------------------------------
@@ -634,11 +685,17 @@ impl LrScratch {
         }
     }
 
-    /// Full test on a loaded view: orientation, adjacency ordering, then
-    /// the testing DFS from every root.
+    /// Full test of a view: orientation, adjacency ordering, then the
+    /// testing DFS from every root. A view with an extra edge `(u, v)` is
+    /// oriented and tested from `u` alone: its graph is planar (the
+    /// precondition of [`stays_planar_with_edge`](Self::stays_planar_with_edge)),
+    /// so the component holding the new edge is the only one that can fail.
     fn run(&mut self, view: ExtraEdgeView<'_>) -> bool {
         self.load(view);
-        self.orient_all();
+        self.orient(match view.extra {
+            Some((u, _)) => u..u + 1,
+            None => 0..view.num_vertices() as u32,
+        });
         self.order_adjacency();
         for i in 0..self.roots.len() {
             let r = self.roots[i];
@@ -660,6 +717,9 @@ pub fn is_planar(graph: &WeightedGraph) -> bool {
 
 /// Returns `true` if adding edge `(u, v)` to `graph` would keep it planar.
 /// The graph is borrowed and never modified (or cloned).
+///
+/// **Precondition:** `graph` must be planar; only the component the new
+/// edge lands in is tested (see [`LrScratch::stays_planar_with_edge`]).
 ///
 /// One-shot convenience over [`LrScratch::stays_planar_with_edge`].
 pub fn stays_planar_with_edge(graph: &WeightedGraph, u: usize, v: usize) -> bool {
@@ -942,17 +1002,50 @@ mod tests {
         }
     }
 
+    /// The disjoint union of `parts`, relabelled in order, plus
+    /// `isolated` vertices at the end.
+    fn disjoint_union(parts: &[WeightedGraph], isolated: usize) -> WeightedGraph {
+        let n: usize = parts.iter().map(WeightedGraph::num_vertices).sum();
+        let mut g = WeightedGraph::new(n + isolated);
+        let mut base = 0;
+        for part in parts {
+            for (u, v, w) in part.edges() {
+                g.add_edge(base + u, base + v, w);
+            }
+            base += part.num_vertices();
+        }
+        g
+    }
+
     #[test]
     fn scratch_speculative_tests_agree_with_committed_tests() {
         // For every non-edge of several graphs, the borrowed-view result
-        // must equal the result of really inserting the edge.
-        let graphs = [triangulation(9), complete_bipartite(2, 5), {
-            let mut p = WeightedGraph::new(8);
-            for i in 0..7 {
+        // must equal the result of really inserting the edge. The
+        // disconnected inputs put a saturated triangulation away from
+        // vertex 0, so a test of any component but the new edge's would
+        // answer wrongly.
+        let path = |n: usize| {
+            let mut p = WeightedGraph::new(n);
+            for i in 0..n - 1 {
                 p.add_edge(i, i + 1, 1.0);
             }
             p
-        }];
+        };
+        let star = |n: usize| {
+            let mut p = WeightedGraph::new(n);
+            for i in 1..n {
+                p.add_edge(0, i, 1.0);
+            }
+            p
+        };
+        let graphs = [
+            triangulation(9),
+            complete_bipartite(2, 5),
+            path(8),
+            disjoint_union(&[triangulation(7), triangulation(8)], 0),
+            disjoint_union(&[complete_bipartite(2, 5), triangulation(8)], 3),
+            disjoint_union(&[path(4), star(5), WeightedGraph::new(2), path(3)], 2),
+        ];
         let mut scratch = LrScratch::new();
         for g in &graphs {
             let n = g.num_vertices();

@@ -74,20 +74,6 @@ impl WeightedGraph {
         self.adj[u].iter().any(|&(x, _)| x == v)
     }
 
-    /// Removes the undirected edge `(u, v)`. Returns `true` if it existed.
-    /// Used by the PMFG construction to roll back a tentative insertion
-    /// that violated planarity.
-    pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
-        let before = self.adj[u].len();
-        self.adj[u].retain(|&(x, _)| x != v);
-        if self.adj[u].len() == before {
-            return false;
-        }
-        self.adj[v].retain(|&(x, _)| x != u);
-        self.num_edges -= 1;
-        true
-    }
-
     /// Weight of edge `(u, v)`, if present.
     pub fn edge_weight(&self, u: usize, v: usize) -> Option<f64> {
         self.adj[u].iter().find(|&&(x, _)| x == v).map(|&(_, w)| w)
@@ -234,19 +220,6 @@ mod tests {
         assert!(!h.is_connected());
         assert!(WeightedGraph::new(1).is_connected());
         assert!(WeightedGraph::new(0).is_connected());
-    }
-
-    #[test]
-    fn remove_edge_rolls_back_insertion() {
-        let mut g = triangle();
-        assert!(g.remove_edge(0, 1));
-        assert!(!g.has_edge(0, 1));
-        assert!(!g.has_edge(1, 0));
-        assert_eq!(g.num_edges(), 2);
-        assert!(!g.remove_edge(0, 1));
-        // Re-adding after removal is allowed.
-        g.add_edge(0, 1, 7.0);
-        assert_eq!(g.edge_weight(0, 1), Some(7.0));
     }
 
     #[test]

@@ -236,6 +236,47 @@ fn pmfg_parallel_matches_sequential_across_thread_counts() {
     }
 }
 
+/// The one-component speculative test agrees with a full test of the
+/// grown graph on every non-edge of a sequential PMFG caught at several
+/// stages. Block-clustered inputs keep the early stages disconnected, with
+/// saturated blocks away from vertex 0 — where a test of the wrong
+/// component would answer wrongly.
+#[test]
+fn speculative_test_matches_full_test_on_pmfg_stages() {
+    let mut scratch = LrScratch::new();
+    for case in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(0x7900 + case);
+        let s = clustered_matrix(&mut rng, 16, 32, 2 + case as usize % 3);
+        let n = s.n();
+        // The sequential PMFG accepts its edges in candidate order, so
+        // every prefix of that order is one of its intermediate graphs.
+        let mut accepted: Vec<(usize, usize, f64)> =
+            pmfg_sequential(&s).unwrap().graph.edges().collect();
+        accepted.sort_by(|a, b| b.2.total_cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
+        let mut checked_rejections = 0;
+        for stage in [4, 3, 2, 1] {
+            let g = WeightedGraph::from_edges(n, &accepted[..accepted.len() * stage / 4]);
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    if g.has_edge(u, v) {
+                        continue;
+                    }
+                    let mut grown = g.clone();
+                    grown.add_edge(u, v, 1.0);
+                    let full = scratch.is_planar(&grown);
+                    assert_eq!(
+                        scratch.stays_planar_with_edge(&g, u, v),
+                        full,
+                        "case {case}: n={n}, stage {stage}/4, edge ({u}, {v})"
+                    );
+                    checked_rejections += usize::from(!full);
+                }
+            }
+        }
+        assert!(checked_rejections > 0, "case {case}: no non-planar edge");
+    }
+}
+
 /// Random TMFG-style triangulations (grow K4 by inserting each vertex
 /// into a random face) are maximal planar: the LR core must accept them
 /// and reject every additional edge — with one scratch reused across all
