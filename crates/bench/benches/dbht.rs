@@ -1,6 +1,6 @@
 //! DBHT stage benchmarks: the dense APSP baseline against the restricted
 //! (demand-driven) distance build, direction + assignment, and the
-//! hierarchy step with both HAC engines (Figure 5's categories).
+//! hierarchy step (Figure 5's categories).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pfg_bench::{BenchDataset, SuiteConfig};
@@ -8,7 +8,7 @@ use pfg_core::dbht::{
     assignment, converging_vertices, direction, dissimilarity_graph, hierarchy,
     restricted_distances,
 };
-use pfg_core::{tmfg, HacBackend, TmfgConfig};
+use pfg_core::{tmfg, TmfgConfig};
 use pfg_data::ucr_catalogue;
 use pfg_graph::{all_pairs_shortest_paths, SourceRows};
 use std::hint::black_box;
@@ -52,16 +52,6 @@ fn bench_dbht_stages(c: &mut Criterion) {
     });
     group.bench_function("hierarchy", |b| {
         b.iter(|| black_box(hierarchy::build_hierarchy(&directed, &assigned, &distances)))
-    });
-    group.bench_function("hierarchy_nnchain", |b| {
-        b.iter(|| {
-            black_box(hierarchy::build_hierarchy_with(
-                &directed,
-                &assigned,
-                &distances,
-                HacBackend::NnChain,
-            ))
-        })
     });
     group.finish();
 }

@@ -9,8 +9,9 @@
 //!   the large-`n` configuration — `f32` tiled correlation kernel, dense
 //!   TMFG candidate scans, and the on-the-fly dissimilarity view (no
 //!   dense `f64` correlation and no dense dissimilarity matrix are ever
-//!   materialised). The table's `tmfg(s)` column is the construction
-//!   stage inside `cluster(s)`. Emits one `Record` per size plus
+//!   materialised). The table's `tmfg(s)`, `apsp(s)` and `hac(s)`
+//!   columns are the construction, shortest-path and hierarchy stages
+//!   inside `cluster(s)` (`StageTimings`). Emits one `Record` per size plus
 //!   mean-time entries in `BENCH_fig4_nsweep.json` so `bench_diff` tracks
 //!   the trajectory. `--quick` swaps the full sizes (2 000 / 8 000 /
 //!   30 000) for CI-sized ones (500 / 1 000).
@@ -77,8 +78,16 @@ fn nsweep(quick: bool) {
         "# Figure 4 (n sweep): f32 tiled kernel + PAR-TDBHT-{prefix} over the dissimilarity view"
     );
     println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>12} {:>8} {:>12}",
-        "n", "kernel(s)", "tmfg(s)", "cluster(s)", "total(s)", "ari", "matrix(MB)"
+        "{:>8} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8} {:>12}",
+        "n",
+        "kernel(s)",
+        "tmfg(s)",
+        "apsp(s)",
+        "hac(s)",
+        "cluster(s)",
+        "total(s)",
+        "ari",
+        "matrix(MB)"
     );
     let mut lines = Vec::new();
     for &n in sizes {
@@ -95,10 +104,12 @@ fn nsweep(quick: bool) {
         let ari = adjusted_rand_index(&labels, &result.clusters(classes));
         let stats = CorrelationRunStats::of(&kernel);
         println!(
-            "{:>8} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>8.3} {:>12.1}",
+            "{:>8} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>8.3} {:>12.1}",
             n,
             kernel_time.as_secs_f64(),
             result.timings.tmfg.as_secs_f64(),
+            result.timings.apsp.as_secs_f64(),
+            result.timings.hierarchy.as_secs_f64(),
             cluster_time.as_secs_f64(),
             total.as_secs_f64(),
             ari,

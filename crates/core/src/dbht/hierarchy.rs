@@ -1,6 +1,6 @@
 //! The three-level complete-linkage hierarchy and dendrogram heights
-//! (Algorithm 4, lines 24–33, and §V-D), built by a parallel
-//! nearest-neighbor-merge HAC.
+//! (Algorithm 4, lines 24–33, and §V-D), built by an exact
+//! nearest-neighbor-chain HAC with one pool job per group.
 //!
 //! The hierarchy is built bottom-up:
 //!
@@ -20,53 +20,73 @@
 //! group receive the ladder `[1/(n_b−1), …, 1/2, 1]` in the prescribed
 //! order, so that every single-group subtree tops out at height 1.
 //!
-//! # The mutual-NN round rule, and why it reproduces NN-chain output
+//! # The linkage engine
 //!
-//! Each linkage run can be planned by either of two engines
-//! ([`HacBackend`]):
-//!
-//! * [`HacBackend::ParallelRounds`] — per round, every active cluster
-//!   finds its nearest neighbor (one parallel scan per cluster row), and
-//!   every *mutually*-nearest pair merges. Mutual pairs are disjoint by
-//!   construction (nearest-of is a function), so all merges of a round
-//!   commute.
-//! * [`HacBackend::NnChain`] — the classical sequential nearest-neighbor
-//!   chain, kept as the differential reference.
-//!
-//! Both engines order candidate pairs by the same **strict total order**
+//! Every linkage run orders candidate pairs by the strict total order
 //! `K(A, B) = (max cross distance, mean cross distance, min member id of
 //! one cluster, min member id of the other)`. Min member ids are unique
-//! per active cluster, so no two coexisting pairs ever compare equal and
-//! every cluster has a *unique* nearest neighbor. Complete linkage is
-//! *reducible* under `K`: merging a mutually-nearest pair `(A, B)` gives,
-//! for any other cluster `C`, `K(A∪B, C) ≥ min(K(A,C), K(B,C))` — the
-//! max component can only grow, the mean lands between the children's
-//! means, and the merged min-member is the smaller child min-member. So a
-//! merge never steals another pair's mutual-nearest status, every
-//! NN-chain merge is itself a mutual-NN merge, and by the standard
-//! confluence argument for reducible linkages **any** schedule of
-//! mutual-NN merges — one at a time along a chain, or a whole round in
-//! parallel — produces the same merge tree with the same `(max, mean)`
-//! labels.
+//! per active cluster, so every cluster has a *unique* nearest neighbor.
+//! A run follows the classical nearest-neighbor chain: walk from cluster
+//! to nearest neighbor until the last two clusters are each other's
+//! nearest, merge them, and continue from what is left of the chain. Each
+//! merge costs `O(m)` table work, so a run of `m` clusters costs `O(m²)`
+//! plus the member-list reads below.
 //!
-//! Two implementation rules turn "same tree" into "byte-identical
-//! dendrogram":
+//! * **Lance–Williams max, exact.** The pair table holds only the max
+//!   cross distance. When `A` and `B` merge, the survivor's row becomes
+//!   `max(d(A, C), d(B, C))` for every other cluster `C` — no member list
+//!   is re-read. This is exact in floating point, not an approximation.
+//!   The pure max is a fold from `+0.0` over the cross pairs that replaces
+//!   its accumulator only by a strictly larger value. Like `f64::max`, it
+//!   ignores NaN; unlike `f64::max`, it never lets a `-0.0` replace
+//!   `+0.0` (a choice `f64::max` leaves unspecified), and it agrees with
+//!   `f64::max` bit for bit on every other input. Its result is therefore
+//!   a function of the *set* of cross distances, and the max of two folds
+//!   equals the fold over their union.
+//! * **Lazy mean.** The mean only breaks ties in the max. The
+//!   nearest-neighbor scan computes it only for the partners tied on the
+//!   row's minimum max, and a merge computes its event's mean once,
+//!   before the two member lists are joined. Both come from the same pure
+//!   function of the two member lists, summed in one canonical order
+//!   (outer loop over the smaller-min-member cluster, members ascending).
+//!   A Lance–Williams mean would drift by ulps with the merge order.
+//! * **Canonical replay.** The chain discovers merges in chain order, not
+//!   in `K` order, so planned merges are renumbered before they touch the
+//!   [`Dendrogram`]: repeatedly emit the *available* merge (both children
+//!   already emitted) with the smallest `K`-key. Available merges have
+//!   disjoint member sets, hence distinct keys, so every dendrogram node
+//!   id — and with it the creation-order tie-break of the §V-D height
+//!   ladder — is a function of the merge set alone, not of the order the
+//!   schedule found it in.
 //!
-//! * **Pure pair statistics.** `(max, mean)` for a cluster pair is always
-//!   recomputed from the two member sets in a canonical order (outer loop
-//!   over the smaller-min-member cluster, members ascending), never
-//!   accumulated via Lance–Williams float updates. A Lance–Williams mean
-//!   drifts by ulps depending on merge order, which on tie-heavy inputs
-//!   is enough to flip a comparison and change the tree; the pure
-//!   recomputation makes every comparison identical across engines and
-//!   thread counts. (`max` would be exact either way; the mean is the
-//!   reason.)
-//! * **Canonical replay.** Engines discover merges in different orders,
-//!   so planned merges are renumbered before touching the [`Dendrogram`]:
-//!   repeatedly emit the *available* merge (both children already
-//!   emitted) with the smallest `K`-key. Available merges have disjoint
-//!   member sets, hence distinct keys, so the emission order — and with
-//!   it every dendrogram node id — is a pure function of the merge set.
+//! # The schedule decides the tree on tied maxima
+//!
+//! Over the reals, complete linkage is *reducible* under `K`: a merged
+//! cluster is never nearer to a third cluster than the nearer of its two
+//! children, so every schedule of mutually-nearest merges — a chain, a
+//! round of disjoint mutual pairs, the global greedy order — yields the
+//! same tree. In floating point the max part still holds, but the mean
+//! part does not. Two children, each with cross mean `1.46312704190058`
+//! to a third cluster, can merge into a cluster whose recomputed mean to
+//! it is `1.4631270419005793`, below both. Once two candidates tie on the
+//! max, such a rounding can flip a comparison, and different schedules
+//! then build different trees. The output is therefore defined as *this*
+//! engine's tree under `K`. Each run is sequential and the plans are
+//! replayed in group order, so the dendrogram is byte-identical at every
+//! thread count. The chain stays well defined without reducibility:
+//! between two merges its link keys strictly decrease, so every walk ends
+//! at a mutually-nearest pair, and a slot that a merge retired is dropped
+//! when it reaches the top of the chain.
+//!
+//! # Parallelism
+//!
+//! Groups are independent, so each group's level-1 and level-2 plans are
+//! one pool job. Round-based mutual-nearest-neighbor designs pay off only
+//! when a round merges many pairs; on the benchmark workloads a round of
+//! DBHT linkage merged 1.4–1.8 pairs, so the parallelism lives across
+//! groups instead. The inter-group run is small and plans last.
+
+use std::cmp::Ordering;
 
 use pfg_graph::PairDistances;
 use rayon::prelude::*;
@@ -75,41 +95,12 @@ use crate::dbht::assignment::VertexAssignment;
 use crate::dbht::bubble_graph::DirectedBubbleGraph;
 use crate::dendrogram::Dendrogram;
 
-/// Which engine plans the complete-linkage merges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HacBackend {
-    /// Merge every mutually-nearest pair per round, rounds in parallel.
-    #[default]
-    ParallelRounds,
-    /// The sequential nearest-neighbor chain (differential reference).
-    NnChain,
-}
-
 /// Counters from the HAC planning phase, aggregated over all linkage runs
 /// (one per subgroup, one per group, one inter-group).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HacStats {
-    /// Total merge rounds across all linkage runs (for the chain engine
-    /// every merge is its own round).
-    pub rounds: usize,
     /// Total merges (= internal dendrogram nodes).
     pub merges: usize,
-    /// Largest number of merges performed in a single round.
-    pub max_round_merges: usize,
-}
-
-impl HacStats {
-    fn record_round(&mut self, merges: usize) {
-        self.rounds += 1;
-        self.merges += merges;
-        self.max_round_merges = self.max_round_merges.max(merges);
-    }
-
-    fn absorb(&mut self, other: &HacStats) {
-        self.rounds += other.rounds;
-        self.merges += other.merges;
-        self.max_round_merges = self.max_round_merges.max(other.max_round_merges);
-    }
 }
 
 /// Which of the three levels created an internal dendrogram node.
@@ -155,20 +146,13 @@ struct PlanEvent {
     mean: f64,
 }
 
-/// Builds the DBHT dendrogram from the vertex assignment using the
-/// default [`HacBackend::ParallelRounds`] engine.
+/// Builds the DBHT dendrogram from the vertex assignment.
 pub fn build_hierarchy<D: PairDistances + Sync>(
     bubble_graph: &DirectedBubbleGraph,
     assignment: &VertexAssignment,
     distances: &D,
 ) -> Dendrogram {
-    build_hierarchy_with(
-        bubble_graph,
-        assignment,
-        distances,
-        HacBackend::ParallelRounds,
-    )
-    .0
+    build_hierarchy_with(bubble_graph, assignment, distances).0
 }
 
 /// Per-group planning output: the canonical merge plans of the group's
@@ -180,18 +164,29 @@ struct GroupPlan {
     subgroups: Vec<(usize, Vec<usize>, Vec<PlanEvent>)>,
     /// Level-2 plan; item `i` is `subgroups[i]`'s dendrogram root.
     inter_bubble: Vec<PlanEvent>,
-    stats: HacStats,
 }
 
-/// Builds the DBHT dendrogram with an explicit planning engine, returning
-/// the engine's counters. Both engines produce byte-identical dendrograms
-/// (see the module docs); the counters differ.
+/// [`build_hierarchy`], also returning the HAC counters.
 pub fn build_hierarchy_with<D: PairDistances + Sync>(
     bubble_graph: &DirectedBubbleGraph,
     assignment: &VertexAssignment,
     distances: &D,
-    backend: HacBackend,
 ) -> (Dendrogram, HacStats) {
+    build_with_planner(bubble_graph, assignment, distances, plan_linkage)
+}
+
+/// The hierarchy with `plan` planning every linkage run (the tests swap
+/// in their from-scratch reference here).
+fn build_with_planner<D, P>(
+    bubble_graph: &DirectedBubbleGraph,
+    assignment: &VertexAssignment,
+    distances: &D,
+    plan: P,
+) -> (Dendrogram, HacStats)
+where
+    D: PairDistances + Sync,
+    P: Fn(Vec<LinkItem>, &D) -> Vec<PlanEvent> + Sync,
+{
     let n = bubble_graph.num_vertices();
     let mut dendrogram = Dendrogram::new(n);
     if n == 0 {
@@ -200,13 +195,16 @@ pub fn build_hierarchy_with<D: PairDistances + Sync>(
 
     let group_members = assignment.group_members();
 
-    // ---- Plan levels 1 + 2, groups in parallel ---------------------------
+    // ---- Plan levels 1 + 2, one pool job per group -----------------------
+    // A group's plan is whole linkage runs, far heavier than the items the
+    // pool's cheap-item gate is tuned for: without `with_max_len(1)` a few
+    // dozen groups would all plan inline on the caller.
     let plans: Vec<GroupPlan> = (0..assignment.groups.len())
         .into_par_iter()
+        .with_max_len(1)
         .map(|gi| {
             let group = assignment.groups[gi];
             let members = &group_members[gi];
-            let mut stats = HacStats::default();
             let mut bubbles: Vec<usize> = members.iter().map(|&v| assignment.bubble[v]).collect();
             bubbles.sort_unstable();
             bubbles.dedup();
@@ -225,8 +223,8 @@ pub fn build_hierarchy_with<D: PairDistances + Sync>(
                             mm: v,
                         })
                         .collect();
-                    let plan = plan_linkage(items, distances, backend, &mut stats);
-                    (b, verts, plan)
+                    let events = plan(items, distances);
+                    (b, verts, events)
                 })
                 .collect();
             let sub_items: Vec<LinkItem> = subgroups
@@ -236,24 +234,21 @@ pub fn build_hierarchy_with<D: PairDistances + Sync>(
                     mm: verts[0],
                 })
                 .collect();
-            let inter_bubble = plan_linkage(sub_items, distances, backend, &mut stats);
+            let inter_bubble = plan(sub_items, distances);
             GroupPlan {
                 group,
                 num_members: members.len(),
                 subgroups,
                 inter_bubble,
-                stats,
             }
         })
         .collect();
 
     // ---- Replay sequentially in group order ------------------------------
     let mut records: Vec<MergeRecord> = Vec::new();
-    let mut stats = HacStats::default();
     let mut group_roots: Vec<usize> = Vec::with_capacity(plans.len());
     let mut group_sizes: Vec<(usize, usize)> = Vec::with_capacity(plans.len());
     for plan in &plans {
-        stats.absorb(&plan.stats);
         group_sizes.push((plan.group, plan.num_members));
         let mut sub_roots: Vec<usize> = Vec::with_capacity(plan.subgroups.len());
         for (b, verts, events) in &plan.subgroups {
@@ -295,7 +290,7 @@ pub fn build_hierarchy_with<D: PairDistances + Sync>(
             }
         })
         .collect();
-    let inter_group = plan_linkage(group_items, distances, backend, &mut stats);
+    let inter_group = plan(group_items, distances);
     let _root = replay(&mut dendrogram, &group_roots, &inter_group, |node, d| {
         records.push(MergeRecord {
             node,
@@ -305,6 +300,9 @@ pub fn build_hierarchy_with<D: PairDistances + Sync>(
     });
 
     assign_heights(&mut dendrogram, &records, &group_sizes, &group_roots);
+    let stats = HacStats {
+        merges: records.len(),
+    };
     (dendrogram, stats)
 }
 
@@ -326,26 +324,48 @@ fn replay(
     *node_of.last().expect("at least one cluster")
 }
 
-/// The canonical `(max, mean)` cross statistics of two clusters: outer
-/// loop over the smaller-min-member cluster, members ascending. A pure
-/// function of the unordered cluster pair and the distance store, so every
-/// engine and every thread count computes bitwise-identical values.
-fn cross_stats<D: PairDistances>(d: &D, a: (&[usize], usize), b: (&[usize], usize)) -> (f64, f64) {
-    let (outer, inner) = if a.1 < b.1 { (a.0, b.0) } else { (b.0, a.0) };
+/// The max rule of a linkage run: `b` if it is strictly larger than `a`,
+/// else `a`. From a `+0.0` start, NaN and zeros of either sign never win
+/// (see the module docs).
+#[inline]
+fn larger(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// The largest cross distance between two member lists, folded with
+/// [`larger`] from `+0.0`: a function of the set of cross distances, so
+/// the member order is irrelevant.
+fn cross_max<D: PairDistances>(d: &D, a: &[usize], b: &[usize]) -> f64 {
     let mut max = 0.0_f64;
+    for &u in a {
+        for &v in b {
+            max = larger(max, d.pair(u, v));
+        }
+    }
+    max
+}
+
+/// The mean cross distance of two clusters, summed in the canonical order:
+/// outer loop over the smaller-min-member cluster, members ascending. A
+/// pure function of the two member lists, so every comparison and every
+/// event label is the same whenever it is computed.
+fn cross_mean<D: PairDistances>(d: &D, a: (&[usize], usize), b: (&[usize], usize)) -> f64 {
+    let (outer, inner) = if a.1 < b.1 { (a.0, b.0) } else { (b.0, a.0) };
     let mut sum = 0.0_f64;
     for &u in outer {
         for &v in inner {
-            let x = d.pair(u, v);
-            max = max.max(x);
-            sum += x;
+            sum += d.pair(u, v);
         }
     }
-    (max, sum / (outer.len() * inner.len()) as f64)
+    sum / (outer.len() * inner.len()) as f64
 }
 
-/// Mutable state of one linkage run: active clusters and the pure pair
-/// statistics for every active pair.
+/// Mutable state of one linkage run: the active clusters and the max
+/// cross distance of every active pair.
 struct LinkState {
     m: usize,
     members: Vec<Vec<usize>>,
@@ -354,85 +374,98 @@ struct LinkState {
     refid: Vec<usize>,
     active: Vec<bool>,
     remaining: usize,
+    /// Row-major `m × m` max cross distances, Lance–Williams updated.
     dist: Vec<f64>,
-    mean: Vec<f64>,
 }
 
 impl LinkState {
     fn init<D: PairDistances + Sync>(items: Vec<LinkItem>, d: &D) -> Self {
         let m = items.len();
         let mut dist = vec![f64::INFINITY; m * m];
-        let mut mean = vec![f64::INFINITY; m * m];
-        // Pair statistics for the upper triangle, rows in parallel.
-        let rows: Vec<Vec<(f64, f64)>> = {
+        // Max cross distances for the upper triangle, rows in parallel.
+        let rows: Vec<Vec<f64>> = {
             let items = &items;
             (0..m)
                 .into_par_iter()
                 .map(|i| {
                     ((i + 1)..m)
-                        .map(|j| {
-                            cross_stats(
-                                d,
-                                (&items[i].members, items[i].mm),
-                                (&items[j].members, items[j].mm),
-                            )
-                        })
+                        .map(|j| cross_max(d, &items[i].members, &items[j].members))
                         .collect()
                 })
                 .collect()
         };
         for (i, row) in rows.into_iter().enumerate() {
-            for (k, (dv, mv)) in row.into_iter().enumerate() {
+            for (k, x) in row.into_iter().enumerate() {
                 let j = i + 1 + k;
-                dist[i * m + j] = dv;
-                dist[j * m + i] = dv;
-                mean[i * m + j] = mv;
-                mean[j * m + i] = mv;
+                dist[i * m + j] = x;
+                dist[j * m + i] = x;
             }
         }
+        let (members, mm) = items.into_iter().map(|it| (it.members, it.mm)).unzip();
         Self {
             m,
-            members: items.iter().map(|it| it.members.clone()).collect(),
-            mm: items.iter().map(|it| it.mm).collect(),
+            members,
+            mm,
             refid: (0..m).collect(),
             active: vec![true; m],
             remaining: m,
             dist,
-            mean,
         }
     }
 
-    /// The unique nearest neighbor of active slot `i` under the strict
-    /// order `K`. For a fixed row, ordering partners by `(dist, mean,
-    /// partner min-member)` is equivalent to ordering the full keys.
-    fn nearest(&self, i: usize) -> usize {
-        let mut best = usize::MAX;
-        let mut best_key = (f64::INFINITY, f64::INFINITY);
-        for j in 0..self.m {
+    /// The mean cross distance of slots `i` and `j`.
+    fn mean<D: PairDistances>(&self, i: usize, j: usize, d: &D) -> f64 {
+        cross_mean(
+            d,
+            (&self.members[i], self.mm[i]),
+            (&self.members[j], self.mm[j]),
+        )
+    }
+
+    /// The unique nearest neighbor of active slot `i` under `K`: the
+    /// smallest max, then — among partners tied on it only — the smallest
+    /// mean, then the smallest partner min-member. `ties` is a reused buffer.
+    fn nearest<D: PairDistances>(&self, i: usize, d: &D, ties: &mut Vec<usize>) -> usize {
+        let row = &self.dist[i * self.m..(i + 1) * self.m];
+        let mut best = f64::INFINITY;
+        ties.clear();
+        for (j, &x) in row.iter().enumerate() {
             if !self.active[j] || j == i {
                 continue;
             }
-            let key = (self.dist[i * self.m + j], self.mean[i * self.m + j]);
-            let ordering = key
-                .0
-                .total_cmp(&best_key.0)
-                .then_with(|| key.1.total_cmp(&best_key.1));
-            if ordering.is_lt()
-                || (ordering.is_eq() && (best == usize::MAX || self.mm[j] < self.mm[best]))
-            {
-                best = j;
-                best_key = key;
+            match x.total_cmp(&best) {
+                Ordering::Less => {
+                    best = x;
+                    ties.clear();
+                    ties.push(j);
+                }
+                Ordering::Equal => ties.push(j),
+                Ordering::Greater => {}
             }
         }
-        best
+        if let [only] = ties[..] {
+            return only;
+        }
+        ties.iter()
+            .map(|&j| (self.mean(i, j, d), self.mm[j], j))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .expect("an active partner")
+            .2
     }
 
-    /// Merges slots `x` and `y`, records the event, and returns the
-    /// surviving slot. Pair statistics of the survivor are NOT updated;
-    /// callers recompute them (sequentially or in parallel) afterwards.
-    fn apply_merge(&mut self, x: usize, y: usize, events: &mut Vec<PlanEvent>) -> usize {
-        let (s, o) = (x.min(y), x.max(y));
-        let (dist, mean) = (self.dist[s * self.m + o], self.mean[s * self.m + o]);
+    /// Merges slots `x` and `y` into the smaller slot and records the
+    /// event. The event's mean is computed before the member lists are
+    /// joined; the survivor's row takes the Lance–Williams max of both
+    /// rows.
+    fn apply_merge<D: PairDistances>(
+        &mut self,
+        x: usize,
+        y: usize,
+        d: &D,
+        events: &mut Vec<PlanEvent>,
+    ) {
+        let (s, o, m) = (x.min(y), x.max(y), self.m);
+        let (dist, mean) = (self.dist[s * m + o], self.mean(s, o, d));
         // The canonical child order (left = smaller min member) is fixed
         // here; canonicalization only reorders whole events.
         let (left, right) = if self.mm[s] < self.mm[o] {
@@ -440,13 +473,20 @@ impl LinkState {
         } else {
             (self.refid[o], self.refid[s])
         };
-        self.refid[s] = self.m + events.len();
+        self.refid[s] = m + events.len();
         events.push(PlanEvent {
             left,
             right,
             dist,
             mean,
         });
+        for j in 0..m {
+            if self.active[j] && j != s && j != o {
+                let x = larger(self.dist[s * m + j], self.dist[o * m + j]);
+                self.dist[s * m + j] = x;
+                self.dist[j * m + s] = x;
+            }
+        }
         let other = std::mem::take(&mut self.members[o]);
         let mut merged = Vec::with_capacity(self.members[s].len() + other.len());
         {
@@ -469,36 +509,11 @@ impl LinkState {
         self.mm[s] = self.mm[s].min(self.mm[o]);
         self.active[o] = false;
         self.remaining -= 1;
-        s
-    }
-
-    /// Recomputes the pure pair statistics between `s` and every active
-    /// partner, sequentially.
-    fn refresh_row<D: PairDistances>(&mut self, s: usize, d: &D) {
-        for j in 0..self.m {
-            if !self.active[j] || j == s {
-                continue;
-            }
-            let (dv, mv) = cross_stats(
-                d,
-                (&self.members[s], self.mm[s]),
-                (&self.members[j], self.mm[j]),
-            );
-            self.dist[s * self.m + j] = dv;
-            self.dist[j * self.m + s] = dv;
-            self.mean[s * self.m + j] = mv;
-            self.mean[j * self.m + s] = mv;
-        }
     }
 }
 
 /// Plans one complete-linkage run and canonicalizes the result.
-fn plan_linkage<D: PairDistances + Sync>(
-    items: Vec<LinkItem>,
-    d: &D,
-    backend: HacBackend,
-    stats: &mut HacStats,
-) -> Vec<PlanEvent> {
+fn plan_linkage<D: PairDistances + Sync>(items: Vec<LinkItem>, d: &D) -> Vec<PlanEvent> {
     let m = items.len();
     assert!(m > 0, "complete linkage needs at least one cluster");
     if m == 1 {
@@ -506,97 +521,23 @@ fn plan_linkage<D: PairDistances + Sync>(
     }
     let item_mm: Vec<usize> = items.iter().map(|it| it.mm).collect();
     let mut state = LinkState::init(items, d);
-    let events = match backend {
-        HacBackend::ParallelRounds => plan_rounds(&mut state, d, stats),
-        HacBackend::NnChain => plan_nn_chain(&mut state, d, stats),
-    };
+    let events = plan_nn_chain(&mut state, d);
     canonicalize(m, &item_mm, events)
 }
 
-/// The mutual-NN round engine: every round scans all active rows for
-/// nearest neighbors in parallel, merges every mutually-nearest pair, and
-/// refreshes the merged rows in parallel. Progress is guaranteed because
-/// the globally `K`-minimal pair is always mutual.
-fn plan_rounds<D: PairDistances + Sync>(
-    state: &mut LinkState,
-    d: &D,
-    stats: &mut HacStats,
-) -> Vec<PlanEvent> {
-    let m = state.m;
-    let mut events = Vec::with_capacity(m - 1);
-    while state.remaining > 1 {
-        let slots: Vec<usize> = (0..m).filter(|&i| state.active[i]).collect();
-        let nn: Vec<usize> = {
-            let state = &*state;
-            slots.par_iter().map(|&i| state.nearest(i)).collect()
-        };
-        let mut nn_of = vec![usize::MAX; m];
-        for (k, &i) in slots.iter().enumerate() {
-            nn_of[i] = nn[k];
-        }
-        let pairs: Vec<(usize, usize)> = slots
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let j = nn_of[i];
-                i < j && nn_of[j] == i
-            })
-            .map(|i| (i, nn_of[i]))
-            .collect();
-        assert!(!pairs.is_empty(), "the K-minimal pair is always mutual");
-        let survivors: Vec<usize> = pairs
-            .iter()
-            .map(|&(x, y)| state.apply_merge(x, y, &mut events))
-            .collect();
-        // Refresh all merged rows at once, survivors in parallel: every
-        // entry is a pure function of the (final) member sets, so the
-        // write order is irrelevant and survivor–survivor pairs simply
-        // get written twice with the same bits.
-        let updates: Vec<Vec<(usize, f64, f64)>> = {
-            let state = &*state;
-            survivors
-                .par_iter()
-                .map(|&s| {
-                    (0..m)
-                        .filter(|&j| state.active[j] && j != s)
-                        .map(|j| {
-                            let (dv, mv) = cross_stats(
-                                d,
-                                (&state.members[s], state.mm[s]),
-                                (&state.members[j], state.mm[j]),
-                            );
-                            (j, dv, mv)
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        for (&s, row) in survivors.iter().zip(&updates) {
-            for &(j, dv, mv) in row {
-                state.dist[s * m + j] = dv;
-                state.dist[j * m + s] = dv;
-                state.mean[s * m + j] = mv;
-                state.mean[j * m + s] = mv;
-            }
-        }
-        stats.record_round(pairs.len());
-    }
-    events
-}
-
-/// The sequential nearest-neighbor-chain engine (O(m²) scans overall).
-/// Under the strict order `K` nearest neighbors are unique, the chain key
-/// strictly decreases, and every merge is a mutual-NN merge — exactly the
-/// moves [`plan_rounds`] makes, hence the identical merge tree.
-fn plan_nn_chain<D: PairDistances + Sync>(
-    state: &mut LinkState,
-    d: &D,
-    stats: &mut HacStats,
-) -> Vec<PlanEvent> {
+/// The nearest-neighbor chain: `m − 1` merges, each found by `O(m)`
+/// nearest-neighbor scans along the chain.
+fn plan_nn_chain<D: PairDistances>(state: &mut LinkState, d: &D) -> Vec<PlanEvent> {
     let m = state.m;
     let mut events = Vec::with_capacity(m - 1);
     let mut chain: Vec<usize> = Vec::new();
+    let mut ties: Vec<usize> = Vec::new();
     while state.remaining > 1 {
+        // A slot can sit twice on the chain once a rounded mean breaks
+        // reducibility (module docs); drop a copy a merge has retired.
+        while chain.last().is_some_and(|&top| !state.active[top]) {
+            chain.pop();
+        }
         if chain.is_empty() {
             let start = (0..m)
                 .filter(|&i| state.active[i])
@@ -605,18 +546,10 @@ fn plan_nn_chain<D: PairDistances + Sync>(
             chain.push(start);
         }
         let current = *chain.last().expect("chain non-empty");
-        let nearest = state.nearest(current);
-        let prev = if chain.len() >= 2 {
-            Some(chain[chain.len() - 2])
-        } else {
-            None
-        };
-        if Some(nearest) == prev {
-            chain.pop();
-            chain.pop();
-            let survivor = state.apply_merge(current, nearest, &mut events);
-            state.refresh_row(survivor, d);
-            stats.record_round(1);
+        let nearest = state.nearest(current, d, &mut ties);
+        if chain.len() >= 2 && chain[chain.len() - 2] == nearest {
+            chain.truncate(chain.len() - 2);
+            state.apply_merge(current, nearest, d, &mut events);
         } else {
             chain.push(nearest);
         }
@@ -810,9 +743,12 @@ fn assign_heights(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbht::dbht_for_tmfg;
+    use crate::dbht::{
+        assignment, converging_vertices, dbht_for_tmfg, direction, dissimilarity_graph,
+        restricted_distances,
+    };
     use crate::tmfg::{tmfg, TmfgConfig};
-    use pfg_graph::SymmetricMatrix;
+    use pfg_graph::{SourceRows, SymmetricMatrix};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -920,93 +856,438 @@ mod tests {
     #[test]
     fn linkage_plan_merges_closest_first() {
         // Four singleton clusters on a line: 0-1 close, 2-3 close, the two
-        // pairs far apart. Both engines must produce the same canonical
-        // plan: the tight pairs at distance 1 (lower min-member first),
-        // then the final merge at the complete-linkage distance 11.
+        // pairs far apart. The canonical plan has the tight pairs at
+        // distance 1 (lower min-member first), then the final merge at the
+        // complete-linkage distance 11.
         let spd = SymmetricMatrix::from_fn(4, |i, j| {
             let pos: [f64; 4] = [0.0, 1.0, 10.0, 11.0];
             (pos[i] - pos[j]).abs()
         });
-        let items = || {
-            (0..4)
-                .map(|v| LinkItem {
-                    members: vec![v],
-                    mm: v,
-                })
-                .collect::<Vec<_>>()
-        };
-        for backend in [HacBackend::ParallelRounds, HacBackend::NnChain] {
-            let mut stats = HacStats::default();
-            let events = plan_linkage(items(), &spd, backend, &mut stats);
-            assert_eq!(events.len(), 3, "{backend:?}");
-            assert_eq!((events[0].left, events[0].right), (0, 1), "{backend:?}");
-            assert!((events[0].dist - 1.0).abs() < 1e-12);
-            assert_eq!((events[1].left, events[1].right), (2, 3), "{backend:?}");
-            assert!((events[1].dist - 1.0).abs() < 1e-12);
-            // Final merge of the two planned clusters (refs 4 and 5).
-            assert_eq!((events[2].left, events[2].right), (4, 5), "{backend:?}");
-            assert!((events[2].dist - 11.0).abs() < 1e-12);
-            assert_eq!(stats.merges, 3);
-        }
+        let events = plan_linkage(singletons(4), &spd);
+        assert_eq!(events.len(), 3);
+        assert_eq!((events[0].left, events[0].right), (0, 1));
+        assert!((events[0].dist - 1.0).abs() < 1e-12);
+        assert_eq!((events[1].left, events[1].right), (2, 3));
+        assert!((events[1].dist - 1.0).abs() < 1e-12);
+        // Final merge of the two planned clusters (refs 4 and 5).
+        assert_eq!((events[2].left, events[2].right), (4, 5));
+        assert!((events[2].dist - 11.0).abs() < 1e-12);
+        assert!((events[2].mean - 10.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn engines_plan_identical_events_on_random_inputs() {
-        for seed in 0..6 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let m = 14;
-            let spd =
-                SymmetricMatrix::from_fn(
-                    m,
-                    |i, j| {
-                        if i == j {
-                            0.0
-                        } else {
-                            rng.gen_range(0.1..2.0)
-                        }
-                    },
-                );
-            let items = || {
-                (0..m)
-                    .map(|v| LinkItem {
-                        members: vec![v],
-                        mm: v,
-                    })
-                    .collect::<Vec<_>>()
+    // ---- The from-scratch reference ---------------------------------------
+
+    /// `(max, mean)` cross statistics recomputed from two member lists:
+    /// an `f64::max` fold from `+0.0` and one running sum, outer loop over
+    /// the smaller-min-member cluster, members ascending.
+    fn cross_stats<D: PairDistances>(
+        d: &D,
+        a: (&[usize], usize),
+        b: (&[usize], usize),
+    ) -> (f64, f64) {
+        let (outer, inner) = if a.1 < b.1 { (a.0, b.0) } else { (b.0, a.0) };
+        let mut max = 0.0_f64;
+        let mut sum = 0.0_f64;
+        for &u in outer {
+            for &v in inner {
+                let x = d.pair(u, v);
+                max = max.max(x);
+                sum += x;
+            }
+        }
+        (max, sum / (outer.len() * inner.len()) as f64)
+    }
+
+    /// The reference linkage state: an eager `(max, mean)` table whose
+    /// merged row is recomputed from the member lists after every merge —
+    /// no Lance–Williams update, no lazy mean.
+    struct Reference {
+        m: usize,
+        members: Vec<Vec<usize>>,
+        mm: Vec<usize>,
+        refid: Vec<usize>,
+        active: Vec<bool>,
+        remaining: usize,
+        stats: Vec<(f64, f64)>,
+    }
+
+    impl Reference {
+        fn new<D: PairDistances>(items: Vec<LinkItem>, d: &D) -> Self {
+            let m = items.len();
+            let mut state = Self {
+                m,
+                members: items.iter().map(|it| it.members.clone()).collect(),
+                mm: items.iter().map(|it| it.mm).collect(),
+                refid: (0..m).collect(),
+                active: vec![true; m],
+                remaining: m,
+                stats: vec![(f64::INFINITY, f64::INFINITY); m * m],
             };
-            let mut s1 = HacStats::default();
-            let mut s2 = HacStats::default();
-            let rounds = plan_linkage(items(), &spd, HacBackend::ParallelRounds, &mut s1);
-            let chain = plan_linkage(items(), &spd, HacBackend::NnChain, &mut s2);
-            assert_eq!(rounds, chain, "seed {seed}");
-            assert_eq!(s1.merges, s2.merges);
-            // The round engine needs no more rounds than the chain engine
-            // needs merges, and usually far fewer.
-            assert!(s1.rounds <= s2.rounds, "seed {seed}");
+            for i in 0..m {
+                state.refresh_row(i, d);
+            }
+            state
+        }
+
+        fn refresh_row<D: PairDistances>(&mut self, s: usize, d: &D) {
+            for j in (0..self.m).filter(|&j| self.active[j] && j != s) {
+                let st = cross_stats(
+                    d,
+                    (&self.members[s], self.mm[s]),
+                    (&self.members[j], self.mm[j]),
+                );
+                self.stats[s * self.m + j] = st;
+                self.stats[j * self.m + s] = st;
+            }
+        }
+
+        /// The full key `K` of the active pair `(i, j)`.
+        fn key(&self, i: usize, j: usize) -> (f64, f64, usize, usize) {
+            let (max, mean) = self.stats[i * self.m + j];
+            let (lo, hi) = (self.mm[i].min(self.mm[j]), self.mm[i].max(self.mm[j]));
+            (max, mean, lo, hi)
+        }
+
+        fn nearest(&self, i: usize) -> usize {
+            (0..self.m)
+                .filter(|&j| self.active[j] && j != i)
+                .min_by(|&a, &b| key_cmp(self.key(i, a), self.key(i, b)))
+                .expect("an active partner")
+        }
+
+        fn merge<D: PairDistances>(
+            &mut self,
+            x: usize,
+            y: usize,
+            d: &D,
+            events: &mut Vec<PlanEvent>,
+        ) {
+            let (s, o) = (x.min(y), x.max(y));
+            let (dist, mean) = self.stats[s * self.m + o];
+            let (left, right) = if self.mm[s] < self.mm[o] {
+                (self.refid[s], self.refid[o])
+            } else {
+                (self.refid[o], self.refid[s])
+            };
+            self.refid[s] = self.m + events.len();
+            events.push(PlanEvent {
+                left,
+                right,
+                dist,
+                mean,
+            });
+            let other = std::mem::take(&mut self.members[o]);
+            self.members[s].extend(other);
+            self.members[s].sort_unstable();
+            self.mm[s] = self.mm[s].min(self.mm[o]);
+            self.active[o] = false;
+            self.remaining -= 1;
+            self.refresh_row(s, d);
+        }
+    }
+
+    fn key_cmp(a: (f64, f64, usize, usize), b: (f64, f64, usize, usize)) -> Ordering {
+        a.0.total_cmp(&b.0)
+            .then(a.1.total_cmp(&b.1))
+            .then(a.2.cmp(&b.2))
+            .then(a.3.cmp(&b.3))
+    }
+
+    /// The test oracle: the nearest-neighbor chain over [`Reference`].
+    fn reference_plan<D: PairDistances>(items: Vec<LinkItem>, d: &D) -> Vec<PlanEvent> {
+        let m = items.len();
+        let item_mm: Vec<usize> = items.iter().map(|it| it.mm).collect();
+        let mut state = Reference::new(items, d);
+        let mut events = Vec::new();
+        let mut chain: Vec<usize> = Vec::new();
+        while state.remaining > 1 {
+            if chain.is_empty() {
+                let start = (0..m)
+                    .filter(|&i| state.active[i])
+                    .min_by_key(|&i| state.mm[i])
+                    .expect("two active clusters");
+                chain.push(start);
+            }
+            let current = *chain.last().expect("chain non-empty");
+            let nearest = state.nearest(current);
+            if chain.len() >= 2 && chain[chain.len() - 2] == nearest {
+                chain.truncate(chain.len() - 2);
+                state.merge(current, nearest, d, &mut events);
+            } else {
+                chain.push(nearest);
+            }
+        }
+        canonicalize(m, &item_mm, events)
+    }
+
+    /// The global-greedy schedule: merge the `K`-smallest active pair,
+    /// every step. Matches the chain only where no rounded mean decides a
+    /// tie, i.e. on untied inputs.
+    fn greedy_plan<D: PairDistances>(items: Vec<LinkItem>, d: &D) -> Vec<PlanEvent> {
+        let m = items.len();
+        let item_mm: Vec<usize> = items.iter().map(|it| it.mm).collect();
+        let mut state = Reference::new(items, d);
+        let mut events = Vec::new();
+        while state.remaining > 1 {
+            let active: Vec<usize> = (0..m).filter(|&i| state.active[i]).collect();
+            let (x, y) = active
+                .iter()
+                .flat_map(|&i| active.iter().filter(move |&&j| j > i).map(move |&j| (i, j)))
+                .min_by(|&(a, b), &(c, e)| key_cmp(state.key(a, b), state.key(c, e)))
+                .expect("two active clusters");
+            state.merge(x, y, d, &mut events);
+        }
+        canonicalize(m, &item_mm, events)
+    }
+
+    /// A plan with its floats as bits, for bitwise comparison.
+    fn bits(plan: &[PlanEvent]) -> Vec<(usize, usize, u64, u64)> {
+        plan.iter()
+            .map(|e| (e.left, e.right, e.dist.to_bits(), e.mean.to_bits()))
+            .collect()
+    }
+
+    // ---- Oracle inputs -----------------------------------------------------
+
+    fn singletons(m: usize) -> Vec<LinkItem> {
+        (0..m)
+            .map(|v| LinkItem {
+                members: vec![v],
+                mm: v,
+            })
+            .collect()
+    }
+
+    fn continuous(n: usize, seed: u64) -> SymmetricMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        SymmetricMatrix::from_fn(n, |i, j| if i == j { 0.0 } else { rng.gen_range(0.1..2.0) })
+    }
+
+    /// Dissimilarities `√(2(1 − ρ))` of correlations quantized to
+    /// `levels.len()` values: the max ties everywhere, and the means of
+    /// merged clusters round.
+    fn quantized(n: usize, levels: &[f64], seed: u64) -> SymmetricMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        SymmetricMatrix::from_fn(n, |i, j| {
+            if i == j {
+                0.0
+            } else {
+                let rho = levels[rng.gen_range(0..levels.len())];
+                (2.0 * (1.0 - rho)).sqrt()
+            }
+        })
+    }
+
+    /// Euclidean distances between rows drawn from a few distinct points,
+    /// so duplicated rows sit at distance zero.
+    fn duplicate_rows(n: usize, seed: u64) -> SymmetricMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let points: Vec<(f64, f64)> = (0..n / 3)
+            .map(|_| (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
+            .collect();
+        let row: Vec<(f64, f64)> = (0..n)
+            .map(|_| points[rng.gen_range(0..points.len())])
+            .collect();
+        SymmetricMatrix::from_fn(n, |i, j| (row[i].0 - row[j].0).hypot(row[i].1 - row[j].1))
+    }
+
+    /// `m` disjoint multi-member items partitioning `0..n`.
+    fn partition(n: usize, m: usize, seed: u64) -> Vec<LinkItem> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut members = vec![Vec::new(); m];
+        for v in 0..n {
+            let item = if v < m { v } else { rng.gen_range(0..m) };
+            members[item].push(v);
+        }
+        members
+            .into_iter()
+            .map(|members| LinkItem {
+                mm: members[0],
+                members,
+            })
+            .collect()
+    }
+
+    /// Level-3-style items: `m` small member sets drawn from `0..n` that
+    /// overlap, each with a unique identity that is not one of its
+    /// members.
+    fn overlapping(n: usize, m: usize, seed: u64) -> Vec<LinkItem> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..m)
+            .map(|i| {
+                let mut members: Vec<usize> = (0..rng.gen_range(1..5))
+                    .map(|_| rng.gen_range(0..n))
+                    .collect();
+                members.sort_unstable();
+                members.dedup();
+                LinkItem {
+                    members,
+                    mm: n + (i * 7) % m,
+                }
+            })
+            .collect()
+    }
+
+    const TWO_LEVELS: [f64; 2] = [0.7, 0.2];
+    const THREE_LEVELS: [f64; 3] = [0.7, 0.4, 0.2];
+
+    /// Every oracle input: `(name, distances, items, untied)`.
+    fn oracle_inputs() -> Vec<(String, SymmetricMatrix, Vec<LinkItem>, bool)> {
+        let mut inputs = Vec::new();
+        for seed in 0..6 {
+            inputs.push((
+                format!("random-{seed}"),
+                continuous(30, seed),
+                singletons(30),
+                true,
+            ));
+            inputs.push((
+                format!("random-items-{seed}"),
+                continuous(60, seed),
+                partition(60, 14, seed),
+                true,
+            ));
+            for levels in [&TWO_LEVELS[..], &THREE_LEVELS[..]] {
+                let q = levels.len();
+                inputs.push((
+                    format!("quantized{q}-{seed}"),
+                    quantized(40, levels, seed),
+                    singletons(40),
+                    false,
+                ));
+                inputs.push((
+                    format!("quantized{q}-items-{seed}"),
+                    quantized(60, levels, seed),
+                    partition(60, 14, seed),
+                    false,
+                ));
+                inputs.push((
+                    format!("quantized{q}-overlapping-{seed}"),
+                    quantized(16, levels, seed),
+                    overlapping(16, 10, seed),
+                    false,
+                ));
+            }
+            inputs.push((
+                format!("duplicate-rows-{seed}"),
+                duplicate_rows(30, seed),
+                singletons(30),
+                false,
+            ));
+            inputs.push((
+                format!("random-overlapping-{seed}"),
+                continuous(16, seed),
+                overlapping(16, 10, seed),
+                false,
+            ));
+        }
+        let equal = (2.0 * (1.0 - 0.7_f64)).sqrt();
+        inputs.push((
+            "all-equal".into(),
+            SymmetricMatrix::from_fn(24, |i, j| if i == j { 0.0 } else { equal }),
+            singletons(24),
+            false,
+        ));
+        inputs
+    }
+
+    #[test]
+    fn chain_plan_equals_reference_bitwise() {
+        for (name, d, items, _) in oracle_inputs() {
+            let engine = plan_linkage(items.clone(), &d);
+            assert_eq!(engine.len(), items.len() - 1, "{name}");
+            assert_eq!(bits(&engine), bits(&reference_plan(items, &d)), "{name}");
         }
     }
 
     #[test]
-    fn engines_plan_identical_events_under_maximal_ties() {
-        // All pairwise distances equal: every comparison falls through to
-        // the min-member tie level. Both engines must still agree on one
-        // canonical plan.
-        let m = 9;
-        let spd = SymmetricMatrix::from_fn(m, |i, j| if i == j { 0.0 } else { 1.0 });
-        let items = || {
-            (0..m)
-                .map(|v| LinkItem {
-                    members: vec![v],
-                    mm: v,
-                })
-                .collect::<Vec<_>>()
-        };
-        let mut s1 = HacStats::default();
-        let mut s2 = HacStats::default();
-        let rounds = plan_linkage(items(), &spd, HacBackend::ParallelRounds, &mut s1);
-        let chain = plan_linkage(items(), &spd, HacBackend::NnChain, &mut s2);
-        assert_eq!(rounds, chain);
-        // Every round's merges bound: mutual pairs are disjoint.
-        assert!(s1.max_round_merges <= m / 2);
+    fn chain_plan_equals_global_greedy_on_untied_inputs() {
+        for (name, d, items, untied) in oracle_inputs() {
+            if untied {
+                let engine = plan_linkage(items.clone(), &d);
+                assert_eq!(bits(&engine), bits(&greedy_plan(items, &d)), "{name}");
+            }
+        }
+    }
+
+    // ---- Whole hierarchies against the reference ---------------------------
+
+    /// Tie-heavy similarity: entries quantised to two values (the same
+    /// generator as the differential suite in `tests/dbht_parallel.rs`).
+    fn tie_heavy_similarity(n: usize, seed: u64) -> SymmetricMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        SymmetricMatrix::from_fn(n, |i, j| {
+            if i == j {
+                1.0
+            } else if rng.gen_bool(0.5) {
+                0.7
+            } else {
+                0.2
+            }
+        })
+    }
+
+    /// The engine's and the reference's dendrogram for one pipeline input.
+    fn engine_and_reference(s: &SymmetricMatrix, prefix: usize) -> (Dendrogram, Dendrogram) {
+        let d = dissimilarity_of(s);
+        let t = tmfg(s, TmfgConfig::with_prefix(prefix)).unwrap();
+        let bubble_graph = direction::direct_tmfg_bubble_tree(&t.bubble_tree, &t.graph);
+        let dgraph = dissimilarity_graph(&t.graph, &d);
+        let rows = SourceRows::compute(&dgraph, &converging_vertices(&bubble_graph));
+        let assignment = assignment::assign_vertices(&t.graph, &bubble_graph, &rows);
+        let distances = restricted_distances(&dgraph, rows, &assignment);
+        let (engine, stats) = build_hierarchy_with(&bubble_graph, &assignment, &distances);
+        assert_eq!(stats.merges, s.n() - 1);
+        let (reference, _) =
+            build_with_planner(&bubble_graph, &assignment, &distances, reference_plan);
+        (engine, reference)
+    }
+
+    /// FNV-1a over every internal node's children and height bits.
+    fn digest(dendrogram: &Dendrogram) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for id in dendrogram.internal_nodes() {
+            let node = dendrogram.node(id);
+            for word in [
+                node.left.expect("internal") as u64,
+                node.right.expect("internal") as u64,
+                node.height.to_bits(),
+            ] {
+                h = (h ^ word).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn hierarchy_equals_reference_on_pipeline_inputs() {
+        let inputs = [
+            (blocks_matrix(40, 3, 0.8, 0.1, 7), 5),
+            (tie_heavy_similarity(40, 11), 1),
+            (tie_heavy_similarity(60, 13), 1),
+            (tie_heavy_similarity(60, 17), 9),
+            (
+                SymmetricMatrix::from_fn(24, |i, j| if i == j { 1.0 } else { 0.5 }),
+                1,
+            ),
+        ];
+        for (k, (s, prefix)) in inputs.iter().enumerate() {
+            let (engine, reference) = engine_and_reference(s, *prefix);
+            assert_eq!(engine, reference, "input {k}");
+        }
+    }
+
+    #[test]
+    fn schedule_sensitive_tie_input_keeps_the_chain_tree() {
+        // A recomputed mean on this input rounds below both children's
+        // means (module docs), so the schedule decides the tree. The
+        // retired mutual-NN round engine built the tree whose digest is
+        // `ROUNDS_TREE`; the chain, then and now, builds `CHAIN_TREE`.
+        const ROUNDS_TREE: u64 = 7_804_294_872_943_132_521;
+        const CHAIN_TREE: u64 = 3_052_951_106_970_120_169;
+        let (engine, reference) = engine_and_reference(&tie_heavy_similarity(60, 13), 5);
+        assert_eq!(engine, reference);
+        assert_eq!(digest(&engine), CHAIN_TREE);
+        assert_ne!(digest(&engine), ROUNDS_TREE);
     }
 }

@@ -13,7 +13,7 @@
 //!    *group*) and to a bubble (Algorithm 4, lines 1–23);
 //! 3. [`hierarchy`] — build the three-level complete-linkage hierarchy
 //!    (intra-bubble, inter-bubble, inter-group; Algorithm 4, lines 24–33)
-//!    with the parallel mutual-nearest-neighbor engine;
+//!    with an exact nearest-neighbor-chain engine, one pool job per group;
 //! 4. height re-assignment (§V-D) so that all single-group subtrees end at
 //!    the same height.
 //!
@@ -46,18 +46,17 @@ use crate::tmfg::Tmfg;
 pub use assignment::VertexAssignment;
 pub use bubble_graph::DirectedBubbleGraph;
 pub use distances::{DbhtDistanceStats, DbhtDistances};
-pub use hierarchy::{build_hierarchy, build_hierarchy_with, HacBackend, HacStats};
+pub use hierarchy::{build_hierarchy, build_hierarchy_with, HacStats};
 
-/// Per-stage counters of one DBHT run: how the parallel HAC progressed and
-/// how much of the dense APSP the restricted distance store replaced.
+/// Per-stage counters of one DBHT run: how many HAC merges ran and how
+/// much of the dense APSP the restricted distance store replaced.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DbhtRunStats {
-    /// Merge rounds of the parallel HAC across all linkage runs.
+    /// HAC merge steps across all linkage runs. The nearest-neighbor chain
+    /// merges one pair per step, so this always equals `hac_merges`.
     pub hac_rounds: usize,
     /// Total HAC merges (= internal dendrogram nodes).
     pub hac_merges: usize,
-    /// Largest number of merges in a single HAC round.
-    pub hac_max_round_merges: usize,
     /// Distance entries the restricted APSP materialised.
     pub apsp_pairs_computed: usize,
     /// Entries the dense APSP would have materialised (`n²`).
@@ -70,9 +69,8 @@ impl DbhtRunStats {
     /// Combines the HAC engine's counters with the distance-store stats.
     pub fn of(hac: HacStats, apsp: DbhtDistanceStats) -> Self {
         Self {
-            hac_rounds: hac.rounds,
+            hac_rounds: hac.merges,
             hac_merges: hac.merges,
-            hac_max_round_merges: hac.max_round_merges,
             apsp_pairs_computed: apsp.pairs_computed,
             apsp_pairs_full: apsp.pairs_full,
             apsp_source_rows: apsp.source_rows,
@@ -91,10 +89,9 @@ impl DbhtRunStats {
     /// Human-readable one-liner for the figure binaries' tables.
     pub fn summary_line(&self) -> String {
         format!(
-            "dbht rounds={} merges={} max_round={} apsp={}/{} ({:.3})",
+            "dbht rounds={} merges={} apsp={}/{} ({:.3})",
             self.hac_rounds,
             self.hac_merges,
-            self.hac_max_round_merges,
             self.apsp_pairs_computed,
             self.apsp_pairs_full,
             self.restricted_fraction()
@@ -143,7 +140,9 @@ impl Dbht {
 ///
 /// # Errors
 /// Returns [`CoreError::DimensionMismatch`] if the dissimilarity matrix
-/// size differs from the graph's vertex count.
+/// size differs from the graph's vertex count, and
+/// [`CoreError::InvalidDissimilarity`] if an edge length is NaN,
+/// negative or infinite.
 pub fn dbht_for_tmfg<D: PairDistances>(tmfg: &Tmfg, dissimilarity: &D) -> Result<Dbht, CoreError> {
     if dissimilarity.num_vertices() != tmfg.graph.num_vertices() {
         return Err(CoreError::DimensionMismatch {
@@ -160,8 +159,10 @@ pub fn dbht_for_tmfg<D: PairDistances>(tmfg: &Tmfg, dissimilarity: &D) -> Result
 ///
 /// # Errors
 /// Returns [`CoreError::DimensionMismatch`] if the dissimilarity matrix
-/// size differs from the graph's vertex count, and
-/// [`CoreError::TooFewVertices`] if the graph has fewer than 4 vertices.
+/// size differs from the graph's vertex count,
+/// [`CoreError::TooFewVertices`] if the graph has fewer than 4 vertices,
+/// and [`CoreError::InvalidDissimilarity`] if an edge length is NaN,
+/// negative or infinite.
 pub fn dbht_for_planar_graph<D: PairDistances>(
     graph: &WeightedGraph,
     dissimilarity: &D,
@@ -193,6 +194,23 @@ pub fn dissimilarity_graph<D: PairDistances>(
         dgraph.add_edge(u, v, dissimilarity.pair(u, v));
     }
     dgraph
+}
+
+/// [`dissimilarity_graph`], rejecting an edge length that is NaN, negative
+/// or infinite: the shortest paths need finite, non-negative lengths.
+/// Reads only the `3n − 6` edge lengths.
+pub(crate) fn checked_dissimilarity_graph<D: PairDistances>(
+    graph: &WeightedGraph,
+    dissimilarity: &D,
+) -> Result<WeightedGraph, CoreError> {
+    let dgraph = dissimilarity_graph(graph, dissimilarity);
+    let invalid = dgraph
+        .edges()
+        .find(|&(_, _, w)| !(0.0..f64::INFINITY).contains(&w));
+    match invalid {
+        Some((u, v, _)) => Err(CoreError::InvalidDissimilarity { u, v }),
+        None => Ok(dgraph),
+    }
 }
 
 /// The sorted union of the converging bubbles' vertices: the source set
@@ -227,7 +245,7 @@ fn run_dbht<D: PairDistances>(
     bubble_graph: DirectedBubbleGraph,
     dissimilarity: &D,
 ) -> Result<Dbht, CoreError> {
-    let dgraph = dissimilarity_graph(graph, dissimilarity);
+    let dgraph = checked_dissimilarity_graph(graph, dissimilarity)?;
 
     // Full rows for the converging-bubble vertices — every distance the
     // assignment phase reads is anchored at one of them.
@@ -239,16 +257,68 @@ fn run_dbht<D: PairDistances>(
     let distances = restricted_distances(&dgraph, rows, &assignment);
     let apsp_stats = distances.stats();
 
-    let (dendrogram, hac_stats) = hierarchy::build_hierarchy_with(
-        &bubble_graph,
-        &assignment,
-        &distances,
-        hierarchy::HacBackend::ParallelRounds,
-    );
+    let (dendrogram, hac_stats) =
+        hierarchy::build_hierarchy_with(&bubble_graph, &assignment, &distances);
     Ok(Dbht {
         dendrogram,
         bubble_graph,
         assignment,
         stats: DbhtRunStats::of(hac_stats, apsp_stats),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tmfg::{tmfg, TmfgConfig};
+    use pfg_graph::SymmetricMatrix;
+
+    /// A 20 × 20 three-block similarity and its dissimilarity.
+    fn three_blocks() -> (SymmetricMatrix, SymmetricMatrix) {
+        let s = SymmetricMatrix::from_fn(20, |i, j| {
+            if i == j {
+                1.0
+            } else if i % 3 == j % 3 {
+                0.8 - 0.01 * ((i + j) % 4) as f64
+            } else {
+                0.1 + 0.01 * ((i * j) % 3) as f64
+            }
+        });
+        let d = s.map(|p| (2.0 * (1.0 - p)).sqrt());
+        (s, d)
+    }
+
+    #[test]
+    fn invalid_edge_dissimilarity_is_rejected() {
+        let (s, d) = three_blocks();
+        let t = tmfg(&s, TmfgConfig::default()).unwrap();
+        assert!(t.graph.has_edge(0, 3), "the probed entry is a TMFG edge");
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut d = d.clone();
+            d.set(0, 3, bad);
+            let expected = Err(CoreError::InvalidDissimilarity { u: 0, v: 3 });
+            assert_eq!(dbht_for_tmfg(&t, &d).map(|_| ()), expected, "{bad}");
+            assert_eq!(
+                dbht_for_planar_graph(&t.graph, &d).map(|_| ()),
+                expected,
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn entries_off_the_graph_are_not_read() {
+        let (s, mut d) = three_blocks();
+        let t = tmfg(&s, TmfgConfig::default()).unwrap();
+        let (u, v) = (0..20)
+            .flat_map(|u| (u + 1..20).map(move |v| (u, v)))
+            .find(|&(u, v)| !t.graph.has_edge(u, v))
+            .expect("a TMFG on 20 vertices is not complete");
+        d.set(u, v, f64::NAN);
+        let dbht = dbht_for_tmfg(&t, &d).unwrap();
+        assert_eq!(dbht.dendrogram.num_leaves(), 20);
+        // Zero-length edges are valid too.
+        d.set(0, 3, 0.0);
+        assert!(dbht_for_tmfg(&t, &d).is_ok());
+    }
 }

@@ -35,6 +35,17 @@ pub enum CoreError {
         /// Column of the offending entry.
         col: usize,
     },
+    /// A filtered-graph edge has a NaN, negative or infinite dissimilarity.
+    /// The DBHT's shortest paths need finite, non-negative edge lengths:
+    /// Dijkstra is wrong on a negative one, and a NaN or infinite one would
+    /// poison or cut the paths through the edge. Only the `3n − 6` edge
+    /// lengths are read, so entries off the graph are never checked.
+    InvalidDissimilarity {
+        /// Smaller endpoint of the offending edge.
+        u: usize,
+        /// Larger endpoint of the offending edge.
+        v: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -58,6 +69,10 @@ impl fmt::Display for CoreError {
             CoreError::NonFiniteSimilarity { row, col } => {
                 write!(f, "similarity matrix entry ({row}, {col}) is not finite")
             }
+            CoreError::InvalidDissimilarity { u, v } => write!(
+                f,
+                "dissimilarity of edge ({u}, {v}) is not a finite non-negative number"
+            ),
         }
     }
 }
@@ -81,5 +96,9 @@ mod tests {
         assert!(CoreError::InvalidBatch.to_string().contains("batch"));
         let e = CoreError::NonFiniteSimilarity { row: 1, col: 3 };
         assert!(e.to_string().contains("(1, 3) is not finite"));
+        let e = CoreError::InvalidDissimilarity { u: 0, v: 3 };
+        assert!(e
+            .to_string()
+            .contains("edge (0, 3) is not a finite non-negative"));
     }
 }

@@ -53,7 +53,7 @@ pub mod tmfg;
 pub use bubble_tree::{Bubble, BubbleTree};
 pub use dbht::{
     dbht_for_planar_graph, dbht_for_tmfg, Dbht, DbhtDistanceStats, DbhtDistances, DbhtRunStats,
-    HacBackend, HacStats, VertexAssignment,
+    HacStats, VertexAssignment,
 };
 pub use dendrogram::Dendrogram;
 pub use error::CoreError;

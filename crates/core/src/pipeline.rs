@@ -18,8 +18,8 @@ use pfg_graph::{
 };
 
 use crate::dbht::{
-    assignment, converging_vertices, direction, hierarchy, restricted_distances, DbhtRunStats,
-    VertexAssignment,
+    assignment, checked_dissimilarity_graph, converging_vertices, direction, hierarchy,
+    restricted_distances, DbhtRunStats, VertexAssignment,
 };
 use crate::dendrogram::Dendrogram;
 use crate::error::CoreError;
@@ -103,7 +103,7 @@ impl ParTdbht {
     ///
     /// # Errors
     /// Propagates [`CoreError`] for inputs that are too small, mismatched
-    /// matrix sizes, or an invalid prefix.
+    /// matrix sizes, an invalid prefix, or an invalid edge dissimilarity.
     pub fn run(
         &self,
         similarity: &SymmetricMatrix,
@@ -130,7 +130,9 @@ impl ParTdbht {
     ///
     /// # Errors
     /// Propagates [`CoreError`] for inputs that are too small, mismatched
-    /// matrix sizes, or an invalid prefix.
+    /// matrix sizes, or an invalid prefix. Returns
+    /// [`CoreError::InvalidDissimilarity`] if a TMFG edge's dissimilarity
+    /// is NaN, negative or infinite; only those `3n − 6` entries are read.
     pub fn run_with<S: SimilaritySource, D: PairDistances>(
         &self,
         similarity: &S,
@@ -158,7 +160,7 @@ impl ParTdbht {
         // Phase 1 of the demand-driven shortest paths: full rows for the
         // converging-bubble vertices over the dissimilarity-weighted TMFG.
         let start = Instant::now();
-        let dgraph = crate::dbht::dissimilarity_graph(&tmfg_result.graph, dissimilarity);
+        let dgraph = checked_dissimilarity_graph(&tmfg_result.graph, dissimilarity)?;
         let rows = SourceRows::compute(&dgraph, &converging_vertices(&bubble_graph));
         let mut apsp_time = start.elapsed();
 
@@ -173,14 +175,11 @@ impl ParTdbht {
         apsp_time += start.elapsed();
         let apsp_stats = distances.stats();
 
-        // Hierarchy (parallel mutual-NN rounds).
+        // Hierarchy (nearest-neighbor-chain linkage, one pool job per
+        // group).
         let start = Instant::now();
-        let (dendrogram, hac_stats) = hierarchy::build_hierarchy_with(
-            &bubble_graph,
-            &assignment,
-            &distances,
-            hierarchy::HacBackend::ParallelRounds,
-        );
+        let (dendrogram, hac_stats) =
+            hierarchy::build_hierarchy_with(&bubble_graph, &assignment, &distances);
         let hierarchy_time = start.elapsed();
 
         Ok(ParTdbhtResult {
@@ -399,6 +398,21 @@ mod tests {
             ParTdbht::default().run(&s, &d_small),
             Err(CoreError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn invalid_edge_dissimilarity_is_rejected() {
+        let (s, d, _) = blocks(20, 3, 3);
+        let t = tmfg(&s, TmfgConfig::default()).unwrap();
+        let (u, v, _) = t.graph.edges().next().expect("a TMFG has edges");
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut d = d.clone();
+            d.set(u, v, bad);
+            let expected = Err(CoreError::InvalidDissimilarity { u, v });
+            let runner = ParTdbht::default();
+            assert_eq!(runner.run_with(&s, &d).map(|_| ()), expected, "{bad}");
+            assert_eq!(runner.run(&s, &d).map(|_| ()), expected, "{bad}");
+        }
     }
 
     #[test]

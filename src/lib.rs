@@ -57,8 +57,8 @@ pub mod prelude {
     };
     pub use pfg_core::{
         pmfg, pmfg_sequential, pmfg_with_config, tmfg, BatchFreshness, Dbht, DbhtDistanceStats,
-        DbhtDistances, DbhtRunStats, Dendrogram, HacBackend, HacStats, ParTdbht, ParTdbhtResult,
-        Pmfg, PmfgConfig, RoundStats, Tmfg, TmfgConfig, VertexAssignment,
+        DbhtDistances, DbhtRunStats, Dendrogram, HacStats, ParTdbht, ParTdbhtResult, Pmfg,
+        PmfgConfig, RoundStats, Tmfg, TmfgConfig, VertexAssignment,
     };
     pub use pfg_data::{
         correlation_and_dissimilarity, correlation_matrix, correlation_matrix_f32,

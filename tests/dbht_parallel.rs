@@ -1,13 +1,14 @@
 //! Differential tests pinning the parallel DBHT back half.
 //!
-//! The parallel mutual-nearest-neighbor HAC must produce dendrograms that
-//! are *byte-identical* to the sequential NN-chain engine — same merge
-//! list, same heights, same cut clusters — on random, clustered and
-//! tie-heavy inputs, at every thread-pool size. Likewise, the restricted
-//! (demand-driven) APSP must agree with the dense `n²` matrix on every
-//! distance the DBHT actually reads: bitwise on intra-group pairs and on
-//! source–source pairs, and to floating-point noise on the one-directional
-//! source rows.
+//! The hierarchy plans every group as its own pool job, so its dendrogram
+//! must be *byte-identical* at every thread-pool size — same merge list,
+//! same heights, same cut clusters — on random, clustered and tie-heavy
+//! inputs. (The linkage engine itself is held bitwise to a from-scratch
+//! reference by the `dbht::hierarchy` unit tests.) Likewise, the
+//! restricted (demand-driven) APSP must agree with the dense `n²` matrix
+//! on every distance the DBHT actually reads: bitwise on intra-group pairs
+//! and on source–source pairs, and to floating-point noise on the
+//! one-directional source rows.
 
 use par_filtered_graph_clustering::prelude::*;
 use pfg_core::dbht::{
@@ -45,7 +46,7 @@ fn clustered_similarity(n: usize, k: usize, seed: u64) -> SymmetricMatrix {
 
 /// Tie-heavy similarity matrix: entries quantised to two values, so masses
 /// of cluster pairs compare equal on the primary linkage key and the
-/// engines must agree through the full tie-breaking cascade.
+/// linkage runs through the full tie-breaking cascade.
 fn tie_heavy_similarity(n: usize, seed: u64) -> SymmetricMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
     SymmetricMatrix::from_fn(n, |i, j| {
@@ -107,44 +108,36 @@ fn suite_inputs() -> Vec<(String, SymmetricMatrix, usize)> {
     }
     inputs.push(("clustered".into(), clustered_similarity(60, 3, 7), 5));
     inputs.push(("tie-heavy".into(), tie_heavy_similarity(40, 11), 1));
+    inputs.push(("tie-heavy-batched".into(), tie_heavy_similarity(60, 13), 5));
     inputs
 }
 
+/// The hierarchy of one prepared input, planned on a pool of `threads`.
+fn hierarchy_on_pool(p: &Prepared, threads: usize) -> (Dendrogram, HacStats) {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap();
+    pool.install(|| hierarchy::build_hierarchy_with(&p.bubble_graph, &p.assignment, &p.distances))
+}
+
 // ---------------------------------------------------------------------------
-// Tentpole differential: parallel HAC == NN-chain, at every pool size.
+// Tentpole differential: one HAC dendrogram at every pool size.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn parallel_hac_dendrogram_equals_nn_chain_at_every_pool_size() {
+fn hac_dendrogram_is_identical_at_every_pool_size() {
     for (name, s, prefix) in suite_inputs() {
         let p = prepare(&s, prefix);
-        let (reference, chain_stats) = hierarchy::build_hierarchy_with(
-            &p.bubble_graph,
-            &p.assignment,
-            &p.distances,
-            HacBackend::NnChain,
-        );
-        // The chain merges one pair at a time by construction.
-        assert_eq!(chain_stats.max_round_merges, 1, "{name}");
+        let (reference, reference_stats) = hierarchy_on_pool(&p, 1);
+        // Every merge is one internal node of a full dendrogram.
+        assert_eq!(reference_stats.merges, s.n() - 1, "{name}");
 
-        for threads in [1usize, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let (parallel, stats) = pool.install(|| {
-                hierarchy::build_hierarchy_with(
-                    &p.bubble_graph,
-                    &p.assignment,
-                    &p.distances,
-                    HacBackend::ParallelRounds,
-                )
-            });
+        for threads in [2usize, 8] {
+            let (parallel, stats) = hierarchy_on_pool(&p, threads);
             // Byte-identical dendrogram: same merge list, same heights.
             assert_eq!(parallel, reference, "{name} at {threads} threads");
-            // Same amount of work, possibly fewer rounds.
-            assert_eq!(stats.merges, chain_stats.merges, "{name}");
-            assert!(stats.rounds <= chain_stats.rounds, "{name}");
+            assert_eq!(stats, reference_stats, "{name}");
             // Same clusters at every cut that the pipeline exposes.
             for k in [2usize, 3, 5] {
                 assert_eq!(
@@ -233,17 +226,9 @@ fn restricted_apsp_matches_full_apsp_on_every_distance_dbht_reads() {
 fn hierarchy_from_restricted_distances_equals_hierarchy_from_full_apsp() {
     for (name, s, prefix) in suite_inputs() {
         let p = prepare(&s, prefix);
-        for backend in [HacBackend::ParallelRounds, HacBackend::NnChain] {
-            let (restricted, _) = hierarchy::build_hierarchy_with(
-                &p.bubble_graph,
-                &p.assignment,
-                &p.distances,
-                backend,
-            );
-            let (full, _) =
-                hierarchy::build_hierarchy_with(&p.bubble_graph, &p.assignment, &p.dense, backend);
-            assert_eq!(restricted, full, "{name} with {backend:?}");
-        }
+        let restricted = hierarchy::build_hierarchy(&p.bubble_graph, &p.assignment, &p.distances);
+        let full = hierarchy::build_hierarchy(&p.bubble_graph, &p.assignment, &p.dense);
+        assert_eq!(restricted, full, "{name}");
     }
 }
 
@@ -274,19 +259,14 @@ fn restricted_apsp_computes_fewer_than_half_the_pairs_on_clustered_input() {
 }
 
 // ---------------------------------------------------------------------------
-// Property tests of the parallel engine.
+// Property tests of the hierarchy.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn dendrogram_heights_are_monotone_non_decreasing() {
     for (name, s, prefix) in suite_inputs() {
         let p = prepare(&s, prefix);
-        let (dendrogram, _) = hierarchy::build_hierarchy_with(
-            &p.bubble_graph,
-            &p.assignment,
-            &p.distances,
-            HacBackend::ParallelRounds,
-        );
+        let dendrogram = hierarchy::build_hierarchy(&p.bubble_graph, &p.assignment, &p.distances);
         assert!(dendrogram.is_monotone(), "{name}");
         assert_eq!(dendrogram.num_leaves(), s.n(), "{name}");
         assert!(dendrogram.root().is_some(), "{name}");
@@ -294,50 +274,16 @@ fn dendrogram_heights_are_monotone_non_decreasing() {
 }
 
 #[test]
-fn mutual_nn_rounds_merge_disjoint_pairs() {
-    for (name, s, prefix) in suite_inputs() {
-        let p = prepare(&s, prefix);
-        let (_, stats) = hierarchy::build_hierarchy_with(
-            &p.bubble_graph,
-            &p.assignment,
-            &p.distances,
-            HacBackend::ParallelRounds,
-        );
-        // Each merge of a round consumes two distinct clusters, so if the
-        // round's pairs were not disjoint this bound would be violated.
-        assert!(2 * stats.max_round_merges <= s.n(), "{name}");
-        assert!(stats.rounds >= 1, "{name}");
-        assert!(stats.rounds <= stats.merges, "{name}");
-    }
-}
-
-#[test]
 fn all_equal_weights_yield_one_canonical_dendrogram() {
-    // Every off-diagonal similarity identical: every linkage comparison
-    // falls through the (max, mean) keys to the member-id tie-break, so
-    // this is the worst case for engine divergence. All engines and all
-    // pool sizes must produce the exact same canonical dendrogram.
+    // Every off-diagonal similarity identical: linkage comparisons tie on
+    // the max everywhere and fall through to the mean and member-id
+    // tie-breaks, the worst case for a schedule-dependent result. Every
+    // pool size must produce the exact same dendrogram.
     let s = SymmetricMatrix::from_fn(24, |i, j| if i == j { 1.0 } else { 0.5 });
     let p = prepare(&s, 1);
-    let (reference, _) = hierarchy::build_hierarchy_with(
-        &p.bubble_graph,
-        &p.assignment,
-        &p.distances,
-        HacBackend::NnChain,
-    );
-    for threads in [1usize, 2, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let (parallel, _) = pool.install(|| {
-            hierarchy::build_hierarchy_with(
-                &p.bubble_graph,
-                &p.assignment,
-                &p.distances,
-                HacBackend::ParallelRounds,
-            )
-        });
+    let (reference, _) = hierarchy_on_pool(&p, 1);
+    for threads in [2usize, 8] {
+        let (parallel, _) = hierarchy_on_pool(&p, threads);
         assert_eq!(parallel, reference, "{threads} threads");
     }
 }
