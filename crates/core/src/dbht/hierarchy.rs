@@ -1181,13 +1181,6 @@ mod tests {
                 false,
             ));
         }
-        let equal = (2.0 * (1.0 - 0.7_f64)).sqrt();
-        inputs.push((
-            "all-equal".into(),
-            SymmetricMatrix::from_fn(24, |i, j| if i == j { 0.0 } else { equal }),
-            singletons(24),
-            false,
-        ));
         inputs
     }
 
@@ -1197,6 +1190,50 @@ mod tests {
             let engine = plan_linkage(items.clone(), &d);
             assert_eq!(engine.len(), items.len() - 1, "{name}");
             assert_eq!(bits(&engine), bits(&reference_plan(items, &d)), "{name}");
+        }
+    }
+
+    #[test]
+    fn engines_plan_identical_events_on_random_inputs() {
+        for seed in 0..6 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = 14;
+            let d = SymmetricMatrix::from_fn(
+                m,
+                |i, j| {
+                    if i == j {
+                        0.0
+                    } else {
+                        rng.gen_range(0.1..2.0)
+                    }
+                },
+            );
+            let chain = plan_linkage(singletons(m), &d);
+            assert_eq!(chain.len(), m - 1, "seed {seed}");
+            assert_eq!(
+                bits(&chain),
+                bits(&reference_plan(singletons(m), &d)),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn engines_plan_identical_events_under_maximal_ties() {
+        // All pairwise distances equal: every comparison falls through to
+        // the min-member tie level. The chain and the reference must still
+        // agree on one canonical plan, every merge at the common distance.
+        let pipeline_equal = (2.0 * (1.0 - 0.7_f64)).sqrt();
+        for (m, equal) in [(9, 1.0), (24, pipeline_equal)] {
+            let d = SymmetricMatrix::from_fn(m, |i, j| if i == j { 0.0 } else { equal });
+            let chain = plan_linkage(singletons(m), &d);
+            assert_eq!(chain.len(), m - 1, "m = {m}");
+            assert!(chain.iter().all(|e| e.dist == equal), "m = {m}");
+            assert_eq!(
+                bits(&chain),
+                bits(&reference_plan(singletons(m), &d)),
+                "m = {m}"
+            );
         }
     }
 
