@@ -1,6 +1,6 @@
 //! Figure 6: clustering quality (ARI) of PAR-TDBHT for prefix sizes
 //! 1, 2, 5, 10, 30, 50 and 200 on every data set, plus the batch
-//! selector's fill-rate and staleness counters per prefix.
+//! selector's staleness counters per prefix.
 //!
 //! Besides the text table (and the per-run JSON record lines shared by all
 //! harnesses), the full agreement table is written machine-readably to
@@ -25,7 +25,7 @@ fn main() {
     println!();
     let mut table_lines: Vec<String> = Vec::new();
     // Selector counters aggregated per prefix across the suite.
-    let mut totals = vec![(0usize, 0usize, 0usize, 0usize, 0.0f64); prefixes.len()];
+    let mut totals = vec![(0usize, 0usize, 0usize, 0usize); prefixes.len()];
     for dataset in &suite {
         print!("{:<28}", dataset.name);
         for (slot, &prefix) in prefixes.iter().enumerate() {
@@ -46,16 +46,14 @@ fn main() {
             totals[slot].1 += stats.conflicts;
             totals[slot].2 += stats.rescans;
             totals[slot].3 += stats.reassigned;
-            totals[slot].4 += stats.mean_fill_rate;
             table_lines.push(format!(
-                "{{\"dataset\":{},\"n\":{},\"prefix\":{},\"ari\":{:.6},\"seconds\":{:.6},\"rounds\":{},\"mean_fill_rate\":{:.6},\"conflicts\":{},\"rescans\":{},\"reassigned\":{}}}",
+                "{{\"dataset\":{},\"n\":{},\"prefix\":{},\"ari\":{:.6},\"seconds\":{:.6},\"rounds\":{},\"conflicts\":{},\"rescans\":{},\"reassigned\":{}}}",
                 json_string(&dataset.name),
                 dataset.len(),
                 prefix,
                 output.ari,
                 output.elapsed.as_secs_f64(),
                 stats.rounds,
-                stats.mean_fill_rate,
                 stats.conflicts,
                 stats.rescans,
                 stats.reassigned,
@@ -64,23 +62,14 @@ fn main() {
         println!();
     }
     println!();
-    println!("# batch selector counters (summed over the suite; fill rate is the mean)");
+    println!("# batch selector counters (summed over the suite)");
     println!(
-        "{:<8} {:>8} {:>10} {:>10} {:>10} {:>10}",
-        "prefix", "rounds", "fill", "conflicts", "rescans", "reassigned"
+        "{:<8} {:>8} {:>10} {:>10} {:>10}",
+        "prefix", "rounds", "conflicts", "rescans", "reassigned"
     );
-    let datasets = suite.len().max(1) as f64;
     for (slot, &prefix) in prefixes.iter().enumerate() {
-        let (rounds, conflicts, rescans, reassigned, fill) = totals[slot];
-        println!(
-            "{:<8} {:>8} {:>10.4} {:>10} {:>10} {:>10}",
-            prefix,
-            rounds,
-            fill / datasets,
-            conflicts,
-            rescans,
-            reassigned
-        );
+        let (rounds, conflicts, rescans, reassigned) = totals[slot];
+        println!("{prefix:<8} {rounds:>8} {conflicts:>10} {rescans:>10} {reassigned:>10}");
     }
     let path = record_dir().join("FIG6_prefix_quality.json");
     match write_json_array(&path, &table_lines) {

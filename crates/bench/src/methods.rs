@@ -47,13 +47,11 @@ impl Method {
 }
 
 /// Construction statistics of a TMFG-based method: round counts plus the
-/// fill-rate and staleness counters of the conflict-aware batch selector.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// staleness counters of the conflict-aware batch selector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TmfgRunStats {
     /// Rounds of the outer construction loop (ρ).
     pub rounds: usize,
-    /// Mean per-round fill rate (1.0 = every round hit its target).
-    pub mean_fill_rate: f64,
     /// Vertex conflicts absorbed by next-best refills.
     pub conflicts: usize,
     /// Candidate-cache exhaustions that forced a full rescan.
@@ -66,7 +64,6 @@ impl TmfgRunStats {
     fn of(tmfg: &pfg_core::Tmfg) -> Self {
         Self {
             rounds: tmfg.rounds,
-            mean_fill_rate: tmfg.mean_fill_rate(),
             conflicts: tmfg.total_conflicts(),
             rescans: tmfg.total_rescans(),
             reassigned: tmfg.total_reassigned(),

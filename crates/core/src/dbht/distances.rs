@@ -29,19 +29,6 @@ pub struct DbhtDistances {
     pub blocks: GroupBlocks,
 }
 
-impl DbhtDistances {
-    /// Counters comparing the restricted computation against the dense
-    /// `n²` APSP it replaces.
-    pub fn stats(&self) -> DbhtDistanceStats {
-        let n = self.rows.num_vertices();
-        DbhtDistanceStats {
-            pairs_computed: self.blocks.pairs_computed() + self.rows.pairs_computed(),
-            pairs_full: n * n,
-            source_rows: self.rows.sources().len(),
-        }
-    }
-}
-
 impl PairDistances for DbhtDistances {
     fn pair(&self, u: usize, v: usize) -> f64 {
         if u == v {
@@ -60,28 +47,5 @@ impl PairDistances for DbhtDistances {
     #[inline]
     fn num_vertices(&self) -> usize {
         self.rows.num_vertices()
-    }
-}
-
-/// How much of the dense APSP the restricted stores actually computed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DbhtDistanceStats {
-    /// Distance entries materialised (`Σ group² + |sources|·n`).
-    pub pairs_computed: usize,
-    /// Entries the dense matrix would have materialised (`n²`).
-    pub pairs_full: usize,
-    /// Number of converging-bubble vertices with a full Dijkstra row.
-    pub source_rows: usize,
-}
-
-impl DbhtDistanceStats {
-    /// Fraction of the dense `n²` output actually computed (< 0.5 on the
-    /// clustered benchmark inputs is the PR's acceptance bar).
-    pub fn restricted_fraction(&self) -> f64 {
-        if self.pairs_full == 0 {
-            0.0
-        } else {
-            self.pairs_computed as f64 / self.pairs_full as f64
-        }
     }
 }

@@ -95,14 +95,6 @@ use crate::dbht::assignment::VertexAssignment;
 use crate::dbht::bubble_graph::DirectedBubbleGraph;
 use crate::dendrogram::Dendrogram;
 
-/// Counters from the HAC planning phase, aggregated over all linkage runs
-/// (one per subgroup, one per group, one inter-group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HacStats {
-    /// Total merges (= internal dendrogram nodes).
-    pub merges: usize,
-}
-
 /// Which of the three levels created an internal dendrogram node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MergeKind {
@@ -152,7 +144,7 @@ pub fn build_hierarchy<D: PairDistances + Sync>(
     assignment: &VertexAssignment,
     distances: &D,
 ) -> Dendrogram {
-    build_hierarchy_with(bubble_graph, assignment, distances).0
+    build_with_planner(bubble_graph, assignment, distances, plan_linkage)
 }
 
 /// Per-group planning output: the canonical merge plans of the group's
@@ -166,15 +158,6 @@ struct GroupPlan {
     inter_bubble: Vec<PlanEvent>,
 }
 
-/// [`build_hierarchy`], also returning the HAC counters.
-pub fn build_hierarchy_with<D: PairDistances + Sync>(
-    bubble_graph: &DirectedBubbleGraph,
-    assignment: &VertexAssignment,
-    distances: &D,
-) -> (Dendrogram, HacStats) {
-    build_with_planner(bubble_graph, assignment, distances, plan_linkage)
-}
-
 /// The hierarchy with `plan` planning every linkage run (the tests swap
 /// in their from-scratch reference here).
 fn build_with_planner<D, P>(
@@ -182,7 +165,7 @@ fn build_with_planner<D, P>(
     assignment: &VertexAssignment,
     distances: &D,
     plan: P,
-) -> (Dendrogram, HacStats)
+) -> Dendrogram
 where
     D: PairDistances + Sync,
     P: Fn(Vec<LinkItem>, &D) -> Vec<PlanEvent> + Sync,
@@ -190,7 +173,7 @@ where
     let n = bubble_graph.num_vertices();
     let mut dendrogram = Dendrogram::new(n);
     if n == 0 {
-        return (dendrogram, HacStats::default());
+        return dendrogram;
     }
 
     let group_members = assignment.group_members();
@@ -300,10 +283,7 @@ where
     });
 
     assign_heights(&mut dendrogram, &records, &group_sizes, &group_roots);
-    let stats = HacStats {
-        merges: records.len(),
-    };
-    (dendrogram, stats)
+    dendrogram
 }
 
 /// Emits a canonical plan into the dendrogram. `slot_nodes[i]` is the
@@ -1273,10 +1253,9 @@ mod tests {
         let rows = SourceRows::compute(&dgraph, &converging_vertices(&bubble_graph));
         let assignment = assignment::assign_vertices(&t.graph, &bubble_graph, &rows);
         let distances = restricted_distances(&dgraph, rows, &assignment);
-        let (engine, stats) = build_hierarchy_with(&bubble_graph, &assignment, &distances);
-        assert_eq!(stats.merges, s.n() - 1);
-        let (reference, _) =
-            build_with_planner(&bubble_graph, &assignment, &distances, reference_plan);
+        let engine = build_hierarchy(&bubble_graph, &assignment, &distances);
+        assert_eq!(engine.internal_nodes().count(), s.n() - 1);
+        let reference = build_with_planner(&bubble_graph, &assignment, &distances, reference_plan);
         (engine, reference)
     }
 

@@ -25,6 +25,13 @@
 //! `O(Σ group² + |conv|·n)`. [`DbhtRunStats`] reports how much of the
 //! dense matrix that actually was.
 //!
+//! One private function, `run_back_half`, runs this stage sequence —
+//! direction, checked edge lengths, source rows, assignment, group blocks,
+//! hierarchy — for [`dbht_for_tmfg`], [`dbht_for_planar_graph`] and
+//! [`crate::ParTdbht`]. It times each stage into a [`StageTimings`]
+//! through the pipeline's report-only timer, and it is the one place that
+//! builds [`DbhtRunStats`].
+//!
 //! [`planar_bubbles`] implements the original (quadratic) bubble
 //! decomposition of an arbitrary maximal planar graph, which is what the
 //! PMFG+DBHT baseline uses and what the TMFG fast path is validated
@@ -41,12 +48,13 @@ use pfg_graph::{GroupBlocks, PairDistances, SourceRows, WeightedGraph};
 
 use crate::dendrogram::Dendrogram;
 use crate::error::CoreError;
+use crate::pipeline::{timed, StageTimings};
 use crate::tmfg::Tmfg;
 
 pub use assignment::VertexAssignment;
 pub use bubble_graph::DirectedBubbleGraph;
-pub use distances::{DbhtDistanceStats, DbhtDistances};
-pub use hierarchy::{build_hierarchy, build_hierarchy_with, HacStats};
+pub use distances::DbhtDistances;
+pub use hierarchy::build_hierarchy;
 
 /// Per-stage counters of one DBHT run: how many HAC merges ran and how
 /// much of the dense APSP the restricted distance store replaced.
@@ -55,7 +63,9 @@ pub struct DbhtRunStats {
     /// HAC merge steps across all linkage runs. The nearest-neighbor chain
     /// merges one pair per step, so this always equals `hac_merges`.
     pub hac_rounds: usize,
-    /// Total HAC merges (= internal dendrogram nodes).
+    /// HAC merges across all linkage runs: the dendrogram's internal
+    /// nodes, one per merge, so `n − 1` for the complete dendrogram over
+    /// `n` vertices.
     pub hac_merges: usize,
     /// Distance entries the restricted APSP materialised.
     pub apsp_pairs_computed: usize,
@@ -66,17 +76,6 @@ pub struct DbhtRunStats {
 }
 
 impl DbhtRunStats {
-    /// Combines the HAC engine's counters with the distance-store stats.
-    pub fn of(hac: HacStats, apsp: DbhtDistanceStats) -> Self {
-        Self {
-            hac_rounds: hac.merges,
-            hac_merges: hac.merges,
-            apsp_pairs_computed: apsp.pairs_computed,
-            apsp_pairs_full: apsp.pairs_full,
-            apsp_source_rows: apsp.source_rows,
-        }
-    }
-
     /// Fraction of the dense `n²` distance output actually computed.
     pub fn restricted_fraction(&self) -> f64 {
         if self.apsp_pairs_full == 0 {
@@ -144,14 +143,12 @@ impl Dbht {
 /// [`CoreError::InvalidDissimilarity`] if an edge length is NaN,
 /// negative or infinite.
 pub fn dbht_for_tmfg<D: PairDistances>(tmfg: &Tmfg, dissimilarity: &D) -> Result<Dbht, CoreError> {
-    if dissimilarity.num_vertices() != tmfg.graph.num_vertices() {
-        return Err(CoreError::DimensionMismatch {
-            similarity: tmfg.graph.num_vertices(),
-            dissimilarity: dissimilarity.num_vertices(),
-        });
-    }
-    let bubble_graph = direction::direct_tmfg_bubble_tree(&tmfg.bubble_tree, &tmfg.graph);
-    run_dbht(&tmfg.graph, bubble_graph, dissimilarity)
+    run_back_half(
+        &tmfg.graph,
+        || direction::direct_tmfg_bubble_tree(&tmfg.bubble_tree, &tmfg.graph),
+        dissimilarity,
+        &mut StageTimings::default(),
+    )
 }
 
 /// Runs the DBHT on an arbitrary maximal planar graph (e.g. a PMFG), using
@@ -171,15 +168,12 @@ pub fn dbht_for_planar_graph<D: PairDistances>(
     if n < 4 {
         return Err(CoreError::TooFewVertices { got: n });
     }
-    if dissimilarity.num_vertices() != n {
-        return Err(CoreError::DimensionMismatch {
-            similarity: n,
-            dissimilarity: dissimilarity.num_vertices(),
-        });
-    }
-    let decomposition = planar_bubbles::decompose(graph);
-    let bubble_graph = direction::direct_generic(&decomposition, graph);
-    run_dbht(graph, bubble_graph, dissimilarity)
+    run_back_half(
+        graph,
+        || direction::direct_generic(&planar_bubbles::decompose(graph), graph),
+        dissimilarity,
+        &mut StageTimings::default(),
+    )
 }
 
 /// The dissimilarity-weighted copy of a filtered graph: the metric the
@@ -199,7 +193,7 @@ pub fn dissimilarity_graph<D: PairDistances>(
 /// [`dissimilarity_graph`], rejecting an edge length that is NaN, negative
 /// or infinite: the shortest paths need finite, non-negative lengths.
 /// Reads only the `3n − 6` edge lengths.
-pub(crate) fn checked_dissimilarity_graph<D: PairDistances>(
+fn checked_dissimilarity_graph<D: PairDistances>(
     graph: &WeightedGraph,
     dissimilarity: &D,
 ) -> Result<WeightedGraph, CoreError> {
@@ -237,33 +231,61 @@ pub fn restricted_distances(
     DbhtDistances { rows, blocks }
 }
 
-/// Shared tail of the DBHT: restricted shortest paths over the
-/// dissimilarity-weighted filtered graph, vertex assignment, hierarchy and
-/// height re-assignment.
-fn run_dbht<D: PairDistances>(
+/// The DBHT back half, the one place its stages run: `direct` builds the
+/// directed bubble graph (Algorithm 3), then come the checked edge
+/// lengths, the converging-bubble source rows, the vertex assignment, the
+/// per-group blocks and the hierarchy with its height re-assignment. Each
+/// stage's wall time is added to its field of `timings` (all but `tmfg`).
+pub(crate) fn run_back_half<D: PairDistances>(
     graph: &WeightedGraph,
-    bubble_graph: DirectedBubbleGraph,
+    direct: impl FnOnce() -> DirectedBubbleGraph,
     dissimilarity: &D,
+    timings: &mut StageTimings,
 ) -> Result<Dbht, CoreError> {
-    let dgraph = checked_dissimilarity_graph(graph, dissimilarity)?;
+    let n = graph.num_vertices();
+    if dissimilarity.num_vertices() != n {
+        return Err(CoreError::DimensionMismatch {
+            similarity: n,
+            dissimilarity: dissimilarity.num_vertices(),
+        });
+    }
+    // Direction first: it determines the converging bubbles and therefore
+    // which shortest-path rows are needed at all.
+    let bubble_graph = timed(&mut timings.direction, direct);
 
     // Full rows for the converging-bubble vertices — every distance the
     // assignment phase reads is anchored at one of them.
-    let rows = SourceRows::compute(&dgraph, &converging_vertices(&bubble_graph));
-    let assignment = assignment::assign_vertices(graph, &bubble_graph, &rows);
+    let (dgraph, rows) = timed(&mut timings.apsp, || {
+        let dgraph = checked_dissimilarity_graph(graph, dissimilarity)?;
+        let rows = SourceRows::compute(&dgraph, &converging_vertices(&bubble_graph));
+        Ok::<_, CoreError>((dgraph, rows))
+    })?;
+    let assignment = timed(&mut timings.assignment, || {
+        assignment::assign_vertices(graph, &bubble_graph, &rows)
+    });
 
     // Dense blocks for the now-known groups — every remaining hierarchy
     // read is either intra-group or between converging-bubble vertices.
-    let distances = restricted_distances(&dgraph, rows, &assignment);
-    let apsp_stats = distances.stats();
+    let distances = timed(&mut timings.apsp, || {
+        restricted_distances(&dgraph, rows, &assignment)
+    });
+    let dendrogram = timed(&mut timings.hierarchy, || {
+        hierarchy::build_hierarchy(&bubble_graph, &assignment, &distances)
+    });
 
-    let (dendrogram, hac_stats) =
-        hierarchy::build_hierarchy_with(&bubble_graph, &assignment, &distances);
+    let merges = dendrogram.internal_nodes().count();
+    let stats = DbhtRunStats {
+        hac_rounds: merges,
+        hac_merges: merges,
+        apsp_pairs_computed: distances.blocks.pairs_computed() + distances.rows.pairs_computed(),
+        apsp_pairs_full: n * n,
+        apsp_source_rows: distances.rows.sources().len(),
+    };
     Ok(Dbht {
         dendrogram,
         bubble_graph,
         assignment,
-        stats: DbhtRunStats::of(hac_stats, apsp_stats),
+        stats,
     })
 }
 

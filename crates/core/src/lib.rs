@@ -52,8 +52,7 @@ pub mod tmfg;
 
 pub use bubble_tree::{Bubble, BubbleTree};
 pub use dbht::{
-    dbht_for_planar_graph, dbht_for_tmfg, Dbht, DbhtDistanceStats, DbhtDistances, DbhtRunStats,
-    HacStats, VertexAssignment,
+    dbht_for_planar_graph, dbht_for_tmfg, Dbht, DbhtDistances, DbhtRunStats, VertexAssignment,
 };
 pub use dendrogram::Dendrogram;
 pub use error::CoreError;

@@ -9,21 +9,31 @@
 //! (Algorithm 4, lines 1–23) and `hierarchy` (the three-level
 //! complete-linkage step, lines 24–33, plus §V-D height re-assignment).
 //! The paper's lumped "bubble tree" category is `direction + assignment`.
+//!
+//! [`ParTdbht::run_with`] times the TMFG construction itself and hands the
+//! rest to the DBHT back half in [`crate::dbht`], which runs the stage
+//! sequence for every DBHT entry point. Both time their stages through
+//! this module's crate-private `timed` helper, the crate's one clock read.
+//! The times only report; no result depends on them.
 
 use std::time::{Duration, Instant};
 
 use pfg_graph::{
-    DissimilarityView, PairDistances, SimilaritySource, SourceRows, SymmetricMatrix,
-    SymmetricMatrixF32,
+    DissimilarityView, PairDistances, SimilaritySource, SymmetricMatrix, SymmetricMatrixF32,
 };
 
-use crate::dbht::{
-    assignment, checked_dissimilarity_graph, converging_vertices, direction, hierarchy,
-    restricted_distances, DbhtRunStats, VertexAssignment,
-};
+use crate::dbht::{direction, run_back_half, Dbht, DbhtRunStats, VertexAssignment};
 use crate::dendrogram::Dendrogram;
 use crate::error::CoreError;
 use crate::tmfg::{tmfg, Tmfg, TmfgConfig};
+
+/// Runs `stage` and adds its wall time to `slot`.
+pub(crate) fn timed<T>(slot: &mut Duration, stage: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = stage();
+    *slot += start.elapsed();
+    out
+}
 
 /// Wall-clock timings of the pipeline stages (refined Figure 5 categories).
 #[derive(Debug, Clone, Copy, Default)]
@@ -146,54 +156,25 @@ impl ParTdbht {
         }
 
         // Construction (Algorithm 1, with the bubble tree of Algorithm 2).
-        let start = Instant::now();
-        let tmfg_result = tmfg(similarity, self.config)?;
-        let tmfg_time = start.elapsed();
-
-        // Direction pass (Algorithm 3) — determines the converging bubbles
-        // and therefore which shortest-path rows are needed at all.
-        let start = Instant::now();
-        let bubble_graph =
-            direction::direct_tmfg_bubble_tree(&tmfg_result.bubble_tree, &tmfg_result.graph);
-        let direction_time = start.elapsed();
-
-        // Phase 1 of the demand-driven shortest paths: full rows for the
-        // converging-bubble vertices over the dissimilarity-weighted TMFG.
-        let start = Instant::now();
-        let dgraph = checked_dissimilarity_graph(&tmfg_result.graph, dissimilarity)?;
-        let rows = SourceRows::compute(&dgraph, &converging_vertices(&bubble_graph));
-        let mut apsp_time = start.elapsed();
-
-        // Vertex assignment (Algorithm 4, lines 1–23) reads only the rows.
-        let start = Instant::now();
-        let assignment = assignment::assign_vertices(&tmfg_result.graph, &bubble_graph, &rows);
-        let assignment_time = start.elapsed();
-
-        // Phase 2: dense per-group blocks for the now-known groups.
-        let start = Instant::now();
-        let distances = restricted_distances(&dgraph, rows, &assignment);
-        apsp_time += start.elapsed();
-        let apsp_stats = distances.stats();
-
-        // Hierarchy (nearest-neighbor-chain linkage, one pool job per
-        // group).
-        let start = Instant::now();
-        let (dendrogram, hac_stats) =
-            hierarchy::build_hierarchy_with(&bubble_graph, &assignment, &distances);
-        let hierarchy_time = start.elapsed();
-
+        let mut timings = StageTimings::default();
+        let tmfg_result = timed(&mut timings.tmfg, || tmfg(similarity, self.config))?;
+        let Dbht {
+            dendrogram,
+            assignment,
+            stats,
+            ..
+        } = run_back_half(
+            &tmfg_result.graph,
+            || direction::direct_tmfg_bubble_tree(&tmfg_result.bubble_tree, &tmfg_result.graph),
+            dissimilarity,
+            &mut timings,
+        )?;
         Ok(ParTdbhtResult {
             tmfg: tmfg_result,
             assignment,
             dendrogram,
-            timings: StageTimings {
-                tmfg: tmfg_time,
-                apsp: apsp_time,
-                direction: direction_time,
-                assignment: assignment_time,
-                hierarchy: hierarchy_time,
-            },
-            dbht_stats: DbhtRunStats::of(hac_stats, apsp_stats),
+            timings,
+            dbht_stats: stats,
         })
     }
 }
@@ -201,6 +182,8 @@ impl ParTdbht {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dbht::dbht_for_tmfg;
+    use crate::tmfg::assert_every_round_fills;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -229,6 +212,43 @@ mod tests {
             assert!(result.dendrogram.root().is_some());
             assert!(result.dendrogram.is_monotone());
             assert!(result.timings.total() > Duration::ZERO);
+        }
+    }
+
+    /// Asserts that a pipeline result equals `tmfg` followed by `dbht` on
+    /// every output but the timings.
+    fn assert_same_run(ctx: &str, result: &ParTdbhtResult, t: &Tmfg, dbht: &Dbht) {
+        assert_eq!(result.tmfg.insertions, t.insertions, "{ctx}");
+        assert_eq!(result.dendrogram, dbht.dendrogram, "{ctx}");
+        assert_eq!(result.assignment.group, dbht.assignment.group, "{ctx}");
+        assert_eq!(result.assignment.bubble, dbht.assignment.bubble, "{ctx}");
+        assert_eq!(result.assignment.groups, dbht.assignment.groups, "{ctx}");
+        assert_eq!(result.dbht_stats, dbht.stats, "{ctx}");
+        let n = t.num_vertices();
+        let stats = result.dbht_stats;
+        assert_eq!(stats.hac_merges, n - 1, "{ctx}");
+        assert_eq!(stats.hac_rounds, n - 1, "{ctx}");
+        assert_eq!(stats.apsp_pairs_full, n * n, "{ctx}");
+    }
+
+    #[test]
+    fn pipeline_equals_tmfg_then_dbht() {
+        let (s, d, _) = blocks(48, 4, 2);
+        let f32_data: Vec<f32> = s.as_slice().iter().map(|&x| x as f32).collect();
+        let s32 = SymmetricMatrixF32::from_symmetrized(48, f32_data);
+        for prefix in [1, 10] {
+            let runner = ParTdbht::with_prefix(prefix);
+            let config = TmfgConfig::with_prefix(prefix);
+
+            let t = tmfg(&s, config).unwrap();
+            let dbht = dbht_for_tmfg(&t, &d).unwrap();
+            let result = runner.run(&s, &d).unwrap();
+            assert_same_run(&format!("dense, prefix {prefix}"), &result, &t, &dbht);
+
+            let t = tmfg(&s32, config).unwrap();
+            let dbht = dbht_for_tmfg(&t, &DissimilarityView::new(&s32)).unwrap();
+            let result = runner.run_f32(&s32).unwrap();
+            assert_same_run(&format!("f32, prefix {prefix}"), &result, &t, &dbht);
         }
     }
 
@@ -349,10 +369,7 @@ mod tests {
                 );
                 // The selector's defining invariant: every round fills its
                 // target, so conflicts never shrink a batch.
-                assert!(
-                    (result.tmfg.mean_fill_rate() - 1.0).abs() < 1e-12,
-                    "seed {seed} prefix {prefix} under-filled rounds"
-                );
+                assert_every_round_fills(&result.tmfg, prefix);
             }
         }
         let n = seeds.len() as f64;

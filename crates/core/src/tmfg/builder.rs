@@ -118,16 +118,11 @@ pub struct Insertion {
     pub round: usize,
 }
 
-/// Per-round accounting of the batch selector: how full the round was and
-/// how much staleness (conflicts, cache exhaustion) it had to absorb.
-#[derive(Debug, Clone, Copy, Default)]
+/// Per-round accounting of the batch selector: how much staleness
+/// (conflicts, cache exhaustion) it had to absorb. How full a round was
+/// is in the insertion trace: every [`Insertion`] carries its round.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundStats {
-    /// Upper bound on this round's insertions:
-    /// `min(prefix, |remaining|, |active faces|)` at round start.
-    pub target: usize,
-    /// Distinct vertices actually inserted this round. The conflict-aware
-    /// selector always fills the round: `selected == target`.
-    pub selected: usize,
     /// Drawn candidates discarded because their vertex was already taken
     /// by a higher-gain pair this round (each one triggers a next-best
     /// refill for the losing face). A stale face rescanned mid-round skips
@@ -148,44 +143,6 @@ pub struct RoundStats {
     /// round-start information was stale and intra-round freshness
     /// recovered quality the simultaneous placement would have lost.
     pub reassigned: usize,
-    /// Wall time of this round's placement pass in nanoseconds — the
-    /// O(batch²) sequential loop of [`BatchFreshness::IntraRound`] (or the
-    /// straight-line application under
-    /// [`BatchFreshness::Simultaneous`]). The construction bench folds
-    /// this into the per-stage breakdown: if intra-round placement ever
-    /// dominated the parallel candidate refresh it pays for, the freshness
-    /// default would need revisiting.
-    pub placement_ns: u64,
-}
-
-/// `placement_ns` is wall-clock noise, not algorithm state: two
-/// byte-identical constructions time differently, so the timer is excluded
-/// from equality. The differential tests compare `round_stats` across
-/// thread counts and chaos seeds, and must keep passing bit-for-bit on
-/// every *semantic* counter.
-impl PartialEq for RoundStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.target == other.target
-            && self.selected == other.selected
-            && self.conflicts == other.conflicts
-            && self.rescans == other.rescans
-            && self.refreshes == other.refreshes
-            && self.reassigned == other.reassigned
-    }
-}
-
-impl Eq for RoundStats {}
-
-impl RoundStats {
-    /// Fraction of the round's target that was actually inserted (1.0 for
-    /// the conflict-aware selector; historical selectors under-filled).
-    pub fn fill_rate(&self) -> f64 {
-        if self.target == 0 {
-            1.0
-        } else {
-            self.selected as f64 / self.target as f64
-        }
-    }
 }
 
 /// The result of TMFG construction: the filtered graph, the bubble tree
@@ -204,7 +161,7 @@ pub struct Tmfg {
     pub insertions: Vec<Insertion>,
     /// Number of rounds of the outer loop (ρ in the paper's analysis).
     pub rounds: usize,
-    /// Per-round fill-rate and staleness counters, one entry per round.
+    /// Per-round staleness counters, one entry per round.
     pub round_stats: Vec<RoundStats>,
 }
 
@@ -218,20 +175,6 @@ impl Tmfg {
     /// Number of vertices of the filtered graph.
     pub fn num_vertices(&self) -> usize {
         self.graph.num_vertices()
-    }
-
-    /// Mean per-round fill rate (1.0 when every round inserted its full
-    /// target; 1.0 for a construction with no rounds).
-    pub fn mean_fill_rate(&self) -> f64 {
-        if self.round_stats.is_empty() {
-            1.0
-        } else {
-            self.round_stats
-                .iter()
-                .map(RoundStats::fill_rate)
-                .sum::<f64>()
-                / self.round_stats.len() as f64
-        }
     }
 
     /// Total vertex conflicts absorbed by the selector across all rounds.
@@ -254,12 +197,6 @@ impl Tmfg {
     /// placement).
     pub fn total_reassigned(&self) -> usize {
         self.round_stats.iter().map(|r| r.reassigned).sum()
-    }
-
-    /// Total nanoseconds spent in the sequential placement pass across all
-    /// rounds (see [`RoundStats::placement_ns`]).
-    pub fn total_placement_ns(&self) -> u64 {
-        self.round_stats.iter().map(|r| r.placement_ns).sum()
     }
 }
 
@@ -515,17 +452,15 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
                 "every selector leaf must match the gain table at round start"
             );
             self.rounds += 1;
-            let mut stats = RoundStats {
-                target: self
-                    .prefix
-                    .min(self.num_remaining)
-                    .min(self.num_active_faces),
-                ..RoundStats::default()
-            };
-            let selected = self.select_batch(&mut stats);
-            stats.selected = selected.len();
+            let mut stats = RoundStats::default();
+            let target = self
+                .prefix
+                .min(self.num_remaining)
+                .min(self.num_active_faces);
+            let selected = self.select_batch(target, &mut stats);
             debug_assert_eq!(
-                stats.selected, stats.target,
+                selected.len(),
+                target,
                 "the conflict-aware selector must fill every round"
             );
             self.apply_batch(&selected, &mut stats);
@@ -542,16 +477,16 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         }
     }
 
-    /// Lines 9–10: select up to `prefix` vertex–face pairs in decreasing
+    /// Lines 9–10: select up to `target` vertex–face pairs in decreasing
     /// gain order, resolving vertex conflicts in favour of the largest gain
     /// *without* shrinking the batch — a face that loses its candidate
     /// re-enters the draw with its next-best vertex. Returns
     /// `(face_id, vertex, gain)` triples in the order they were accepted
     /// (non-increasing gain). `prefix = 1` is the same draw stopped after
     /// one pair.
-    fn select_batch(&mut self, stats: &mut RoundStats) -> Vec<(usize, usize, f64)> {
-        let mut selected: Vec<(usize, usize, f64)> = Vec::with_capacity(stats.target);
-        while selected.len() < stats.target {
+    fn select_batch(&mut self, target: usize, stats: &mut RoundStats) -> Vec<(usize, usize, f64)> {
+        let mut selected: Vec<(usize, usize, f64)> = Vec::with_capacity(target);
+        while selected.len() < target {
             let Some(c) = self.selector.top() else { break };
             if c.origin == Origin::Stale {
                 self.refresh_stale(stats);
@@ -709,12 +644,10 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         let remaining = &self.remaining;
         self.pool.retain(|&v| remaining[v]);
 
-        let placement_start = std::time::Instant::now();
         let groups: Vec<ChildGroup> = match self.freshness {
             BatchFreshness::Simultaneous => self.place_simultaneous(selected),
             BatchFreshness::IntraRound => self.place_intra_round(selected, stats),
         };
-        stats.placement_ns = placement_start.elapsed().as_nanos() as u64;
 
         // Line 15: lazily advance the faces whose head vertex was inserted
         // this round. A face whose truncated list drains is not rescanned
@@ -791,10 +724,9 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
     /// for the rest of the cohort — the intra-round freshness that lets an
     /// arrival cohort nucleate the way sequential insertion would. Each
     /// vertex keeps its phase-1 face reserved as a fallback, so the cohort
-    /// always places completely. O(batch²) sequential work, timed into
-    /// [`RoundStats::placement_ns`] by the caller. Returns the created
-    /// child groups; groups whose faces were consumed later in the same
-    /// round are filtered by the caller's `face_active` check.
+    /// always places completely. O(batch²) sequential work. Returns the
+    /// created child groups; groups whose faces were consumed later in the
+    /// same round are filtered by the caller's `face_active` check.
     fn place_intra_round(
         &mut self,
         selected: &[(usize, usize, f64)],
@@ -903,6 +835,7 @@ struct ChildGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tmfg::assert_every_round_fills;
     use pfg_graph::SymmetricMatrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1013,7 +946,6 @@ mod tests {
         assert_eq!(t.rounds, 0);
         assert!(t.insertions.is_empty());
         assert!(t.round_stats.is_empty());
-        assert!((t.mean_fill_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1142,24 +1074,7 @@ mod tests {
         for (n, prefix, seed) in [(60, 5, 2u64), (60, 10, 4), (90, 16, 8)] {
             let s = random_similarity(n, seed);
             let t = tmfg(&s, TmfgConfig::with_prefix(prefix)).unwrap();
-            let mut remaining = n - 4;
-            let mut active_faces = 4usize;
-            for (i, stats) in t.round_stats.iter().enumerate() {
-                let expect = prefix.min(remaining).min(active_faces);
-                assert_eq!(
-                    stats.target, expect,
-                    "round {i}: target (n {n}, prefix {prefix})"
-                );
-                assert_eq!(
-                    stats.selected, expect,
-                    "round {i}: under-filled (n {n}, prefix {prefix})"
-                );
-                assert!((stats.fill_rate() - 1.0).abs() < 1e-12);
-                remaining -= stats.selected;
-                active_faces += 2 * stats.selected;
-            }
-            assert_eq!(remaining, 0);
-            assert!((t.mean_fill_rate() - 1.0).abs() < 1e-12);
+            assert_every_round_fills(&t, prefix);
             assert_eq!(t.round_stats.len(), t.rounds);
         }
     }
@@ -1178,7 +1093,7 @@ mod tests {
             t.total_conflicts() > 0,
             "shared-champion input must conflict"
         );
-        assert!((t.mean_fill_rate() - 1.0).abs() < 1e-12);
+        assert_every_round_fills(&t, 8);
     }
 
     #[test]
@@ -1413,7 +1328,7 @@ mod tests {
                     assert_eq!(sequential.rounds, parallel.rounds);
                     assert_eq!(
                         sequential.round_stats, parallel.round_stats,
-                        "{ctx}: fill/staleness counters must match"
+                        "{ctx}: staleness counters must match"
                     );
                     let seq_edges: Vec<_> = sequential.graph.edges().collect();
                     let par_edges: Vec<_> = parallel.graph.edges().collect();

@@ -28,3 +28,29 @@ mod gains;
 
 pub use builder::{tmfg, tmfg_sequential, BatchFreshness, Insertion, RoundStats, Tmfg, TmfgConfig};
 pub use gains::{CandidateList, GainTable, NextBest, MAX_CACHE_DEPTH, MIN_CACHE_DEPTH};
+
+/// Asserts the conflict-aware selector's defining invariant on the
+/// insertion trace: each round inserted exactly
+/// `min(prefix, |remaining|, |active faces|)` vertices, counted at the
+/// round's start.
+#[cfg(test)]
+pub(crate) fn assert_every_round_fills(t: &Tmfg, prefix: usize) {
+    let mut sizes = vec![0usize; t.rounds];
+    for ins in &t.insertions {
+        sizes[ins.round - 1] += 1;
+    }
+    let mut remaining = t.num_vertices() - 4;
+    let mut active_faces = 4usize;
+    for (i, &size) in sizes.iter().enumerate() {
+        let expect = prefix.min(remaining).min(active_faces);
+        assert_eq!(
+            size,
+            expect,
+            "round {}: under-filled (prefix {prefix})",
+            i + 1
+        );
+        remaining -= size;
+        active_faces += 2 * size;
+    }
+    assert_eq!(remaining, 0);
+}

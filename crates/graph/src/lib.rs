@@ -24,8 +24,7 @@ pub use bfs::{bfs_distances, bfs_reachable, bfs_reachable_within};
 pub use matrix::{SymmetricMatrix, SymmetricMatrixF32};
 pub use planarity::{is_planar, stays_planar_with_edge, LrScratch};
 pub use shortest_paths::{
-    all_pairs_shortest_paths, dijkstra, group_restricted_shortest_paths, shortest_path_rows,
-    GroupBlocks, PairDistances, SourceRows,
+    all_pairs_shortest_paths, dijkstra, GroupBlocks, PairDistances, SourceRows,
 };
 pub use similarity::{DissimilarityView, SimilaritySource};
 pub use union_find::UnionFind;

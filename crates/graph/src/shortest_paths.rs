@@ -18,9 +18,9 @@
 //! The DBHT, however, never reads most of those `n²` entries: the
 //! hierarchy consumes distances *within* each first-level group plus a
 //! handful of rows anchored at the converging bubbles. The demand-driven
-//! pair — [`shortest_path_rows`] (full rows for a chosen source set) and
-//! [`group_restricted_shortest_paths`] (per-group dense blocks via
-//! Dijkstras that stop as soon as the whole group is settled) — computes
+//! pair — [`SourceRows::compute`] (full rows for a chosen source set) and
+//! [`GroupBlocks::compute`] (per-group dense blocks via Dijkstras that
+//! stop as soon as the whole group is settled) — computes
 //! exactly those distances, cutting the output from `n²` to
 //! `O(Σ group² + |sources|·n)` and the work from `n` full Dijkstras to
 //! mostly-early-terminated ones.
@@ -455,20 +455,6 @@ impl PairDistances for GroupBlocks {
     }
 }
 
-/// [`SourceRows`] for `sources`, plus [`GroupBlocks`] for `groups`, in one
-/// call — the demand-driven restricted APSP used by the DBHT back half.
-pub fn group_restricted_shortest_paths(
-    graph: &WeightedGraph,
-    groups: &[Vec<usize>],
-) -> GroupBlocks {
-    GroupBlocks::compute(graph, groups)
-}
-
-/// Demand-driven full rows from the given sources (see [`SourceRows`]).
-pub fn shortest_path_rows(graph: &WeightedGraph, sources: &[usize]) -> SourceRows {
-    SourceRows::compute(graph, sources)
-}
-
 /// All-pairs shortest paths: runs [`dijkstra`] from every vertex in
 /// parallel, writing each source's distances straight into the matching
 /// row of one flat `n²` buffer, then symmetrises that buffer in place (in
@@ -617,7 +603,7 @@ mod tests {
     fn source_rows_match_full_apsp_on_source_pairs_bitwise() {
         let g = weighted_path();
         let apsp = all_pairs_shortest_paths(&g);
-        let rows = shortest_path_rows(&g, &[3, 0, 3]);
+        let rows = SourceRows::compute(&g, &[3, 0, 3]);
         assert_eq!(rows.sources(), &[0, 3]);
         assert_eq!(rows.pairs_computed(), 2 * 5);
         // Source pairs are averaged exactly like the dense APSP → bitwise.
@@ -634,7 +620,7 @@ mod tests {
     #[should_panic(expected = "outside the computed source rows")]
     fn source_rows_panic_on_uncomputed_pair() {
         let g = weighted_path();
-        let rows = shortest_path_rows(&g, &[0]);
+        let rows = SourceRows::compute(&g, &[0]);
         rows.pair(1, 2);
     }
 
@@ -642,7 +628,7 @@ mod tests {
     fn group_blocks_match_full_apsp_bitwise() {
         let g = weighted_square();
         let apsp = all_pairs_shortest_paths(&g);
-        let blocks = group_restricted_shortest_paths(&g, &[vec![0, 3], vec![1, 2]]);
+        let blocks = GroupBlocks::compute(&g, &[vec![0, 3], vec![1, 2]]);
         for (u, v) in [(0, 3), (3, 0), (1, 2), (2, 1), (0, 0), (2, 2)] {
             assert_eq!(blocks.pair(u, v).to_bits(), apsp.get(u, v).to_bits());
         }
@@ -655,7 +641,7 @@ mod tests {
         // Group {0, 3}: the weight-4 direct edge loses to the 0-1-2-3 path
         // through the *other* group, so the block must route outside.
         let g = weighted_square();
-        let blocks = group_restricted_shortest_paths(&g, &[vec![0, 3]]);
+        let blocks = GroupBlocks::compute(&g, &[vec![0, 3]]);
         assert!((blocks.pair(0, 3) - 3.0).abs() < 1e-12);
     }
 
@@ -666,7 +652,7 @@ mod tests {
         let n = 64;
         let edges: Vec<(usize, usize, f64)> = (0..n - 1).map(|i| (i, i + 1, 1.0)).collect();
         let g = WeightedGraph::from_edges(n, &edges);
-        let blocks = group_restricted_shortest_paths(&g, &[vec![0, 1, 2, 3]]);
+        let blocks = GroupBlocks::compute(&g, &[vec![0, 1, 2, 3]]);
         // Each of the 4 runs stops within distance 3 of its source, so it
         // settles at most 7 path vertices — nowhere near the full 64.
         assert!(blocks.vertices_settled() <= 4 * 7);
@@ -677,7 +663,7 @@ mod tests {
     #[should_panic(expected = "crosses group boundaries")]
     fn group_blocks_panic_on_cross_group_pair() {
         let g = weighted_square();
-        let blocks = group_restricted_shortest_paths(&g, &[vec![0, 3], vec![1, 2]]);
+        let blocks = GroupBlocks::compute(&g, &[vec![0, 3], vec![1, 2]]);
         blocks.pair(0, 1);
     }
 
@@ -685,7 +671,7 @@ mod tests {
     fn pair_distances_trait_agrees_across_backends() {
         let g = weighted_square();
         let apsp = all_pairs_shortest_paths(&g);
-        let rows = shortest_path_rows(&g, &[0, 1, 2, 3]);
+        let rows = SourceRows::compute(&g, &[0, 1, 2, 3]);
         // With every vertex a source, SourceRows covers all pairs and the
         // averaging rule matches the dense matrix exactly.
         for i in 0..4 {

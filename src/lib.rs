@@ -52,13 +52,13 @@ pub mod prelude {
         hac, kmeans, spectral_embedding, KMeansConfig, Linkage, SpectralConfig,
     };
     pub use pfg_core::dbht::{
-        build_hierarchy, build_hierarchy_with, converging_vertices, dbht_for_planar_graph,
-        dbht_for_tmfg, dissimilarity_graph, restricted_distances,
+        build_hierarchy, converging_vertices, dbht_for_planar_graph, dbht_for_tmfg,
+        dissimilarity_graph, restricted_distances,
     };
     pub use pfg_core::{
-        pmfg, pmfg_sequential, pmfg_with_config, tmfg, BatchFreshness, Dbht, DbhtDistanceStats,
-        DbhtDistances, DbhtRunStats, Dendrogram, HacStats, ParTdbht, ParTdbhtResult, Pmfg,
-        PmfgConfig, RoundStats, Tmfg, TmfgConfig, VertexAssignment,
+        pmfg, pmfg_sequential, pmfg_with_config, tmfg, BatchFreshness, Dbht, DbhtDistances,
+        DbhtRunStats, Dendrogram, ParTdbht, ParTdbhtResult, Pmfg, PmfgConfig, RoundStats, Tmfg,
+        TmfgConfig, VertexAssignment,
     };
     pub use pfg_data::{
         correlation_and_dissimilarity, correlation_matrix, correlation_matrix_f32,
@@ -66,9 +66,8 @@ pub mod prelude {
         StockMarketConfig, TileConfig, TimeSeriesConfig, TimeSeriesDataset, SECTORS,
     };
     pub use pfg_graph::{
-        all_pairs_shortest_paths, group_restricted_shortest_paths, shortest_path_rows,
-        DissimilarityView, GroupBlocks, LrScratch, PairDistances, SimilaritySource, SourceRows,
-        SymmetricMatrix, SymmetricMatrixF32, WeightedGraph,
+        all_pairs_shortest_paths, DissimilarityView, GroupBlocks, LrScratch, PairDistances,
+        SimilaritySource, SourceRows, SymmetricMatrix, SymmetricMatrixF32, WeightedGraph,
     };
     pub use pfg_metrics::{adjusted_mutual_information, adjusted_rand_index};
 }

@@ -80,7 +80,7 @@ fn prepare(s: &SymmetricMatrix, prefix: usize) -> Prepared {
     let bubble_graph = direction::direct_tmfg_bubble_tree(&t.bubble_tree, &t.graph);
     let dgraph = dissimilarity_graph(&t.graph, &d);
     let sources = converging_vertices(&bubble_graph);
-    let rows = shortest_path_rows(&dgraph, &sources);
+    let rows = SourceRows::compute(&dgraph, &sources);
     let assignment = assignment::assign_vertices(&t.graph, &bubble_graph, &rows);
     let distances = restricted_distances(&dgraph, rows, &assignment);
     let dense = all_pairs_shortest_paths(&dgraph);
@@ -113,12 +113,12 @@ fn suite_inputs() -> Vec<(String, SymmetricMatrix, usize)> {
 }
 
 /// The hierarchy of one prepared input, planned on a pool of `threads`.
-fn hierarchy_on_pool(p: &Prepared, threads: usize) -> (Dendrogram, HacStats) {
+fn hierarchy_on_pool(p: &Prepared, threads: usize) -> Dendrogram {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .unwrap();
-    pool.install(|| hierarchy::build_hierarchy_with(&p.bubble_graph, &p.assignment, &p.distances))
+    pool.install(|| hierarchy::build_hierarchy(&p.bubble_graph, &p.assignment, &p.distances))
 }
 
 // ---------------------------------------------------------------------------
@@ -129,15 +129,14 @@ fn hierarchy_on_pool(p: &Prepared, threads: usize) -> (Dendrogram, HacStats) {
 fn hac_dendrogram_is_identical_at_every_pool_size() {
     for (name, s, prefix) in suite_inputs() {
         let p = prepare(&s, prefix);
-        let (reference, reference_stats) = hierarchy_on_pool(&p, 1);
+        let reference = hierarchy_on_pool(&p, 1);
         // Every merge is one internal node of a full dendrogram.
-        assert_eq!(reference_stats.merges, s.n() - 1, "{name}");
+        assert_eq!(reference.internal_nodes().count(), s.n() - 1, "{name}");
 
         for threads in [2usize, 8] {
-            let (parallel, stats) = hierarchy_on_pool(&p, threads);
+            let parallel = hierarchy_on_pool(&p, threads);
             // Byte-identical dendrogram: same merge list, same heights.
             assert_eq!(parallel, reference, "{name} at {threads} threads");
-            assert_eq!(stats, reference_stats, "{name}");
             // Same clusters at every cut that the pipeline exposes.
             for k in [2usize, 3, 5] {
                 assert_eq!(
@@ -281,9 +280,9 @@ fn all_equal_weights_yield_one_canonical_dendrogram() {
     // pool size must produce the exact same dendrogram.
     let s = SymmetricMatrix::from_fn(24, |i, j| if i == j { 1.0 } else { 0.5 });
     let p = prepare(&s, 1);
-    let (reference, _) = hierarchy_on_pool(&p, 1);
+    let reference = hierarchy_on_pool(&p, 1);
     for threads in [2usize, 8] {
-        let (parallel, _) = hierarchy_on_pool(&p, threads);
+        let parallel = hierarchy_on_pool(&p, threads);
         assert_eq!(parallel, reference, "{threads} threads");
     }
 }
