@@ -52,6 +52,16 @@ impl Allowlist {
         self.file.allows(Some(rule), rel_path)
     }
 
+    /// The entries whose path prefix starts none of `paths`, written back
+    /// as `<rule> <path-prefix>` (`*` for an every-rule entry).
+    pub fn unmatched(&self, paths: &[String]) -> Vec<String> {
+        self.file
+            .unmatched(paths)
+            .into_iter()
+            .map(|e| format!("{} {}", e.scope.as_deref().unwrap_or("*"), e.prefix))
+            .collect()
+    }
+
     /// Number of entries (for reporting).
     pub fn len(&self) -> usize {
         self.file.len()

@@ -4,12 +4,14 @@
 //!
 //! Defaults: `--root` is the current directory, `--allow` is
 //! `<root>/lint.allow` (a missing allowlist file is treated as empty).
-//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 findings or stale allowlist entries (an entry
+//! whose path prefix matches no scanned `.rs` file), 2 usage or I/O
+//! error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pfg_analysis::{lint_tree, Allowlist};
+use pfg_analysis::{lint_tree, stale_entries, Allowlist};
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
@@ -53,26 +55,37 @@ fn main() -> ExitCode {
         }
     };
 
-    match lint_tree(&root, &allow) {
-        Ok(violations) if violations.is_empty() => {
-            println!(
-                "pfg_lint: clean ({} suppression entries active)",
-                allow.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Ok(violations) => {
-            for v in &violations {
-                println!("{v}");
-            }
-            eprintln!("pfg_lint: {} finding(s)", violations.len());
-            ExitCode::FAILURE
-        }
+    let (violations, stale) = match lint_tree(&root, &allow)
+        .and_then(|violations| Ok((violations, stale_entries(&root, &allow)?)))
+    {
+        Ok(found) => found,
         Err(e) => {
             eprintln!("pfg_lint: I/O error under {}: {e}", root.display());
-            ExitCode::from(2)
+            return ExitCode::from(2);
         }
+    };
+    if violations.is_empty() && stale.is_empty() {
+        println!(
+            "pfg_lint: clean ({} suppression entries active)",
+            allow.len()
+        );
+        return ExitCode::SUCCESS;
     }
+    for v in &violations {
+        println!("{v}");
+    }
+    for entry in &stale {
+        println!(
+            "{}: [stale-allow] entry `{entry}` matches no scanned .rs file",
+            allow_path.display()
+        );
+    }
+    eprintln!(
+        "pfg_lint: {} finding(s), {} stale allowlist entries",
+        violations.len(),
+        stale.len()
+    );
+    ExitCode::FAILURE
 }
 
 fn usage_error(msg: &str) -> ExitCode {

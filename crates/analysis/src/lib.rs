@@ -21,10 +21,11 @@
 //! ```
 //!
 //! Exit code 0 means clean; 1 means findings (printed one per line as
-//! `file:line: [rule] message`); 2 means an I/O error. The dynamic half
-//! of the audit story — the `pfg_racecheck` shadow-write registry and the
-//! executor's chaos mode — lives in `pfg_audit` and the rayon shim; this
-//! crate is the static half.
+//! `file:line: [rule] message`) or stale allowlist entries (entries whose
+//! path prefix matches no scanned file, see [`stale_entries`]); 2 means an
+//! I/O error. The dynamic half of the audit story — the `pfg_racecheck`
+//! shadow-write registry and the executor's chaos mode — lives in
+//! `pfg_audit` and the rayon shim; this crate is the static half.
 
 pub mod allowlist;
 pub mod rules;
@@ -84,6 +85,18 @@ pub fn lint_tree(root: &Path, allow: &Allowlist) -> std::io::Result<Vec<Violatio
     }
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(out)
+}
+
+/// The entries of `allow` whose path prefix matches none of the `.rs`
+/// files under `root`, as `<rule> <path-prefix>`. Such an entry
+/// suppresses nothing; `pfg_lint` fails on it, so an exemption cannot
+/// outlive the file it was written for.
+pub fn stale_entries(root: &Path, allow: &Allowlist) -> std::io::Result<Vec<String>> {
+    let paths: Vec<String> = rust_files(root)?
+        .iter()
+        .map(|path| rel_path(root, path))
+        .collect();
+    Ok(allow.unmatched(&paths))
 }
 
 /// `path` relative to `root`, with forward slashes (allowlist entries and
@@ -223,6 +236,15 @@ mod tests {
     fn good_fixture_is_clean() {
         let v = lint_fixture("good_annotated.rs");
         assert!(v.is_empty(), "unexpected findings: {v:?}");
+    }
+
+    #[test]
+    fn stale_entries_name_prefixes_that_match_no_file() {
+        let allow = Allowlist::parse(
+            "no-wall-clock bad_wall_clock.rs\natomic-ordering gone/atomic.rs\n* good_\n",
+        );
+        let stale = stale_entries(&fixture_dir(), &allow).unwrap();
+        assert_eq!(stale, vec!["atomic-ordering gone/atomic.rs"]);
     }
 
     #[test]

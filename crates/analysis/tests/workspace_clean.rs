@@ -3,11 +3,12 @@
 //! contracts from rotting: any new `unsafe` without a SAFETY note, hash
 //! iteration on a result path, `partial_cmp` comparator, wall-clock read
 //! in algorithm code, or raw thread outside the executor shim fails CI
-//! here with the exact file and line.
+//! here with the exact file and line — and so does an allowlist entry
+//! whose path prefix no longer matches any file.
 
 use std::path::Path;
 
-use pfg_analysis::{lint_tree, Allowlist};
+use pfg_analysis::{lint_tree, stale_entries, Allowlist};
 
 #[test]
 fn workspace_is_lint_clean_under_checked_in_allowlist() {
@@ -37,4 +38,6 @@ fn workspace_is_lint_clean_under_checked_in_allowlist() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+    let stale = stale_entries(&root, &allow).expect("lint sweep succeeds");
+    assert!(stale.is_empty(), "stale lint.allow entries: {stale:?}");
 }

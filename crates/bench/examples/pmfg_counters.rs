@@ -1,11 +1,11 @@
 //! Prints the speculative-test counters and single-run wall times of the
-//! round-based parallel PMFG across batch schedules, next to the
-//! sequential baseline — the tuning table behind `PmfgConfig::default()`.
+//! round-based parallel PMFG, next to the sequential baseline, on
+//! ECG5000-style correlation matrices at three scales.
 //!
 //! Usage: `cargo run --release -p pfg_bench --example pmfg_counters`
 
 use pfg_bench::{BenchDataset, SuiteConfig};
-use pfg_core::{pmfg_sequential, pmfg_with_config, BatchSchedule, PmfgConfig};
+use pfg_core::{pmfg, pmfg_sequential};
 use pfg_data::ucr_catalogue;
 use std::time::Instant;
 
@@ -23,48 +23,28 @@ fn main() {
         let t0 = Instant::now();
         let s = pmfg_sequential(&data.correlation).unwrap();
         let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let mut best = f64::INFINITY;
+        let mut p = None;
+        for _ in 0..5 {
+            let t0 = Instant::now();
+            p = Some(pmfg(&data.correlation).unwrap());
+            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        }
+        let p = p.unwrap();
         println!(
-            "n={} pairs={} seq: examined={} rej={} {:.1}ms",
+            "n={} pairs={} seq: examined={} rej={} {:.1}ms | par: examined={} rounds={} par_rej={} commit_rej={} retests={} tests={} min {:.1}ms",
             data.len(),
             data.len() * (data.len() - 1) / 2,
             s.candidates_examined,
             s.rejections,
-            seq_ms
+            seq_ms,
+            p.candidates_examined,
+            p.rounds,
+            p.parallel_rejections,
+            p.rejections - p.parallel_rejections,
+            p.commit_retests,
+            p.planarity_tests,
+            best
         );
-        for (ib, mb) in [
-            (16, 4096),
-            (16, 512),
-            (16, 256),
-            (32, 256),
-            (32, 128),
-            (64, 128),
-            (64, 256),
-            (128, 512),
-        ] {
-            let config = PmfgConfig {
-                batch: BatchSchedule {
-                    initial: ib,
-                    cap: mb,
-                },
-            };
-            let mut best = f64::INFINITY;
-            let mut p = None;
-            for _ in 0..5 {
-                let t0 = Instant::now();
-                p = Some(pmfg_with_config(&data.correlation, config).unwrap());
-                best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            let p = p.unwrap();
-            println!(
-                "  ({ib:>3},{mb:>5}): examined={} rounds={} par_rej={} commit_rej={} retests={} tests={} min {:.1}ms",
-                p.candidates_examined,
-                p.rounds,
-                p.parallel_rejections,
-                p.rejections - p.parallel_rejections,
-                p.commit_retests,
-                p.planarity_tests,
-                best
-            );
-        }
     }
 }

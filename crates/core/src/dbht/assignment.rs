@@ -7,8 +7,18 @@
 //! converging bubble with the smallest mean shortest-path distance to the
 //! vertices already assigned to it. The second level assigns every vertex
 //! to a bubble via the normalised attachment χ′.
+//!
+//! The paper writes both argmaxes as priority concurrent writes
+//! `WRITE_MAX(v.g, (χ, b))`, one per (bubble, vertex) pair, racing into a
+//! shared cell per vertex. Here every vertex *pulls* instead: it folds the
+//! scores of the bubbles that contain it (the converging ones for χ, all
+//! of them for χ′) under the same priority rule — a larger score wins, an
+//! equal score goes to the smaller bubble id, NaN never wins. Each vertex
+//! is a pure computation over data nobody writes, so the pass needs no
+//! shared cell, lock or atomic, and its result does not depend on thread
+//! scheduling — the same move [`super::direction`] makes for the paper's
+//! `WRITE_ADD`s.
 
-use pfg_primitives::PriorityCell;
 use rayon::prelude::*;
 
 use pfg_graph::{PairDistances, WeightedGraph};
@@ -96,6 +106,22 @@ pub fn chi_prime(graph: &WeightedGraph, bubble: &[usize], v: usize) -> f64 {
     }
 }
 
+/// The `(score, bubble)` pair that wins the priority write
+/// `WRITE_MAX((score, b))` over `bubbles`: starting from
+/// `(−∞, usize::MAX)`, a larger score wins, an equal score goes to the
+/// smaller bubble id, and a NaN score never wins. The winner does not
+/// depend on the order of `bubbles`.
+fn best_bubble(bubbles: impl Iterator<Item = usize>, score: impl Fn(usize) -> f64) -> (f64, usize) {
+    bubbles.fold((f64::NEG_INFINITY, usize::MAX), |best, b| {
+        let s = score(b);
+        if s > best.0 || (s == best.0 && b < best.1) {
+            (s, b)
+        } else {
+            best
+        }
+    })
+}
+
 /// Runs the vertex-assignment phase of the DBHT.
 ///
 /// `shortest_paths` supplies shortest-path distances of the filtered graph
@@ -114,22 +140,25 @@ pub fn assign_vertices<D: PairDistances + Sync>(
     let membership = bubble_graph.bubbles_of_vertices();
 
     // ---- First level: assign vertices inside converging bubbles by χ -----
-    let group_cells: Vec<PriorityCell> = (0..n).map(|_| PriorityCell::neg_infinity()).collect();
-    converging.par_iter().for_each(|&b| {
-        let bubble = bubble_graph.bubble(b);
-        for &v in bubble {
-            let score = chi(graph, bubble, v);
-            group_cells[v].write_max(score, b);
-        }
-    });
+    let mut is_converging = vec![false; bubble_graph.num_bubbles()];
+    for &b in &converging {
+        is_converging[b] = true;
+    }
+    let by_chi: Vec<(f64, usize)> = membership
+        .par_iter()
+        .enumerate()
+        .map(|(v, bubbles)| {
+            let candidates = bubbles.iter().copied().filter(|&b| is_converging[b]);
+            best_bubble(candidates, |b| chi(graph, bubble_graph.bubble(b), v))
+        })
+        .collect();
 
     // V0_b: vertices already assigned to each converging bubble.
     let mut assigned_to: std::collections::HashMap<usize, Vec<usize>> =
         std::collections::HashMap::new();
     let mut group = vec![usize::MAX; n];
-    for v in 0..n {
-        let (score, b) = group_cells[v].load();
-        if score > f64::NEG_INFINITY && b != usize::MAX {
+    for (v, &(score, b)) in by_chi.iter().enumerate() {
+        if score > f64::NEG_INFINITY {
             group[v] = b;
             assigned_to.entry(b).or_default().push(v);
         }
@@ -179,19 +208,13 @@ pub fn assign_vertices<D: PairDistances + Sync>(
     }
 
     // ---- Second level: assign every vertex to a bubble by χ′ -------------
-    let bubble_cells: Vec<PriorityCell> = (0..n).map(|_| PriorityCell::neg_infinity()).collect();
-    (0..bubble_graph.num_bubbles())
-        .into_par_iter()
-        .for_each(|b| {
-            let bubble = bubble_graph.bubble(b);
-            for &v in bubble {
-                let score = chi_prime(graph, bubble, v);
-                bubble_cells[v].write_max(score, b);
-            }
-        });
-    let bubble: Vec<usize> = (0..n)
-        .map(|v| {
-            let (_, b) = bubble_cells[v].load();
+    let bubble: Vec<usize> = membership
+        .par_iter()
+        .enumerate()
+        .map(|(v, bubbles)| {
+            let (_, b) = best_bubble(bubbles.iter().copied(), |b| {
+                chi_prime(graph, bubble_graph.bubble(b), v)
+            });
             debug_assert_ne!(b, usize::MAX, "every vertex lies in at least one bubble");
             b
         })
@@ -276,6 +299,52 @@ mod tests {
         g.add_edge(4, 0, 0.9);
         let bubble = vec![0, 1, 2, 3];
         assert!((chi(&g, &bubble, 4) - 0.9 / 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ties_go_to_the_smaller_bubble_and_nan_never_wins() {
+        // The priority rule itself, on unsorted candidates.
+        assert_eq!(best_bubble([5, 2, 9].into_iter(), |_| 1.0), (1.0, 2));
+        assert_eq!(best_bubble([6, 8].into_iter(), |b| b as f64), (8.0, 8));
+        let nan_at_1 = |b: usize| if b == 1 { f64::NAN } else { 0.5 };
+        assert_eq!(best_bubble([4, 1].into_iter(), nan_at_1), (0.5, 4));
+        assert_eq!(
+            best_bubble([3].into_iter(), |_| f64::NAN),
+            (f64::NEG_INFINITY, usize::MAX)
+        );
+
+        // A 7-vertex TMFG: the 4-clique {0, 1, 2, 3}, then 4 into face
+        // {0, 1, 2}, 5 into {0, 1, 3} and 6 into {0, 1, 5}. Every weight is
+        // 1 except the NaN on (3, 5), which makes χ′ NaN for every vertex
+        // of bubble 0 and χ NaN for vertices 3 and 5 there. With no
+        // directed edges every bubble converges.
+        let bubbles = vec![
+            vec![0, 1, 3, 5],
+            vec![0, 1, 2, 3],
+            vec![0, 1, 2, 4],
+            vec![0, 1, 5, 6],
+        ];
+        let mut g = WeightedGraph::new(7);
+        for (u, v) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
+            g.add_edge(u, v, 1.0);
+        }
+        for (v, face) in [(4, [0, 1, 2]), (5, [0, 1, 3]), (6, [0, 1, 5])] {
+            for u in face {
+                let w = if (u, v) == (3, 5) { f64::NAN } else { 1.0 };
+                g.add_edge(u, v, w);
+            }
+        }
+        let directed = DirectedBubbleGraph::new(bubbles, Vec::new(), 7);
+        // Every vertex wins a finite χ, so no distance is read.
+        let assignment = assign_vertices(&g, &directed, &SymmetricMatrix::zeros(7));
+        // χ′ is 0.25 in every finite bubble. Vertices 0 and 1 tie across
+        // bubbles 1–3 and vertex 2 across bubbles 1 and 2: all take
+        // bubble 1. Vertices 3 and 5 take bubbles 1 and 3 over the NaN
+        // bubble 0, although its id is smaller.
+        assert_eq!(assignment.bubble, vec![1, 1, 1, 1, 2, 3, 3]);
+        // χ is 0.5 wherever it is finite: vertices 0 and 1 take bubble 0
+        // (finite for them), vertices 3 and 5 skip its NaN.
+        assert_eq!(assignment.group, vec![0, 0, 1, 1, 2, 3, 3]);
     }
 
     #[test]

@@ -20,9 +20,6 @@ pub enum CoreError {
     },
     /// The prefix size must be at least 1.
     InvalidPrefix,
-    /// The PMFG batch schedule is invalid: the initial batch must be at
-    /// least 1 and no larger than the maximum batch.
-    InvalidBatch,
     /// The similarity matrix contains a non-finite (NaN or ±∞) entry.
     /// TMFG: NaN gains are never selected by the batch selector, and an
     /// infinity of either sign can produce them (∞ − ∞), so a vertex whose
@@ -62,10 +59,6 @@ impl fmt::Display for CoreError {
                 "similarity matrix is {similarity}x{similarity} but dissimilarity matrix is {dissimilarity}x{dissimilarity}"
             ),
             CoreError::InvalidPrefix => write!(f, "prefix size must be at least 1"),
-            CoreError::InvalidBatch => write!(
-                f,
-                "PMFG batch schedule is invalid: need 1 <= batch.initial <= batch.cap"
-            ),
             CoreError::NonFiniteSimilarity { row, col } => {
                 write!(f, "similarity matrix entry ({row}, {col}) is not finite")
             }
@@ -93,7 +86,6 @@ mod tests {
         };
         assert!(e.to_string().contains("5x5"));
         assert!(CoreError::InvalidPrefix.to_string().contains("prefix"));
-        assert!(CoreError::InvalidBatch.to_string().contains("batch"));
         let e = CoreError::NonFiniteSimilarity { row: 1, col: 3 };
         assert!(e.to_string().contains("(1, 3) is not finite"));
         let e = CoreError::InvalidDissimilarity { u: 0, v: 3 };

@@ -47,7 +47,7 @@ pub mod error;
 pub mod face;
 pub mod pipeline;
 pub mod pmfg;
-pub mod schedule;
+mod schedule;
 pub mod tmfg;
 
 pub use bubble_tree::{Bubble, BubbleTree};
@@ -58,7 +58,6 @@ pub use dendrogram::Dendrogram;
 pub use error::CoreError;
 pub use face::Triangle;
 pub use pipeline::{ParTdbht, ParTdbhtResult, StageTimings};
-pub use pmfg::{pmfg, pmfg_sequential, pmfg_with_config, Pmfg, PmfgConfig};
-pub use schedule::BatchSchedule;
+pub use pmfg::{pmfg, pmfg_sequential, Pmfg};
 pub use tmfg::{tmfg, Tmfg, TmfgConfig};
 pub use tmfg::{BatchFreshness, RoundStats};

@@ -101,33 +101,6 @@ thread_local! {
     static SPECULATIVE_SCRATCH: RefCell<LrScratch> = RefCell::new(LrScratch::new());
 }
 
-/// Configuration of the round-based parallel PMFG ([`pmfg_with_config`]).
-///
-/// The schedule is a function of the input only — never of the thread
-/// count — so the construction (including its counters) is deterministic
-/// across `RAYON_NUM_THREADS`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PmfgConfig {
-    /// The speculative round sizes: `batch.initial` candidates in the
-    /// first round (early rounds accept almost every candidate, and an
-    /// acceptance can dirty later survivors of its round, so small early
-    /// batches waste less work), doubling on rejection-heavy rounds up to
-    /// `batch.cap` (once rejections dominate — the steady state — large
-    /// batches turn almost all tests into final parallel rejections).
-    pub batch: BatchSchedule,
-}
-
-impl Default for PmfgConfig {
-    /// [`BatchSchedule::PMFG_ROUNDS`] — `initial = 32`, `cap = 128`,
-    /// measured on the construction bench; see the schedule's docs for
-    /// the sweep numbers.
-    fn default() -> Self {
-        Self {
-            batch: BatchSchedule::PMFG_ROUNDS,
-        }
-    }
-}
-
 /// Result of PMFG construction.
 #[derive(Debug, Clone)]
 pub struct Pmfg {
@@ -257,7 +230,16 @@ impl<'a, S: SimilaritySource> CandidateStream<'a, S> {
 }
 
 /// Builds the PMFG of the similarity matrix `s` with the round-based
-/// parallel algorithm and the default [`PmfgConfig`].
+/// parallel algorithm.
+///
+/// The speculative rounds follow one fixed schedule: small first rounds
+/// (early rounds accept almost every candidate, and an acceptance can
+/// dirty later survivors of its round, so small batches waste less work),
+/// doubling on rejection-heavy rounds up to a cap (once rejections
+/// dominate, large batches turn almost all tests into final parallel
+/// rejections). The schedule is a function of the input only, never of
+/// the thread count, so the construction and its counters are
+/// deterministic across `RAYON_NUM_THREADS`.
 ///
 /// The constructed graph (edge set, weights, adjacency order) is identical
 /// to [`pmfg_sequential`]'s at every thread count; see the module docs for
@@ -268,20 +250,8 @@ impl<'a, S: SimilaritySource> CandidateStream<'a, S> {
 /// [`CoreError::NonFiniteSimilarity`] if any off-diagonal entry is NaN or
 /// ±∞.
 pub fn pmfg<S: SimilaritySource>(s: &S) -> Result<Pmfg, CoreError> {
-    pmfg_with_config(s, PmfgConfig::default())
-}
-
-/// Builds the PMFG with an explicit batch schedule.
-///
-/// # Errors
-/// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows,
-/// [`CoreError::InvalidBatch`] if `config.batch.initial` is zero or
-/// exceeds `config.batch.cap`, and [`CoreError::NonFiniteSimilarity`] if
-/// any off-diagonal entry is NaN or ±∞.
-pub fn pmfg_with_config<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, CoreError> {
     check_input(s)?;
-    config.batch.validate()?;
-    pmfg_rounds(s, config)
+    Ok(pmfg_rounds(s, BatchSchedule::PMFG_ROUNDS))
 }
 
 /// Rejects inputs below the 4-vertex minimum, and NaN or ±∞ similarities:
@@ -397,15 +367,17 @@ fn decide(
     }
 }
 
-/// The round loop over the lazily sorted candidate stream.
-fn pmfg_rounds<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, CoreError> {
+/// The round loop over the lazily sorted candidate stream, with round
+/// sizes from `schedule`.
+fn pmfg_rounds<S: SimilaritySource>(s: &S, schedule: BatchSchedule) -> Pmfg {
+    debug_assert!(1 <= schedule.initial && schedule.initial <= schedule.cap);
     let n = s.n();
     let mut stream = CandidateStream::new(s);
     let target_edges = 3 * n - 6;
     let mut graph = WeightedGraph::new(n);
     let mut commit_scratch = LrScratch::new();
     let mut dsu = RoundDsu::new(n);
-    let mut batch_size = config.batch.initial;
+    let mut batch_size = schedule.initial;
     let mut candidates_examined = 0;
     let mut rejections = 0;
     let mut rounds = 0;
@@ -485,10 +457,10 @@ fn pmfg_rounds<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, C
         // the batch so the (perfectly parallel, final) rejection tests
         // amortize the round overhead.
         if 2 * round_rejections >= batch_len {
-            batch_size = config.batch.grow(batch_size);
+            batch_size = schedule.grow(batch_size);
         }
     }
-    Ok(Pmfg {
+    Pmfg {
         graph,
         candidates_examined,
         rejections,
@@ -496,7 +468,7 @@ fn pmfg_rounds<S: SimilaritySource>(s: &S, config: PmfgConfig) -> Result<Pmfg, C
         parallel_rejections,
         commit_retests,
         planarity_tests,
-    })
+    }
 }
 
 /// Builds the PMFG one candidate at a time — the paper's sequential
@@ -611,23 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_invalid_batch_config() {
-        let s = SymmetricMatrix::filled(8, 0.5);
-        for batch in [
-            BatchSchedule { initial: 0, cap: 8 },
-            BatchSchedule {
-                initial: 64,
-                cap: 8,
-            },
-        ] {
-            assert!(matches!(
-                pmfg_with_config(&s, PmfgConfig { batch }),
-                Err(CoreError::InvalidBatch)
-            ));
-        }
-    }
-
-    #[test]
     fn pmfg_is_maximal_planar() {
         for n in [5, 10, 20] {
             let s = random_similarity(n, n as u64);
@@ -670,7 +625,7 @@ mod tests {
         // total weight as the TMFG (Figure 7 shows ratios close to 1).
         let s = random_similarity(24, 11);
         let p = pmfg(&s).unwrap();
-        let t = crate::tmfg::tmfg_sequential(&s).unwrap();
+        let t = crate::tmfg::tmfg(&s, crate::tmfg::TmfgConfig::with_prefix(1)).unwrap();
         assert!(p.edge_weight_sum() > 0.9 * t.edge_weight_sum());
     }
 
@@ -761,11 +716,9 @@ mod tests {
                 0.5 + rng.gen_range(0.0..1e-6)
             }
         });
-        let config = PmfgConfig {
-            batch: BatchSchedule {
-                initial: 1024,
-                cap: 1024,
-            },
+        let schedule = BatchSchedule {
+            initial: 1024,
+            cap: 1024,
         };
         let seq = pmfg_sequential(&s).unwrap();
         let mut counters = Vec::new();
@@ -774,7 +727,7 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap()
-                .install(|| pmfg_with_config(&s, config).unwrap());
+                .install(|| pmfg_rounds(&s, schedule));
             assert_eq!(
                 edge_list(&seq),
                 edge_list(&p),
@@ -809,15 +762,15 @@ mod tests {
         // survivor implies an earlier acceptance this round, so every
         // new-rule re-test is an old-rule re-test.)
         let s = random_similarity(60, 7);
-        let config = PmfgConfig::default();
-        let p = pmfg_with_config(&s, config).unwrap();
+        let schedule = BatchSchedule::PMFG_ROUNDS;
+        let p = pmfg_rounds(&s, schedule);
 
         let n = s.n();
         let target = 3 * n - 6;
         let mut stream = CandidateStream::new(&s);
         let mut graph = WeightedGraph::new(n);
         let mut scratch = LrScratch::new();
-        let mut batch_size = config.batch.initial;
+        let mut batch_size = schedule.initial;
         let mut old_retests = 0usize;
         while graph.num_edges() < target {
             let batch: Vec<(u32, u32)> = stream.peek(batch_size).to_vec();
@@ -850,7 +803,7 @@ mod tests {
             }
             stream.consume(batch.len());
             if 2 * round_rejections >= batch.len() {
-                batch_size = config.batch.grow(batch_size);
+                batch_size = schedule.grow(batch_size);
             }
         }
 
@@ -875,7 +828,7 @@ mod tests {
         // only trade speculative work for commit re-validation.
         let s = random_similarity(40, 19);
         let reference = edge_list(&pmfg_sequential(&s).unwrap());
-        for batch in [
+        for schedule in [
             BatchSchedule { initial: 1, cap: 1 },
             BatchSchedule { initial: 3, cap: 7 },
             BatchSchedule {
@@ -883,8 +836,8 @@ mod tests {
                 cap: 4096,
             },
         ] {
-            let p = pmfg_with_config(&s, PmfgConfig { batch }).unwrap();
-            assert_eq!(edge_list(&p), reference, "{batch:?}");
+            let p = pmfg_rounds(&s, schedule);
+            assert_eq!(edge_list(&p), reference, "{schedule:?}");
         }
     }
 

@@ -4,42 +4,40 @@
 //! PMFG rounds, the TMFG gain-cache depth, and the lazy candidate-sort
 //! chunk all follow the same discipline: start small, double on demand,
 //! stop at a cap — but each used to carry its own pair of magic numbers
-//! inline. [`BatchSchedule`] names the pair, documents where each tuned
-//! value came from, and centralises the validation (`1 <= initial <=
-//! cap`) that [`crate::PmfgConfig`] exposes to callers.
+//! inline. [`BatchSchedule`] names the pair and documents where each tuned
+//! value came from. The schedules are fixed constants of the crate, not
+//! caller options.
 //!
 //! A schedule is a *shape*, not a policy: callers decide **when** to grow
 //! (PMFG doubles only on rejection-heavy rounds, the candidate stream on
 //! every refill) — the schedule only answers "from where", "to what", and
 //! "never past what".
 
-use crate::error::CoreError;
-
 /// A doubling batch schedule: start at `initial`, grow by doubling, never
 /// exceed `cap`.
 ///
-/// All three uses are deterministic functions of the input (never of the
-/// thread count), which is what keeps every construction byte-identical
-/// across `RAYON_NUM_THREADS`; see the determinism notes on
-/// [`crate::PmfgConfig`].
+/// Every schedule satisfies `1 <= initial <= cap`. All three uses are
+/// deterministic functions of the input (never of the thread count),
+/// which is what keeps every construction byte-identical across
+/// `RAYON_NUM_THREADS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchSchedule {
+pub(crate) struct BatchSchedule {
     /// First batch size.
-    pub initial: usize,
+    pub(crate) initial: usize,
     /// Upper bound for growth.
-    pub cap: usize,
+    pub(crate) cap: usize,
 }
 
 impl BatchSchedule {
-    /// PMFG speculative round sizes. Measured on the construction bench
-    /// (ECG5000 correlation matrices, n ∈ {100, 250}, 1-core host; see
-    /// the `pmfg_counters` example for the sweep): small early rounds
-    /// waste fewer stale tests while acceptances dominate, the 128 cap
-    /// keeps the speculative tail past maximality short — a 4096 cap
-    /// spends 2333 commit-time re-tests at n = 250 where 128 spends 238
-    /// (pre-conflict-commit counts; the conflict-graph commit removes
-    /// most of the remainder).
-    pub const PMFG_ROUNDS: BatchSchedule = BatchSchedule {
+    /// PMFG speculative round sizes, picked by a schedule sweep on the
+    /// construction bench (ECG5000 correlation matrices, n ∈ {100, 250},
+    /// 1-core host; the `pmfg_counters` example prints the counters at
+    /// this schedule): small early rounds waste fewer stale tests while
+    /// acceptances dominate, the 128 cap keeps the speculative tail past
+    /// maximality short — a 4096 cap spends 2333 commit-time re-tests at
+    /// n = 250 where 128 spends 238 (pre-conflict-commit counts; the
+    /// conflict-graph commit removes most of the remainder).
+    pub(crate) const PMFG_ROUNDS: BatchSchedule = BatchSchedule {
         initial: 32,
         cap: 128,
     };
@@ -53,7 +51,7 @@ impl BatchSchedule {
     /// because within a round a face's cache only shrinks by entries
     /// *stolen* by other faces (≤ prefix − 1 of them) and deeper lists
     /// just cost memory and insert time.
-    pub const TMFG_CACHE_DEPTH: BatchSchedule = BatchSchedule {
+    pub(crate) const TMFG_CACHE_DEPTH: BatchSchedule = BatchSchedule {
         initial: 4,
         cap: 32,
     };
@@ -64,32 +62,20 @@ impl BatchSchedule {
     /// construction that consumes deep into the pair list pays
     /// `O(log)` refills, uncapped because the pair list itself is the
     /// only bound.
-    pub const CANDIDATE_CHUNK: BatchSchedule = BatchSchedule {
+    pub(crate) const CANDIDATE_CHUNK: BatchSchedule = BatchSchedule {
         initial: 1024,
         cap: usize::MAX,
     };
 
-    /// Validates the shape: a schedule must be able to produce a first
-    /// batch (`initial >= 1`) and must not start past its cap.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::InvalidBatch`] otherwise.
-    pub fn validate(&self) -> Result<(), CoreError> {
-        if self.initial == 0 || self.initial > self.cap {
-            return Err(CoreError::InvalidBatch);
-        }
-        Ok(())
-    }
-
     /// The next batch size after `current`: doubled, saturating, capped.
-    pub fn grow(&self, current: usize) -> usize {
+    pub(crate) fn grow(&self, current: usize) -> usize {
         current.saturating_mul(2).min(self.cap)
     }
 
     /// Clamps a caller-derived starting size into the schedule's range —
     /// how the candidate stream seeds its first chunk from the acceptance
     /// target and the gain table its depth from the insertion prefix.
-    pub fn clamp(&self, value: usize) -> usize {
+    pub(crate) fn clamp(&self, value: usize) -> usize {
         value.clamp(self.initial, self.cap)
     }
 }
@@ -105,17 +91,7 @@ mod tests {
             BatchSchedule::TMFG_CACHE_DEPTH,
             BatchSchedule::CANDIDATE_CHUNK,
         ] {
-            s.validate().unwrap();
-        }
-    }
-
-    #[test]
-    fn validate_rejects_degenerate_shapes() {
-        for s in [
-            BatchSchedule { initial: 0, cap: 8 },
-            BatchSchedule { initial: 9, cap: 8 },
-        ] {
-            assert!(matches!(s.validate(), Err(CoreError::InvalidBatch)));
+            assert!(1 <= s.initial && s.initial <= s.cap, "{s:?}");
         }
     }
 

@@ -226,11 +226,6 @@ pub fn tmfg<S: SimilaritySource>(s: &S, config: TmfgConfig) -> Result<Tmfg, Core
     Ok(Builder::new(s, config).run())
 }
 
-/// Builds the sequential TMFG (equivalent to `prefix = 1`).
-pub fn tmfg_sequential<S: SimilaritySource>(s: &S) -> Result<Tmfg, CoreError> {
-    tmfg(s, TmfgConfig::with_prefix(1))
-}
-
 /// A face's key in the [`Selector`]: a drawn `(face, vertex, gain)`
 /// candidate, or a stale face's bound.
 ///
@@ -940,7 +935,7 @@ mod tests {
     #[test]
     fn four_vertices_is_just_the_clique() {
         let s = SymmetricMatrix::filled(4, 0.5);
-        let t = tmfg_sequential(&s).unwrap();
+        let t = tmfg(&s, TmfgConfig::with_prefix(1)).unwrap();
         assert_eq!(t.graph.num_edges(), 6);
         assert_eq!(t.bubble_tree.len(), 1);
         assert_eq!(t.rounds, 0);
@@ -953,7 +948,7 @@ mod tests {
         // Figure 13(a)-(d): with PREFIX = 1 the algorithm starts from the
         // clique {0,1,3,4}, inserts 5 into {0,3,4} and then 2 into {0,4,5}.
         let s = appendix_matrix();
-        let t = tmfg_sequential(&s).unwrap();
+        let t = tmfg(&s, TmfgConfig::with_prefix(1)).unwrap();
         let mut clique = t.initial_clique;
         clique.sort_unstable();
         assert_eq!(clique, [0, 1, 3, 4]);
@@ -993,7 +988,7 @@ mod tests {
         // face, and the counters record it.
         let s = appendix_matrix();
         let batched = tmfg(&s, TmfgConfig::with_prefix(3)).unwrap();
-        let sequential = tmfg_sequential(&s).unwrap();
+        let sequential = tmfg(&s, TmfgConfig::with_prefix(1)).unwrap();
         assert_eq!(batched.rounds, 1);
         assert_eq!(batched.total_reassigned(), 1);
         let batched_pairs: Vec<(usize, Triangle)> = batched
@@ -1033,7 +1028,7 @@ mod tests {
     #[test]
     fn edge_weights_come_from_similarity_matrix() {
         let s = random_similarity(25, 7);
-        let t = tmfg_sequential(&s).unwrap();
+        let t = tmfg(&s, TmfgConfig::with_prefix(1)).unwrap();
         for (u, v, w) in t.graph.edges() {
             assert!((w - s.get(u, v)).abs() < 1e-12);
         }
@@ -1045,7 +1040,7 @@ mod tests {
         // available at that time; in particular gains of later insertions
         // can exceed earlier ones only if enabled by newly created faces.
         let s = random_similarity(20, 3);
-        let t = tmfg_sequential(&s).unwrap();
+        let t = tmfg(&s, TmfgConfig::with_prefix(1)).unwrap();
         assert_eq!(t.rounds, 16);
         for ins in &t.insertions {
             assert!(ins.gain.is_finite());
@@ -1361,7 +1356,7 @@ mod tests {
     #[test]
     fn initial_clique_has_highest_row_sums() {
         let s = random_similarity(30, 9);
-        let t = tmfg_sequential(&s).unwrap();
+        let t = tmfg(&s, TmfgConfig::with_prefix(1)).unwrap();
         let sums = s.row_sums();
         let min_clique_sum = t
             .initial_clique

@@ -58,12 +58,12 @@ use pfg_graph::SimilaritySource;
 use crate::face::Triangle;
 use crate::schedule::BatchSchedule;
 
-/// Smallest per-face candidate cache depth
-/// ([`BatchSchedule::TMFG_CACHE_DEPTH`]`.initial`).
+/// Smallest per-face candidate cache depth (the initial size of the
+/// crate's TMFG cache-depth schedule).
 pub const MIN_CACHE_DEPTH: usize = BatchSchedule::TMFG_CACHE_DEPTH.initial;
 
-/// Largest per-face candidate cache depth
-/// ([`BatchSchedule::TMFG_CACHE_DEPTH`]`.cap`). Deeper caches make
+/// Largest per-face candidate cache depth (the cap of the crate's TMFG
+/// cache-depth schedule). Deeper caches make
 /// mid-round conflict refills cheaper and drain less often, but every face
 /// refresh pays O(depth) per candidate hit; 32 keeps the memory and
 /// refresh cost trivial while making full rescans rare even for large

@@ -120,24 +120,6 @@ impl SymmetricMatrix {
         self.row(i).iter().sum()
     }
 
-    /// Row sums for every row, computed in parallel.
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.n)
-            .into_par_iter()
-            .map(|i| self.row_sum(i))
-            .collect()
-    }
-
-    /// Indices of the `k` rows with the largest row sums, in decreasing
-    /// order of row sum (ties broken by smaller index).
-    pub fn top_rows_by_sum(&self, k: usize) -> Vec<usize> {
-        let sums = self.row_sums();
-        let mut idx: Vec<usize> = (0..self.n).collect();
-        idx.sort_by(|&a, &b| sums[b].total_cmp(&sums[a]).then(a.cmp(&b)));
-        idx.truncate(k);
-        idx
-    }
-
     /// Applies `f` to every entry, returning a new matrix. Used e.g. to turn
     /// a correlation matrix into the dissimilarity `sqrt(2(1 − p))`. The
     /// parallel map and the collect fuse into a single pass over the data.
@@ -233,6 +215,7 @@ impl SymmetricMatrixF32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::similarity::SimilaritySource;
 
     #[test]
     fn set_keeps_symmetry() {

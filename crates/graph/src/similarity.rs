@@ -80,14 +80,6 @@ impl SimilaritySource for SymmetricMatrix {
     fn row_sum(&self, i: usize) -> f64 {
         SymmetricMatrix::row_sum(self, i)
     }
-
-    fn row_sums(&self) -> Vec<f64> {
-        SymmetricMatrix::row_sums(self)
-    }
-
-    fn top_rows_by_sum(&self, k: usize) -> Vec<usize> {
-        SymmetricMatrix::top_rows_by_sum(self, k)
-    }
 }
 
 impl SimilaritySource for SymmetricMatrixF32 {

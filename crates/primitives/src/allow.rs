@@ -86,6 +86,15 @@ impl AllowFile {
         })
     }
 
+    /// The entries whose prefix starts none of `keys`: entries that allow
+    /// nothing there.
+    pub fn unmatched(&self, keys: &[String]) -> Vec<&AllowEntry> {
+        self.entries
+            .iter()
+            .filter(|e| !keys.iter().any(|k| k.starts_with(e.prefix.as_str())))
+            .collect()
+    }
+
     /// Number of entries (for reporting).
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -1,40 +1,26 @@
-//! Parallel primitives used throughout the parallel filtered-graph algorithms.
+//! Shared low-level pieces of the parallel filtered-graph algorithms.
 //!
-//! This crate implements the primitives of Table I of *Parallel Filtered
-//! Graphs for Hierarchical Clustering* (Yu & Shun, ICDE 2023):
+//! * [`par_sort_unstable_by`] — the parallel comparison sort of Table I of
+//!   *Parallel Filtered Graphs for Hierarchical Clustering* (Yu & Shun,
+//!   ICDE 2023), which sorts the PMFG's candidate edges. It runs on
+//!   rayon's fork–join API: under the offline shim a persistent worker
+//!   pool, with registry rayon the randomized work-stealing scheduler.
+//! * [`allow`] — the line discipline of the checked-in allow files
+//!   (`lint.allow`, `bench.allow`).
+//! * Re-exports of the disjoint-write audit types from `pfg_audit`.
 //!
-//! * [`par_filter`] — parallel filter preserving input order,
-//! * [`par_sort_by`] / [`par_sort_unstable_by`] — parallel comparison sorts,
-//! * [`par_max_by_key`] / [`par_max_index`] — parallel maximum,
-//! * [`AtomicF64`] with [`AtomicF64::write_min`], [`AtomicF64::write_max`],
-//!   and [`AtomicF64::write_add`] — the `WRITE_MIN` / `WRITE_MAX` /
-//!   `WRITE_ADD` priority concurrent writes,
-//! * [`PriorityCell`] — a keyed priority write cell used for the vertex
-//!   assignment writes of Algorithm 4 (e.g. `WRITE_MAX(v.g, (χ, b))`).
-//!
-//! All parallel operations are built on rayon's fork–join API, which
-//! matches the work–span model used in the paper. Under the offline shim
-//! this means a persistent worker pool with lazily fused adapters (one
-//! fork–join round per primitive call, no per-call thread spawning); with
-//! registry rayon it is the randomized work-stealing scheduler — the
-//! primitives are source-compatible with both.
+//! Table I's other primitives have no helper here. The pipeline's
+//! filters, maxima and sums are plain rayon adapters at their call sites,
+//! and its priority concurrent writes (`WRITE_MAX`, `WRITE_ADD`) are
+//! per-vertex or per-bubble pulls with a fixed operand order (see
+//! `pfg_core::dbht::assignment` and `pfg_core::dbht::direction`), so no
+//! result depends on thread scheduling.
 
 pub mod allow;
-pub mod atomic;
 pub mod par;
 
 pub use allow::{AllowEntry, AllowFile};
-pub use atomic::{AtomicF64, PriorityCell};
-pub use par::{
-    par_filter, par_max_by_key, par_max_index, par_min_index, par_sort_by, par_sort_unstable_by,
-    par_sum_f64,
-};
-
-/// Re-export of rayon so downstream crates can build thread pools for the
-/// scalability experiments without an extra direct dependency.
-/// `rayon::ThreadPool::install` scopes all parallel work of a closure —
-/// including the primitives in this crate — onto a caller-owned pool.
-pub use rayon;
+pub use par::par_sort_unstable_by;
 
 /// Re-export of the shadow-write audit crate: [`SendPtr`] is the one
 /// shared raw-pointer wrapper for disjoint-write parallel kernels, and
@@ -52,11 +38,13 @@ mod tests {
 
     #[test]
     fn smoke_reexports() {
-        let v = vec![3_i64, 1, 4, 1, 5];
-        let evens = par_filter(&v, |x| *x % 2 == 0);
-        assert_eq!(evens, vec![4]);
-        let cell = AtomicF64::new(0.0);
-        cell.write_add(1.5);
-        assert!((cell.load() - 1.5).abs() < 1e-12);
+        let mut v = vec![3_i64, 1, 4, 1, 5];
+        par_sort_unstable_by(&mut v, |a, b| b.cmp(a));
+        assert_eq!(v, vec![5, 4, 3, 1, 1]);
+        let allow = AllowFile::parse_prefixes("primitives/sort\n");
+        assert!(allow.allows(None, "primitives/sort/100000"));
+        let mut out = [0_u32; 2];
+        let ptr = SendPtr::new(out.as_mut_ptr());
+        assert_eq!(ptr.get(), out.as_mut_ptr());
     }
 }

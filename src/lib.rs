@@ -14,8 +14,8 @@
 //! * [`core`] ([`pfg_core`]) — TMFG, PMFG, bubble trees, DBHT, dendrograms;
 //! * [`graph`] ([`pfg_graph`]) — matrices, weighted graphs, shortest paths,
 //!   planarity testing;
-//! * [`primitives`] ([`pfg_primitives`]) — parallel primitives and priority
-//!   concurrent writes;
+//! * [`primitives`] ([`pfg_primitives`]) — the parallel sort, the
+//!   allow-file parser and the disjoint-write audit types;
 //! * [`baselines`] ([`pfg_baselines`]) — COMP/AVG linkage, k-means,
 //!   spectral embedding;
 //! * [`data`] ([`pfg_data`]) — synthetic UCR-like time series and the stock
@@ -56,9 +56,8 @@ pub mod prelude {
         dissimilarity_graph, restricted_distances,
     };
     pub use pfg_core::{
-        pmfg, pmfg_sequential, pmfg_with_config, tmfg, BatchFreshness, Dbht, DbhtDistances,
-        DbhtRunStats, Dendrogram, ParTdbht, ParTdbhtResult, Pmfg, PmfgConfig, RoundStats, Tmfg,
-        TmfgConfig, VertexAssignment,
+        pmfg, pmfg_sequential, tmfg, BatchFreshness, Dbht, DbhtDistances, DbhtRunStats, Dendrogram,
+        ParTdbht, ParTdbhtResult, Pmfg, RoundStats, Tmfg, TmfgConfig, VertexAssignment,
     };
     pub use pfg_data::{
         correlation_and_dissimilarity, correlation_matrix, correlation_matrix_f32,

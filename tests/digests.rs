@@ -23,8 +23,9 @@ use par_filtered_graph_clustering::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// `(run, outputs, counters)`, pinned before the pull-based DBHT
-/// assignment replaced the per-vertex priority-write cells.
+/// `(run, outputs, counters)`, one line per run, as the failure message
+/// prints them.
+#[rustfmt::skip]
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("uniform-120/tdbht-p1", 0x58da2cb454570446, 0xded27e2c37c0bc2d),
     ("uniform-120/tdbht-p10", 0x5fc9ee10cf988179, 0xd685e3b29483e75e),
