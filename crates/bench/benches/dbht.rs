@@ -1,6 +1,6 @@
-//! DBHT stage benchmarks: the dense APSP baseline against the restricted
-//! (demand-driven) distance build, direction + assignment, and the
-//! hierarchy step (Figure 5's categories).
+//! DBHT stage benchmarks: the full APSP baseline (`SourceRows` with every
+//! vertex a source) against the restricted (demand-driven) distance build,
+//! direction + assignment, and the hierarchy step (Figure 5's categories).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pfg_bench::{BenchDataset, SuiteConfig};
@@ -10,7 +10,7 @@ use pfg_core::dbht::{
 };
 use pfg_core::{tmfg, TmfgConfig};
 use pfg_data::ucr_catalogue;
-use pfg_graph::{all_pairs_shortest_paths, SourceRows};
+use pfg_graph::SourceRows;
 use std::hint::black_box;
 
 fn bench_dbht_stages(c: &mut Criterion) {
@@ -32,11 +32,12 @@ fn bench_dbht_stages(c: &mut Criterion) {
     let rows = SourceRows::compute(&dgraph, &sources);
     let assigned = assignment::assign_vertices(&t.graph, &directed, &rows);
     let distances = restricted_distances(&dgraph, rows.clone(), &assigned);
+    let all: Vec<usize> = (0..dgraph.num_vertices()).collect();
 
     let mut group = c.benchmark_group("dbht");
     group.sample_size(10);
     group.bench_function("apsp_full", |b| {
-        b.iter(|| black_box(all_pairs_shortest_paths(&dgraph)))
+        b.iter(|| black_box(SourceRows::compute(&dgraph, &all)))
     });
     group.bench_function("apsp_restricted", |b| {
         b.iter(|| {

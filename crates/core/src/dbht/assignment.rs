@@ -128,7 +128,7 @@ fn best_bubble(bubbles: impl Iterator<Item = usize>, score: impl Fn(usize) -> f6
 /// under the dissimilarity edge weights. Every read is anchored at a
 /// vertex of a converging bubble, so the demand-driven
 /// [`pfg_graph::SourceRows`] over the converging-bubble vertices suffices
-/// — the full APSP matrix also works and gives the same assignment.
+/// — rows from every vertex (the full APSP) give the same assignment.
 pub fn assign_vertices<D: PairDistances + Sync>(
     graph: &WeightedGraph,
     bubble_graph: &DirectedBubbleGraph,
@@ -236,7 +236,7 @@ mod tests {
     use super::*;
     use crate::dbht::direction::direct_tmfg_bubble_tree;
     use crate::tmfg::{tmfg, TmfgConfig};
-    use pfg_graph::{all_pairs_shortest_paths, SymmetricMatrix};
+    use pfg_graph::{SourceRows, SymmetricMatrix};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -268,7 +268,8 @@ mod tests {
         for (u, v, _) in t.graph.edges() {
             dgraph.add_edge(u, v, d.get(u, v));
         }
-        let spd = all_pairs_shortest_paths(&dgraph);
+        let all: Vec<usize> = (0..s.n()).collect();
+        let spd = SourceRows::compute(&dgraph, &all);
         let assignment = assign_vertices(&t.graph, &directed, &spd);
         (assignment, directed)
     }

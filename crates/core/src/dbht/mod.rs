@@ -22,8 +22,10 @@
 //! — full Dijkstra rows for the converging-bubble vertices (which is all
 //! the assignment phase reads) plus dense intra-group blocks (which is all
 //! the hierarchy reads within groups) — cutting the distance output to
-//! `O(Σ group² + |conv|·n)`. [`DbhtRunStats`] reports how much of the
-//! dense matrix that actually was.
+//! `O(Σ group² + |conv|·n)`. [`DbhtRunStats`] reports what fraction of
+//! `n²` that actually was. Both parts run the one Dijkstra engine of
+//! [`pfg_graph::shortest_paths`]; the full APSP, where a test or bench
+//! needs it, is [`SourceRows`] with every vertex a source.
 //!
 //! One private function, `run_back_half`, runs this stage sequence —
 //! direction, checked edge lengths, source rows, assignment, group blocks,

@@ -58,25 +58,13 @@ use pfg_graph::SimilaritySource;
 use crate::face::Triangle;
 use crate::schedule::BatchSchedule;
 
-/// Smallest per-face candidate cache depth (the initial size of the
-/// crate's TMFG cache-depth schedule).
-pub const MIN_CACHE_DEPTH: usize = BatchSchedule::TMFG_CACHE_DEPTH.initial;
-
-/// Largest per-face candidate cache depth (the cap of the crate's TMFG
-/// cache-depth schedule). Deeper caches make
-/// mid-round conflict refills cheaper and drain less often, but every face
-/// refresh pays O(depth) per candidate hit; 32 keeps the memory and
-/// refresh cost trivial while making full rescans rare even for large
-/// prefixes.
-pub const MAX_CACHE_DEPTH: usize = BatchSchedule::TMFG_CACHE_DEPTH.cap;
-
 /// A freshly computed per-face candidate list (decreasing gain) and
 /// whether it was truncated at the cache depth.
-pub type CandidateList = (Vec<(usize, f64)>, bool);
+pub(crate) type CandidateList = (Vec<(usize, f64)>, bool);
 
 /// Result of asking a face for its next still-available candidate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NextBest {
+pub(crate) enum NextBest {
     /// The next candidate, with the list position it was found at (pass
     /// `pos + 1` as `from` on the next call for this face).
     Found {
@@ -101,7 +89,7 @@ pub enum NextBest {
 /// Per-face candidate bookkeeping for the faces of the graph under
 /// construction.
 #[derive(Debug, Clone)]
-pub struct GainTable {
+pub(crate) struct GainTable {
     /// Cache depth: how many candidates each refresh retains per face.
     depth: usize,
     /// `lists[f]` is face `f`'s candidate list from its last refresh, in
@@ -123,11 +111,11 @@ pub struct GainTable {
 impl GainTable {
     /// Creates an empty table for a graph on `num_vertices` vertices whose
     /// construction inserts up to `prefix` vertices per round. The cache
-    /// depth scales with the prefix (clamped to
-    /// [`MIN_CACHE_DEPTH`]..=[`MAX_CACHE_DEPTH`]) because a round can steal
+    /// depth scales with the prefix (clamped into
+    /// [`BatchSchedule::TMFG_CACHE_DEPTH`], 4..=32) because a round can steal
     /// at most `prefix − 1` of a face's top candidates before the face is
     /// asked for another.
-    pub fn new(num_vertices: usize, prefix: usize) -> Self {
+    pub(crate) fn new(num_vertices: usize, prefix: usize) -> Self {
         Self {
             depth: BatchSchedule::TMFG_CACHE_DEPTH.clamp(prefix),
             lists: Vec::new(),
@@ -137,19 +125,14 @@ impl GainTable {
         }
     }
 
-    /// Number of faces tracked (active or not).
-    pub fn num_faces(&self) -> usize {
-        self.lists.len()
-    }
-
     /// The per-face candidate cache depth.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.depth
     }
 
     /// Registers a new face id; its candidate list starts empty (install
     /// one with [`GainTable::install`]).
-    pub fn push_face(&mut self) -> usize {
+    pub(crate) fn push_face(&mut self) -> usize {
         self.lists.push(Vec::new());
         self.cursor.push(0);
         self.truncated.push(false);
@@ -161,7 +144,7 @@ impl GainTable {
     /// an upper bound, because gains never change. `None` for a drained
     /// face (see [`GainTable::stale_bound`]).
     #[inline]
-    pub fn head(&self, face: usize) -> Option<(usize, f64)> {
+    pub(crate) fn head(&self, face: usize) -> Option<(usize, f64)> {
         self.lists[face].get(self.cursor[face]).copied()
     }
 
@@ -169,14 +152,8 @@ impl GainTable {
     /// [`GainTable::next_best`] as the starting point of a round-local
     /// walk).
     #[inline]
-    pub fn head_pos(&self, face: usize) -> usize {
+    pub(crate) fn head_pos(&self, face: usize) -> usize {
         self.cursor[face]
-    }
-
-    /// Whether the face's cached list was truncated at its last refresh.
-    #[inline]
-    pub fn is_truncated(&self, face: usize) -> bool {
-        self.truncated[face]
     }
 
     /// The upper bound a *stale* face — one whose truncated list drained —
@@ -187,7 +164,7 @@ impl GainTable {
     /// face has a head, or if its drained list held every candidate (the
     /// face has none left).
     #[inline]
-    pub fn stale_bound(&self, face: usize) -> Option<f64> {
+    pub(crate) fn stale_bound(&self, face: usize) -> Option<f64> {
         let list = &self.lists[face];
         if self.cursor[face] < list.len() || !self.truncated[face] {
             return None;
@@ -196,15 +173,15 @@ impl GainTable {
     }
 
     /// Faces whose recorded head may be `v` (possibly stale).
-    #[inline]
-    pub fn faces_possibly_best_for(&self, v: usize) -> &[usize] {
+    #[cfg(test)]
+    pub(crate) fn faces_possibly_best_for(&self, v: usize) -> &[usize] {
         &self.faces_of_best[v]
     }
 
     /// Walks face `face`'s cached list from position `from`, skipping
     /// vertices that are no longer `remaining` or are `taken` by the
     /// current round, and returns the first available candidate.
-    pub fn next_best(
+    pub(crate) fn next_best(
         &self,
         face: usize,
         from: usize,
@@ -231,7 +208,7 @@ impl GainTable {
     /// Installs a freshly computed candidate list for `face` (see
     /// [`GainTable::compute_candidates`]) and registers the face under its
     /// head vertex in the reverse index.
-    pub fn install(&mut self, face: usize, list: Vec<(usize, f64)>, truncated: bool) {
+    pub(crate) fn install(&mut self, face: usize, list: Vec<(usize, f64)>, truncated: bool) {
         if let Some(&(head, _)) = list.first() {
             self.faces_of_best[head].push(face);
         }
@@ -248,7 +225,7 @@ impl GainTable {
     /// not rescanned here: it goes stale and keeps its bound. Stale
     /// registrations — faces that are no longer active or whose head moved
     /// on — are dropped, which keeps the reverse index O(faces).
-    pub fn on_vertex_inserted(
+    pub(crate) fn on_vertex_inserted(
         &mut self,
         v: usize,
         remaining: &[bool],
@@ -284,7 +261,7 @@ impl GainTable {
     /// sum into `+0.0` and leaves every other value bitwise unchanged, so
     /// `>=` and `total_cmp` rank every gain alike.
     #[inline]
-    pub fn gain_of<S: SimilaritySource>(s: &S, triangle: Triangle, vertex: usize) -> f64 {
+    pub(crate) fn gain_of<S: SimilaritySource>(s: &S, triangle: Triangle, vertex: usize) -> f64 {
         let [a, b, c] = triangle.corners();
         s.get(a, vertex) + s.get(b, vertex) + s.get(c, vertex) + 0.0
     }
@@ -294,7 +271,7 @@ impl GainTable {
     /// gain order (ties towards the smaller vertex id). Returns the list
     /// and whether it was truncated (more than `depth` candidates
     /// remained). NaN gains are skipped.
-    pub fn compute_candidates<S: SimilaritySource>(
+    pub(crate) fn compute_candidates<S: SimilaritySource>(
         s: &S,
         triangle: Triangle,
         pool: &[usize],
@@ -348,7 +325,7 @@ impl GainTable {
     /// `partition_point` insert) is the same code shape as
     /// [`GainTable::compute_candidates`], so each returned list is exactly
     /// what a standalone refresh of that child would have produced.
-    pub fn compute_candidates_for_children<S: SimilaritySource>(
+    pub(crate) fn compute_candidates_for_children<S: SimilaritySource>(
         s: &S,
         parent: Triangle,
         vertex: usize,
@@ -402,7 +379,7 @@ impl GainTable {
     /// fallback when a truncated cached list runs dry mid-round. Ties break
     /// towards the smaller vertex id; NaN gains never win. Returns
     /// `(vertex, gain)` or `None`.
-    pub fn rescan_excluding<S: SimilaritySource>(
+    pub(crate) fn rescan_excluding<S: SimilaritySource>(
         s: &S,
         triangle: Triangle,
         pool: &[usize],
@@ -428,8 +405,9 @@ impl GainTable {
 
     /// Scans `pool` for the single best vertex to insert into `triangle`.
     /// Equivalent to [`GainTable::rescan_excluding`] with an empty `taken`
-    /// set.
-    pub fn best_for_face<S: SimilaritySource>(
+    /// set; the tests' uncached reference.
+    #[cfg(test)]
+    pub(crate) fn best_for_face<S: SimilaritySource>(
         s: &S,
         triangle: Triangle,
         pool: &[usize],
@@ -686,8 +664,8 @@ mod tests {
     fn drained_truncated_list_requests_rescan() {
         let s = SymmetricMatrix::filled(8, 0.5);
         let t = Triangle::new(0, 1, 2);
-        let mut table = GainTable::new(8, 1); // depth clamps to MIN_CACHE_DEPTH
-        assert_eq!(table.depth(), MIN_CACHE_DEPTH);
+        let mut table = GainTable::new(8, 1); // depth clamps to the schedule's initial 4
+        assert_eq!(table.depth(), BatchSchedule::TMFG_CACHE_DEPTH.initial);
         let f = table.push_face();
         let mut remaining = vec![true; 8];
         for slot in remaining.iter_mut().take(3) {

@@ -12,7 +12,7 @@
 //! the draw with its next-best remaining vertex, so conflicts shrink
 //! neither the batch nor the candidate pool — each round inserts exactly
 //! `min(PREFIX, |remaining|, |active faces|)` vertices. The per-face
-//! candidate lists are maintained lazily (see [`GainTable`]): newly
+//! candidate lists are maintained lazily by the private gain table: newly
 //! created faces are scanned every round, three per insertion off one
 //! fused scan of the remaining pool, while a face whose truncated list ran
 //! dry keeps its last gain as an upper bound and is rescanned only when
@@ -27,7 +27,6 @@ mod builder;
 mod gains;
 
 pub use builder::{tmfg, BatchFreshness, Insertion, RoundStats, Tmfg, TmfgConfig};
-pub use gains::{CandidateList, GainTable, NextBest, MAX_CACHE_DEPTH, MIN_CACHE_DEPTH};
 
 /// Asserts the conflict-aware selector's defining invariant on the
 /// insertion trace: each round inserted exactly

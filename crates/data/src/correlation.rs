@@ -4,14 +4,14 @@
 //! # Kernel layout
 //!
 //! All series are z-normalised once (centred, unit norm) into a single
-//! flat row-major buffer `Z` ([`ZProfile`]); every pairwise correlation is
-//! then the dot product `ρ(i, j) = Z[i] · Z[j]`, i.e. `C = Z · Zᵀ`. The
-//! kernel walks the upper triangle of `C` tile by tile: the tile pairs
-//! `(I, J)` with `I ≤ J` of a `T × T` blocking are distributed over
-//! threads, and each tile pair computes the entries `{(i, j) : i ∈ I,
-//! j ∈ J, i ≤ j}` with a register-blocked microkernel — for a fixed row
-//! `i`, four columns `j..j+4` share one pass over `k`, each pair keeping
-//! its own accumulator. Both mirrored positions `(i, j)` and `(j, i)` of
+//! flat row-major buffer `Z` (a private `ZProfile`); every pairwise
+//! correlation is then the dot product `ρ(i, j) = Z[i] · Z[j]`, i.e.
+//! `C = Z · Zᵀ`. The kernel walks the upper triangle of `C` tile by
+//! tile: the tile pairs `(I, J)` with `I ≤ J` of a `T × T` blocking are
+//! distributed over threads, and each tile pair computes the entries
+//! `{(i, j) : i ∈ I, j ∈ J, i ≤ j}` with a register-blocked microkernel —
+//! for a fixed row `i`, four columns `j..j+4` share one pass over `k`,
+//! each pair keeping its own accumulator. Both mirrored positions `(i, j)` and `(j, i)` of
 //! the flat output buffer are written from the single computed value, so
 //! there is no separate symmetrise pass and no `Vec<Vec<f64>>`
 //! intermediate: peak intermediate allocation is the `n · L` profile
@@ -31,7 +31,7 @@
 //! multiplication is commutative, and `0.5 * (x + x) == x` exactly).
 //! Differential tests in this module assert the equality.
 
-use pfg_graph::{SymmetricMatrix, SymmetricMatrixF32};
+use pfg_graph::{dissimilarity, SymmetricMatrix, SymmetricMatrixF32};
 use pfg_primitives::{DisjointWriteAudit, SendPtr};
 use rayon::prelude::*;
 
@@ -73,8 +73,7 @@ pub struct CorrelationKernelStats {
 /// flat row-major buffer holding each series centred and scaled to unit
 /// norm (all-zero row for constant series), so every pairwise correlation
 /// is a plain dot product.
-#[derive(Debug, Clone)]
-pub struct ZProfile {
+struct ZProfile {
     n: usize,
     len: usize,
     data: Vec<f64>,
@@ -85,7 +84,7 @@ impl ZProfile {
     /// not all have the same length (the tiled kernel requires a
     /// rectangular profile; ragged input falls back to the reference
     /// kernel).
-    pub fn build(series: &[Vec<f64>]) -> Option<Self> {
+    fn build(series: &[Vec<f64>]) -> Option<Self> {
         let n = series.len();
         let len = series.first().map_or(0, |s| s.len());
         if series.iter().any(|s| s.len() != len) {
@@ -100,40 +99,13 @@ impl ZProfile {
         Some(Self { n, len, data })
     }
 
-    /// Number of series.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Uniform series length.
-    #[inline]
-    pub fn series_len(&self) -> usize {
-        self.len
-    }
-
     #[inline]
     fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.len..(i + 1) * self.len]
     }
 
-    /// The correlation `ρ(i, j)` as the kernel computes it: in-order dot
-    /// product of the two profile rows, clamped to `[-1, 1]`; `1.0` on
-    /// the diagonal.
-    pub fn correlation(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return 1.0;
-        }
-        self.row(i)
-            .iter()
-            .zip(self.row(j).iter())
-            .map(|(&x, &y)| x * y)
-            .sum::<f64>()
-            .clamp(-1.0, 1.0)
-    }
-
     /// Heap footprint of the profile buffer in bytes.
-    pub fn memory_bytes(&self) -> usize {
+    fn memory_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<f64>()
     }
 }
@@ -155,29 +127,6 @@ fn z_normalize_into(s: &[f64], out: &mut [f64]) {
             *o /= norm;
         }
     }
-}
-
-/// Pearson correlation coefficient between two equal-length series.
-/// Returns 0 when either series has zero variance.
-///
-/// Shares the z-normalise-and-dot definition with the matrix kernel, so
-/// the scalar and matrix paths agree on one definition of the statistic.
-pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    if a.is_empty() {
-        return 0.0;
-    }
-    let mut za = vec![0.0; a.len()];
-    let mut zb = vec![0.0; b.len()];
-    z_normalize_into(a, &mut za);
-    z_normalize_into(b, &mut zb);
-    // A zero-variance series normalises to the zero row, making the dot
-    // product exactly 0.0.
-    za.iter()
-        .zip(zb.iter())
-        .map(|(&x, &y)| x * y)
-        .sum::<f64>()
-        .clamp(-1.0, 1.0)
 }
 
 /// Stores `v` at the mirrored positions `(i, j)` and `(j, i)` of the flat
@@ -309,7 +258,7 @@ pub fn correlation_matrix_with(
 }
 
 /// The tiled kernel over an existing profile.
-pub fn correlation_from_profile(
+fn correlation_from_profile(
     z: &ZProfile,
     config: TileConfig,
 ) -> (SymmetricMatrix, CorrelationKernelStats) {
@@ -351,30 +300,9 @@ pub fn correlation_matrix_f32(
     (SymmetricMatrixF32::from_symmetrized(n, data), stats)
 }
 
-/// The fused path for callers that only need the dissimilarity
-/// `d = sqrt(2 (1 − ρ))`: one kernel pass, never holding the correlation
-/// matrix.
-///
-/// # Panics
-/// Panics if the series do not all have the same length.
-pub fn dissimilarity_matrix(series: &[Vec<f64>]) -> SymmetricMatrix {
-    let z = ZProfile::build(series).expect("tiled kernel requires uniform-length series");
-    let n = z.n;
-    let mut data = vec![0.0f64; n * n];
-    let ptr = SendPtr::new(data.as_mut_ptr());
-    let audit = DisjointWriteAudit::cells("dissimilarity matrix", n * n);
-    // SAFETY: as in `correlation_from_profile` — n·n buffer, one emit per
-    // unordered pair.
-    for_each_pair(&z, TileConfig::default().tile, |i, j, rho| unsafe {
-        let d = (2.0 * (1.0 - rho)).max(0.0).sqrt();
-        write_sym(ptr, &audit, n, i, j, d);
-    });
-    SymmetricMatrix::from_symmetrized(n, data)
-}
-
 /// The fused path for callers that need *both* matrices: one kernel pass
-/// writes the correlation and its derived dissimilarity together, instead
-/// of materialising the correlation and re-mapping it.
+/// writes the correlation and its [`dissimilarity`] together, instead of
+/// materialising the correlation and re-mapping it.
 ///
 /// # Panics
 /// Panics if the series do not all have the same length.
@@ -391,9 +319,8 @@ pub fn correlation_and_dissimilarity(
     let daudit = DisjointWriteAudit::cells("fused dissimilarity matrix", n * n);
     // SAFETY: as in `correlation_from_profile`, independently per buffer.
     let tiles = for_each_pair(&z, TileConfig::default().tile, |i, j, rho| unsafe {
-        let d = (2.0 * (1.0 - rho)).max(0.0).sqrt();
         write_sym(cptr, &caudit, n, i, j, rho);
-        write_sym(dptr, &daudit, n, i, j, d);
+        write_sym(dptr, &daudit, n, i, j, dissimilarity(rho));
     });
     let mut stats = base_stats(&z, TileConfig::default().tile, tiles);
     stats.output_bytes = 2 * n * n * std::mem::size_of::<f64>();
@@ -457,11 +384,11 @@ pub fn correlation_matrix_reference(series: &[Vec<f64>]) -> SymmetricMatrix {
     m
 }
 
-/// The dissimilarity `d = sqrt(2 (1 − p))` used by the paper for the
-/// shortest-path computations. For z-normalised series this equals the
-/// Euclidean distance between them (up to scale).
+/// The [`dissimilarity`] `d = sqrt(2 (1 − p))` of every entry, used by
+/// the paper for the shortest-path computations. For z-normalised series
+/// this equals the Euclidean distance between them (up to scale).
 pub fn dissimilarity_from_correlation(correlation: &SymmetricMatrix) -> SymmetricMatrix {
-    correlation.map(|p| (2.0 * (1.0 - p)).max(0.0).sqrt())
+    correlation.map(dissimilarity)
 }
 
 #[cfg(test)]
@@ -486,51 +413,48 @@ mod tests {
             .collect()
     }
 
+    /// The correlation of two series, read off the two-series matrix.
+    fn correlation_of(a: &[f64], b: &[f64]) -> f64 {
+        correlation_matrix(&[a.to_vec(), b.to_vec()]).get(0, 1)
+    }
+
+    /// The textbook Pearson coefficient `cov(a, b) / (σ_a σ_b)`, computed
+    /// without the kernel's z-normalisation.
+    fn textbook_pearson(a: &[f64], b: &[f64]) -> f64 {
+        let len = a.len() as f64;
+        let (ma, mb) = (a.iter().sum::<f64>() / len, b.iter().sum::<f64>() / len);
+        let cov: f64 = a.iter().zip(b).map(|(x, y)| (x - ma) * (y - mb)).sum();
+        let va: f64 = a.iter().map(|x| (x - ma) * (x - ma)).sum();
+        let vb: f64 = b.iter().map(|y| (y - mb) * (y - mb)).sum();
+        cov / (va * vb).sqrt()
+    }
+
     #[test]
     fn pearson_of_identical_series_is_one() {
         let a = vec![1.0, 2.0, 3.0, 4.0];
-        assert!((pearson(&a, &a) - 1.0).abs() < 1e-12);
+        assert!((correlation_of(&a, &a) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn pearson_of_negated_series_is_minus_one() {
         let a = vec![1.0, 2.0, 3.0, 4.0];
         let b: Vec<f64> = a.iter().map(|x| -x).collect();
-        assert!((pearson(&a, &b) + 1.0).abs() < 1e-12);
+        assert!((correlation_of(&a, &b) + 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn pearson_is_shift_and_scale_invariant() {
         let a = vec![1.0, 5.0, 2.0, 8.0, 3.0];
         let b: Vec<f64> = a.iter().map(|x| 3.0 * x + 10.0).collect();
-        assert!((pearson(&a, &b) - 1.0).abs() < 1e-12);
+        assert!((correlation_of(&a, &b) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn constant_series_has_zero_correlation() {
         let a = vec![2.0; 5];
         let b = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(pearson(&a, &b), 0.0);
-    }
-
-    #[test]
-    fn pearson_matches_matrix_kernel_definition() {
-        let series = synthetic_series(6, 31, 5);
-        let z = ZProfile::build(&series).unwrap();
-        for i in 0..6 {
-            for j in 0..6 {
-                if i == j {
-                    // The matrix kernel pins the diagonal at exactly 1.
-                    assert!((pearson(&series[i], &series[j]) - 1.0).abs() < 1e-12);
-                } else {
-                    assert_eq!(
-                        pearson(&series[i], &series[j]).to_bits(),
-                        z.correlation(i, j).to_bits(),
-                        "({i},{j})"
-                    );
-                }
-            }
-        }
+        assert_eq!(correlation_of(&a, &b), 0.0);
+        assert_eq!(correlation_of(&b, &a), 0.0);
     }
 
     #[test]
@@ -544,7 +468,8 @@ mod tests {
         for i in 0..3 {
             assert!((m.get(i, i) - 1.0).abs() < 1e-12);
             for j in 0..3 {
-                assert!((m.get(i, j) - pearson(&series[i], &series[j])).abs() < 1e-9);
+                let want = textbook_pearson(&series[i], &series[j]);
+                assert!((m.get(i, j) - want).abs() < 1e-9, "({i},{j})");
             }
         }
     }
@@ -640,10 +565,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         for (a, b) in diss.as_slice().iter().zip(mapped.as_slice().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let only = dissimilarity_matrix(&series);
-        for (a, b) in only.as_slice().iter().zip(mapped.as_slice().iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(stats.output_bytes, 2 * 33 * 33 * 8);

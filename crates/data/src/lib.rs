@@ -25,10 +25,9 @@ pub mod time_series;
 pub mod ucr;
 
 pub use correlation::{
-    correlation_and_dissimilarity, correlation_from_profile, correlation_matrix,
-    correlation_matrix_f32, correlation_matrix_reference, correlation_matrix_with,
-    dissimilarity_from_correlation, dissimilarity_matrix, pearson, CorrelationKernelStats,
-    TileConfig, ZProfile,
+    correlation_and_dissimilarity, correlation_matrix, correlation_matrix_f32,
+    correlation_matrix_reference, correlation_matrix_with, dissimilarity_from_correlation,
+    CorrelationKernelStats, TileConfig,
 };
 pub use stocks::{StockMarket, StockMarketConfig, SECTORS};
 pub use time_series::{TimeSeriesConfig, TimeSeriesDataset};

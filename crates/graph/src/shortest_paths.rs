@@ -1,33 +1,39 @@
-//! Dijkstra single-source shortest paths, parallel all-pairs shortest
-//! paths, and demand-driven restricted shortest paths over the sparse
-//! filtered graphs.
+//! Demand-driven shortest paths over the sparse filtered graphs.
 //!
-//! APSP over the dissimilarity-weighted TMFG is the dominant cost of the
-//! DBHT (§VI): the paper runs Dijkstra from every source in parallel, which
-//! is exactly what [`all_pairs_shortest_paths`] does — every source's
-//! distance row is written *directly into the result matrix's own row*
-//! (`par_chunks_mut` hands each task a disjoint row), and the matrix is
-//! then symmetrised in place, also in parallel. Peak memory is one `n²`
-//! buffer plus per-source Dijkstra scratch; the previous implementation
-//! materialised per-source row `Vec`s, copied them into an `n²` flat
-//! buffer, and symmetrised into a third `n²` allocation (~3n² peak), which
-//! was the memory high-water mark of the whole DBHT pipeline. Row tasks
-//! are uneven on irregular graphs; the executor's work stealing keeps one
-//! expensive source from gating the round.
+//! The DBHT needs shortest paths over the dissimilarity-weighted filtered
+//! graph (Algorithm 4, line 7); the paper runs one Dijkstra per source in
+//! parallel (§VI). The DBHT, however, never reads most of the `n²`
+//! entries: the hierarchy consumes distances *within* each first-level
+//! group plus a handful of rows anchored at the converging bubbles. Two
+//! stores compute exactly those distances:
 //!
-//! The DBHT, however, never reads most of those `n²` entries: the
-//! hierarchy consumes distances *within* each first-level group plus a
-//! handful of rows anchored at the converging bubbles. The demand-driven
-//! pair — [`SourceRows::compute`] (full rows for a chosen source set) and
-//! [`GroupBlocks::compute`] (per-group dense blocks via Dijkstras that
-//! stop as soon as the whole group is settled) — computes
-//! exactly those distances, cutting the output from `n²` to
-//! `O(Σ group² + |sources|·n)` and the work from `n` full Dijkstras to
-//! mostly-early-terminated ones.
+//! * [`SourceRows::compute`] — full rows for a chosen source set, each
+//!   Dijkstra writing straight into its own output row;
+//! * [`GroupBlocks::compute`] — per-group dense blocks, each Dijkstra
+//!   stopping as soon as its whole group is settled.
+//!
+//! That cuts the output from `n²` to `O(Σ group² + |sources|·n)` and the
+//! work from `n` full Dijkstras to mostly early-terminated ones. With every
+//! vertex a source, [`SourceRows`] *is* the dense all-pairs matrix.
+//!
+//! Both stores run the one private Dijkstra. A run settles vertices in the
+//! same order whether or not it stops early, so a settled vertex's
+//! distance is bitwise the same in a full row and in an early-terminated
+//! block. Each source run is a pool job (`with_max_len(1)`); the
+//! executor's work stealing keeps one expensive source from gating the
+//! round.
+//!
+//! Both stores also average the two directed runs of a pair whose
+//! endpoints were both sources, `0.5 * (forward + backward)`. The graph is
+//! undirected, but the two runs add the same path's lengths in opposite
+//! orders (or pick different paths of equal length), so they can differ in
+//! the last bits. The average makes `pair(u, v) == pair(v, u)` bitwise,
+//! which keeps complete linkage independent of argument order, and
+//! because both stores apply the same rule, a pair served by both gets the
+//! same bits from either.
 
 use crate::matrix::SymmetricMatrix;
 use crate::weighted_graph::WeightedGraph;
-use pfg_primitives::{DisjointWriteAudit, SendPtr};
 use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -60,26 +66,28 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Dijkstra shortest-path distances from `source` using edge weights as
-/// (non-negative) lengths. Unreachable vertices get `f64::INFINITY`.
+/// Dijkstra from `source` over the (non-negative) edge weights, writing
+/// into `dist`, a row of length `num_vertices` whose every entry is
+/// overwritten; unreached vertices get `f64::INFINITY`.
 ///
-/// # Panics
-/// Debug-asserts that edge weights are non-negative.
-pub fn dijkstra(graph: &WeightedGraph, source: usize) -> Vec<f64> {
-    let mut dist = vec![f64::INFINITY; graph.num_vertices()];
-    dijkstra_into(graph, source, &mut dist);
-    dist
-}
-
-/// [`dijkstra`] writing into a caller-provided row of length
-/// `num_vertices` (every entry is overwritten), so all-pairs callers can
-/// fill one flat matrix without a per-source allocation.
-fn dijkstra_into(graph: &WeightedGraph, source: usize, dist: &mut [f64]) {
+/// Without `targets` the run goes to exhaustion. With
+/// `Some((is_target, count))` it stops as soon as all `count` flagged
+/// vertices are settled; the other entries are then only tentative, so
+/// callers read targets only. Returns the number of vertices settled, the
+/// work measure behind [`GroupBlocks::vertices_settled`].
+fn dijkstra(
+    graph: &WeightedGraph,
+    source: usize,
+    targets: Option<(&[bool], usize)>,
+    dist: &mut [f64],
+) -> usize {
     let n = graph.num_vertices();
     debug_assert_eq!(dist.len(), n);
     dist.fill(f64::INFINITY);
     let mut done = vec![false; n];
     let mut heap = BinaryHeap::with_capacity(n);
+    let mut settled = 0usize;
+    let mut targets_left = targets.map_or(0, |(_, count)| count);
     dist[source] = 0.0;
     heap.push(HeapEntry {
         dist: 0.0,
@@ -90,6 +98,15 @@ fn dijkstra_into(graph: &WeightedGraph, source: usize, dist: &mut [f64]) {
             continue;
         }
         done[u] = true;
+        settled += 1;
+        if let Some((is_target, _)) = targets {
+            if is_target[u] {
+                targets_left -= 1;
+                if targets_left == 0 {
+                    break;
+                }
+            }
+        }
         for &(v, w) in graph.neighbors(u) {
             debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
             let candidate = d + w;
@@ -102,11 +119,28 @@ fn dijkstra_into(graph: &WeightedGraph, source: usize, dist: &mut [f64]) {
             }
         }
     }
+    settled
 }
 
-/// Read access to pairwise distances, implemented both by the dense
-/// [`SymmetricMatrix`] APSP output and by the restricted (demand-driven)
-/// stores, so distance consumers can run on either.
+/// The mirrored-pair rule both stores share: `rows` holds one run of
+/// length `width` per source, and `col(i)` is source `i`'s column in
+/// them. For every pair of sources `a < b`, the run from `a` to `b` and
+/// the run from `b` to `a` are replaced by `0.5 * (forward + backward)`.
+fn average_mirrored_pairs(rows: &mut [f64], width: usize, col: impl Fn(usize) -> usize) {
+    let count = rows.len().checked_div(width).unwrap_or(0);
+    for a in 0..count {
+        for b in (a + 1)..count {
+            let (forward, backward) = (a * width + col(b), b * width + col(a));
+            let avg = 0.5 * (rows[forward] + rows[backward]);
+            rows[forward] = avg;
+            rows[backward] = avg;
+        }
+    }
+}
+
+/// Read access to pairwise distances, implemented by a dense
+/// [`SymmetricMatrix`] and by the demand-driven stores, so distance
+/// consumers can run on either.
 ///
 /// Implementations must be symmetric (`pair(u, v) == pair(v, u)`) and
 /// return `0.0` on the diagonal, but may panic for pairs outside their
@@ -133,69 +167,18 @@ impl PairDistances for SymmetricMatrix {
     }
 }
 
-/// [`dijkstra_into`] that stops as soon as every flagged target has been
-/// settled (popped with a final distance). Returns the number of vertices
-/// settled before the stop — the honest work measure for the restricted
-/// APSP counters. Distances of unsettled vertices are a valid lower bound
-/// but are only *final* for settled ones; callers must read targets only.
-fn dijkstra_targets_into(
-    graph: &WeightedGraph,
-    source: usize,
-    is_target: &[bool],
-    targets_total: usize,
-    dist: &mut [f64],
-) -> usize {
-    let n = graph.num_vertices();
-    debug_assert_eq!(dist.len(), n);
-    debug_assert_eq!(is_target.len(), n);
-    dist.fill(f64::INFINITY);
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::with_capacity(n);
-    let mut settled = 0usize;
-    let mut targets_left = targets_total;
-    dist[source] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        vertex: source,
-    });
-    while let Some(HeapEntry { dist: d, vertex: u }) = heap.pop() {
-        if done[u] {
-            continue;
-        }
-        done[u] = true;
-        settled += 1;
-        if is_target[u] {
-            targets_left -= 1;
-            if targets_left == 0 {
-                break;
-            }
-        }
-        for &(v, w) in graph.neighbors(u) {
-            debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
-            let candidate = d + w;
-            if candidate < dist[v] {
-                dist[v] = candidate;
-                heap.push(HeapEntry {
-                    dist: candidate,
-                    vertex: v,
-                });
-            }
-        }
-    }
-    settled
-}
-
 /// Full shortest-path rows for a chosen set of source vertices: the
 /// demand-driven replacement for the `|sources| ≪ n` slice of the APSP
 /// matrix (the DBHT needs full rows only for converging-bubble vertices).
 ///
-/// Rows are computed by one [`dijkstra`] per source, in parallel, and
-/// entries between two sources are averaged (exactly like
-/// [`all_pairs_shortest_paths`] symmetrises) so [`SourceRows::pair`] is
-/// symmetric wherever both directions were computed. For a source/non-
-/// source pair only the source-anchored direction exists; it is returned
-/// as-is, which can differ from the dense matrix in the last floating-
-/// point bits (same path, opposite accumulation order).
+/// Rows come from one Dijkstra per source, in parallel, and entries
+/// between two sources average both directed runs (see the module docs),
+/// so [`SourceRows::pair`] is symmetric wherever both directions were
+/// computed. For a source/non-source pair only the source-anchored
+/// direction exists; it is returned as-is, which can differ in the last
+/// bits from the averaged entry of a store where both endpoints are
+/// sources. With every vertex a source, this is the dense all-pairs
+/// matrix.
 #[derive(Debug, Clone)]
 pub struct SourceRows {
     n: usize,
@@ -221,35 +204,23 @@ impl SourceRows {
             row_of[s] = i;
         }
         let mut rows = vec![0.0f64; sources.len() * n];
-        {
-            let sources = &sources;
-            rows.par_chunks_mut(n)
-                .with_max_len(1)
-                .enumerate()
-                .for_each(|(i, row)| dijkstra_into(graph, sources[i], row));
-        }
-        // Symmetrise the source×source entries the way the dense APSP
-        // does, so downstream comparisons between restricted and full
-        // distances agree bitwise on those pairs. Writer owns the smaller
-        // source index; entries are disjoint.
-        let mut out = Self {
+        // `with_max_len(1)`: each row is a whole Dijkstra run, so declare
+        // it heavy — without the hint the executor's cheap-item heuristic
+        // would run small source sets entirely inline. `n.max(1)` keeps
+        // the chunk size valid on an empty graph.
+        rows.par_chunks_mut(n.max(1))
+            .with_max_len(1)
+            .enumerate()
+            .for_each(|(i, row)| {
+                dijkstra(graph, sources[i], None, row);
+            });
+        average_mirrored_pairs(&mut rows, n, |i| sources[i]);
+        Self {
             n,
             sources,
             row_of,
             rows,
-        };
-        let m = out.sources.len();
-        for a in 0..m {
-            for b in (a + 1)..m {
-                let (u, v) = (out.sources[a], out.sources[b]);
-                let forward = out.rows[a * n + v];
-                let backward = out.rows[b * n + u];
-                let avg = 0.5 * (forward + backward);
-                out.rows[a * n + v] = avg;
-                out.rows[b * n + u] = avg;
-            }
         }
-        out
     }
 
     /// Number of vertices of the underlying graph.
@@ -313,9 +284,10 @@ impl PairDistances for SourceRows {
 /// per member (the run stops once the entire group is settled). Paths may
 /// leave the group; only the *output* is restricted.
 ///
-/// Each block is symmetrised exactly like [`all_pairs_shortest_paths`]
-/// (both directions averaged), so block entries are bitwise equal to the
-/// dense matrix's entries for the same pairs.
+/// Each block averages both directed runs of every member pair, the rule
+/// [`SourceRows`] applies to source pairs, so block entries are bitwise
+/// equal to the entries of [`SourceRows`] over all vertices (the dense
+/// matrix) for the same pairs.
 #[derive(Debug, Clone)]
 pub struct GroupBlocks {
     /// Sorted member list per group.
@@ -373,8 +345,7 @@ impl GroupBlocks {
                     .enumerate()
                     .map(|(li, row)| {
                         let mut dist = vec![f64::INFINITY; n];
-                        let settled =
-                            dijkstra_targets_into(graph, g_ref[li], is_target, m, &mut dist);
+                        let settled = dijkstra(graph, g_ref[li], Some((is_target, m)), &mut dist);
                         for (lj, &t) in g_ref.iter().enumerate() {
                             row[lj] = dist[t];
                         }
@@ -383,15 +354,7 @@ impl GroupBlocks {
                     .collect()
             };
             settled_total += settled_rows.iter().sum::<usize>();
-            // Symmetrise within the block (average both directions, the
-            // dense-APSP rule).
-            for a in 0..m {
-                for b in (a + 1)..m {
-                    let avg = 0.5 * (block[a * m + b] + block[b * m + a]);
-                    block[a * m + b] = avg;
-                    block[b * m + a] = avg;
-                }
-            }
+            average_mirrored_pairs(&mut block, m, |i| i);
             blocks.push(block);
         }
         Self {
@@ -455,77 +418,6 @@ impl PairDistances for GroupBlocks {
     }
 }
 
-/// All-pairs shortest paths: runs [`dijkstra`] from every vertex in
-/// parallel, writing each source's distances straight into the matching
-/// row of one flat `n²` buffer, then symmetrises that buffer in place (in
-/// parallel) and hands it to the matrix without copying.
-pub fn all_pairs_shortest_paths(graph: &WeightedGraph) -> SymmetricMatrix {
-    let n = graph.num_vertices();
-    let mut data = vec![0.0f64; n * n];
-    if n > 0 {
-        // Each source row is a safe `par_chunks_mut` chunk, but the
-        // row-per-source ownership claim is part of the workspace's
-        // audited disjoint-write inventory, so it registers like the raw-
-        // pointer paths (checked under `--cfg pfg_racecheck`, free
-        // otherwise).
-        let audit = DisjointWriteAudit::ranges("apsp rows");
-        let audit = &audit;
-        // `with_max_len(1)`: each item is a whole Dijkstra run, so
-        // declare it heavy — without the hint the executor's cheap-item
-        // heuristic would run sub-512-vertex graphs entirely inline.
-        data.par_chunks_mut(n)
-            .with_max_len(1)
-            .enumerate()
-            .for_each(|(source, row)| {
-                let _claim = audit.claim_range(source * n, (source + 1) * n);
-                dijkstra_into(graph, source, row);
-            });
-        // The graph is undirected so the matrix is symmetric up to
-        // floating point associativity; symmetrise explicitly to make
-        // downstream consumers (complete linkage) independent of
-        // traversal order.
-        symmetrize_in_place(&mut data, n);
-    }
-    SymmetricMatrix::from_symmetrized(n, data)
-}
-
-/// Averages `data[i][j]` and `data[j][i]` into both entries, in parallel.
-///
-/// Each task owns row index `i` and writes the pair `(i, j)`/`(j, i)` for
-/// every `j > i`: element `(r, c)` is written only by the task for
-/// `min(r, c)`, so all writes are disjoint even though they cross row
-/// boundaries — which is why this goes through a raw pointer rather than
-/// `par_chunks_mut` (no safe row partition covers a transpose-pair write
-/// pattern). Upper rows carry more pairs than lower ones; the executor's
-/// stealing balances that skew.
-fn symmetrize_in_place(data: &mut [f64], n: usize) {
-    debug_assert_eq!(data.len(), n * n);
-    let mat = SendPtr::new(data.as_mut_ptr());
-    // Off-diagonal cells are each written exactly once (owner = min
-    // index); the registry pins that claim under `--cfg pfg_racecheck`.
-    let audit = DisjointWriteAudit::cells("apsp symmetrize", n * n);
-    let audit = &audit;
-    // Row `i` carries `n - i - 1` pairs, so the work is heavily skewed;
-    // small leaves (and stealing) keep the early heavy rows from gating
-    // the round, and the hint keeps small `n` parallel at all.
-    (0..n).into_par_iter().with_max_len(16).for_each(|i| {
-        for j in (i + 1)..n {
-            audit.write_once(i * n + j);
-            audit.write_once(j * n + i);
-            // SAFETY: `(i, j)` with `i < j` is visited by exactly this
-            // task (owner = min index), the borrow of `data` outlives the
-            // parallel round, and both indices are < n².
-            unsafe {
-                let upper = mat.get().add(i * n + j);
-                let lower = mat.get().add(j * n + i);
-                let v = 0.5 * (*upper + *lower);
-                *upper = v;
-                *lower = v;
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,10 +431,16 @@ mod tests {
         WeightedGraph::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 4.0)])
     }
 
+    /// Every vertex of `g`, as a source set or a single group.
+    fn all_vertices(g: &WeightedGraph) -> Vec<usize> {
+        (0..g.num_vertices()).collect()
+    }
+
     #[test]
     fn dijkstra_prefers_longer_hop_path_with_smaller_weight() {
         let g = weighted_square();
-        let d = dijkstra(&g, 0);
+        let rows = SourceRows::compute(&g, &[0]);
+        let d = rows.row(0);
         assert_eq!(d[0], 0.0);
         assert_eq!(d[1], 1.0);
         assert_eq!(d[2], 2.0);
@@ -553,45 +451,140 @@ mod tests {
     fn dijkstra_unreachable_is_infinite() {
         let mut g = WeightedGraph::new(3);
         g.add_edge(0, 1, 1.0);
-        let d = dijkstra(&g, 0);
-        assert!(d[2].is_infinite());
+        let rows = SourceRows::compute(&g, &[0]);
+        assert!(rows.row(0)[2].is_infinite());
     }
 
-    #[test]
-    fn apsp_matches_per_source_dijkstra() {
-        let g = weighted_square();
-        let apsp = all_pairs_shortest_paths(&g);
-        for s in 0..4 {
-            let d = dijkstra(&g, s);
-            for (t, &dt) in d.iter().enumerate() {
-                assert!((apsp.get(s, t) - dt).abs() < 1e-12);
+    /// Floyd–Warshall over the adjacency lists: an all-pairs oracle that
+    /// shares no code with the Dijkstra engine. Row-major `n × n`.
+    fn floyd_warshall(g: &WeightedGraph) -> Vec<f64> {
+        let n = g.num_vertices();
+        let mut d = vec![f64::INFINITY; n * n];
+        for u in 0..n {
+            d[u * n + u] = 0.0;
+            for &(v, w) in g.neighbors(u) {
+                d[u * n + v] = d[u * n + v].min(w);
             }
         }
-    }
-
-    #[test]
-    fn apsp_is_symmetric_with_zero_diagonal() {
-        let g = weighted_square();
-        let apsp = all_pairs_shortest_paths(&g);
-        for i in 0..4 {
-            assert_eq!(apsp.get(i, i), 0.0);
-            for j in 0..4 {
-                assert_eq!(apsp.get(i, j), apsp.get(j, i));
-            }
-        }
-    }
-
-    #[test]
-    fn apsp_satisfies_triangle_inequality() {
-        let g = weighted_square();
-        let apsp = all_pairs_shortest_paths(&g);
-        for i in 0..4 {
-            for j in 0..4 {
-                for k in 0..4 {
-                    assert!(apsp.get(i, j) <= apsp.get(i, k) + apsp.get(k, j) + 1e-12);
+        for k in 0..n {
+            for i in 0..n {
+                let dik = d[i * n + k];
+                for j in 0..n {
+                    let through = dik + d[k * n + j];
+                    if through < d[i * n + j] {
+                        d[i * n + j] = through;
+                    }
                 }
             }
         }
+        d
+    }
+
+    /// A seeded sparse graph on `n` vertices in two connected pieces, the
+    /// first `3n/4` vertices and the rest, with no edge between them. A
+    /// quarter of the weights are 0, a quarter exactly 1 (many
+    /// equal-length paths), the rest uniform in `[0, 2)`. Also returns
+    /// the piece boundary.
+    fn random_sparse_graph(n: usize, seed: u64) -> (WeightedGraph, usize) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state >> 11
+        };
+        let split = (3 * n / 4).max(1).min(n);
+        let mut g = WeightedGraph::new(n);
+        let mut pairs = Vec::new();
+        // A random spanning tree on each piece, then extra edges.
+        for (lo, hi) in [(0, split), (split, n)] {
+            for v in (lo + 1)..hi {
+                pairs.push((lo + next() as usize % (v - lo), v));
+            }
+            for _ in lo..hi {
+                let (u, v) = (next() as usize % (hi - lo), next() as usize % (hi - lo));
+                pairs.push((lo + u, lo + v));
+            }
+        }
+        for (u, v) in pairs {
+            if u != v && !g.has_edge(u, v) {
+                let w = match next() % 4 {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => 2.0 * (next() as f64 / (1u64 << 53) as f64),
+                };
+                g.add_edge(u, v, w);
+            }
+        }
+        (g, split)
+    }
+
+    /// `got` equals the oracle's `want` within 1e-12 relative; infinite
+    /// exactly when `want` is.
+    fn assert_close(got: f64, want: f64, what: &str) {
+        if want.is_infinite() {
+            assert!(got.is_infinite(), "{what}: {got} vs ∞");
+        } else {
+            assert!(
+                (got - want).abs() <= 1e-12 * want,
+                "{what}: {got} vs {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn stores_match_floyd_warshall_on_random_sparse_graphs() {
+        for n in [1usize, 2, 5, 17, 32, 40] {
+            for seed in 1..=4u64 {
+                let (g, split) = random_sparse_graph(n, seed);
+                let oracle = floyd_warshall(&g);
+                let all = all_vertices(&g);
+                let rows = SourceRows::compute(&g, &all);
+                for u in 0..n {
+                    assert_eq!(rows.pair(u, u), 0.0);
+                    for v in 0..n {
+                        let want = oracle[u * n + v];
+                        let what = format!("n={n} seed={seed} rows ({u}, {v})");
+                        assert_eq!(want.is_infinite(), (u < split) != (v < split), "{what}");
+                        let got = rows.row(u)[v];
+                        assert_close(got, want, &what);
+                        assert_eq!(got.to_bits(), rows.row(v)[u].to_bits(), "{what}");
+                    }
+                }
+                // Runs of consecutive ids make compact groups whose runs stop
+                // early; residues mod 3 straddle both pieces, so their runs
+                // never settle every target and keep infinite entries.
+                let by_range: Vec<Vec<usize>> = all.chunks(3).map(|c| c.to_vec()).collect();
+                let by_residue: Vec<Vec<usize>> = (0..3)
+                    .map(|r| all.iter().copied().filter(|v| v % 3 == r).collect())
+                    .collect();
+                for groups in [by_range, by_residue] {
+                    let blocks = GroupBlocks::compute(&g, &groups);
+                    for u in 0..n {
+                        assert_eq!(blocks.pair(u, u), 0.0);
+                        for v in (0..n).filter(|&v| blocks.same_group(u, v)) {
+                            let what = format!("n={n} seed={seed} blocks ({u}, {v})");
+                            let got = blocks.pair(u, v);
+                            assert_close(got, oracle[u * n + v], &what);
+                            assert_eq!(got.to_bits(), blocks.pair(v, u).to_bits(), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stores_are_empty_on_an_empty_graph() {
+        let g = WeightedGraph::new(0);
+        let rows = SourceRows::compute(&g, &[]);
+        assert_eq!(rows.num_vertices(), 0);
+        assert!(rows.sources().is_empty());
+        assert_eq!(rows.pairs_computed(), 0);
+        let blocks = GroupBlocks::compute(&g, &[]);
+        assert_eq!(blocks.num_groups(), 0);
+        assert_eq!(blocks.pairs_computed(), 0);
+        assert_eq!(blocks.vertices_settled(), 0);
     }
 
     /// A path graph with uneven weights: 0 -1- 1 -2- 2 -1- 3 -5- 4.
@@ -602,18 +595,38 @@ mod tests {
     #[test]
     fn source_rows_match_full_apsp_on_source_pairs_bitwise() {
         let g = weighted_path();
-        let apsp = all_pairs_shortest_paths(&g);
+        let apsp = SourceRows::compute(&g, &all_vertices(&g));
         let rows = SourceRows::compute(&g, &[3, 0, 3]);
         assert_eq!(rows.sources(), &[0, 3]);
         assert_eq!(rows.pairs_computed(), 2 * 5);
-        // Source pairs are averaged exactly like the dense APSP → bitwise.
-        assert_eq!(rows.pair(0, 3).to_bits(), apsp.get(0, 3).to_bits());
+        // Source pairs average the same two runs as the full matrix →
+        // bitwise.
+        assert_eq!(rows.pair(0, 3).to_bits(), apsp.pair(0, 3).to_bits());
         // Source × non-source pairs are one-directional but still the same
         // shortest-path value.
         for v in 0..5 {
-            assert!((rows.pair(0, v) - apsp.get(0, v)).abs() < 1e-12);
-            assert!((rows.pair(v, 3) - apsp.get(v, 3)).abs() < 1e-12);
+            assert!((rows.pair(0, v) - apsp.pair(0, v)).abs() < 1e-12);
+            assert!((rows.pair(v, 3) - apsp.pair(v, 3)).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn both_stores_average_the_two_directed_runs() {
+        // The run from 0 adds this path's lengths in the opposite order to
+        // the run from 4; the sums differ by two ulps, and their average
+        // equals neither.
+        let g =
+            WeightedGraph::from_edges(5, &[(0, 1, 0.2), (1, 2, 0.1), (2, 3, 0.3), (3, 4, 0.05)]);
+        let forward = SourceRows::compute(&g, &[0]).row(0)[4];
+        let backward = SourceRows::compute(&g, &[4]).row(4)[0];
+        let avg = 0.5 * (forward + backward);
+        assert!(avg != forward && avg != backward && forward != backward);
+        let rows = SourceRows::compute(&g, &[0, 4]);
+        let blocks = GroupBlocks::compute(&g, &[vec![0, 4]]);
+        assert_eq!(rows.row(0)[4].to_bits(), avg.to_bits());
+        assert_eq!(rows.row(4)[0].to_bits(), avg.to_bits());
+        assert_eq!(blocks.pair(0, 4).to_bits(), avg.to_bits());
+        assert_eq!(blocks.pair(4, 0).to_bits(), avg.to_bits());
     }
 
     #[test]
@@ -627,10 +640,10 @@ mod tests {
     #[test]
     fn group_blocks_match_full_apsp_bitwise() {
         let g = weighted_square();
-        let apsp = all_pairs_shortest_paths(&g);
+        let apsp = SourceRows::compute(&g, &all_vertices(&g));
         let blocks = GroupBlocks::compute(&g, &[vec![0, 3], vec![1, 2]]);
         for (u, v) in [(0, 3), (3, 0), (1, 2), (2, 1), (0, 0), (2, 2)] {
-            assert_eq!(blocks.pair(u, v).to_bits(), apsp.get(u, v).to_bits());
+            assert_eq!(blocks.pair(u, v).to_bits(), apsp.pair(u, v).to_bits());
         }
         assert_eq!(blocks.pairs_computed(), 4 + 4);
         assert!(blocks.vertices_settled() > 0);
@@ -669,18 +682,22 @@ mod tests {
 
     #[test]
     fn pair_distances_trait_agrees_across_backends() {
+        fn read<D: PairDistances>(d: &D, i: usize, j: usize) -> u64 {
+            d.pair(i, j).to_bits()
+        }
         let g = weighted_square();
-        let apsp = all_pairs_shortest_paths(&g);
-        let rows = SourceRows::compute(&g, &[0, 1, 2, 3]);
-        // With every vertex a source, SourceRows covers all pairs and the
-        // averaging rule matches the dense matrix exactly.
+        let all = all_vertices(&g);
+        let rows = SourceRows::compute(&g, &all);
+        // One group of every vertex: each run settles the whole graph, so
+        // the block is the full matrix too.
+        let blocks = GroupBlocks::compute(&g, &[all]);
+        let dense = SymmetricMatrix::from_fn(4, |i, j| rows.pair(i, j));
         for i in 0..4 {
             for j in 0..4 {
-                assert_eq!(
-                    PairDistances::pair(&apsp, i, j).to_bits(),
-                    rows.pair(i, j).to_bits()
-                );
+                assert_eq!(read(&rows, i, j), read(&blocks, i, j));
+                assert_eq!(read(&rows, i, j), read(&dense, i, j));
             }
         }
+        assert_eq!(PairDistances::num_vertices(&dense), 4);
     }
 }

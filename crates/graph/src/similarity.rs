@@ -5,8 +5,8 @@
 //! and only *compares* the weights it reads. [`SimilaritySource`] captures
 //! exactly that surface, so the same construction code runs over the dense
 //! `f64` matrix and the half-footprint `f32` matrix.
-//! [`DissimilarityView`] derives the DBHT's edge lengths from any source
-//! on the fly.
+//! [`DissimilarityView`] derives the DBHT's edge lengths, the
+//! [`dissimilarity`] of each similarity, from any source on the fly.
 
 use rayon::prelude::*;
 
@@ -98,7 +98,17 @@ impl SimilaritySource for SymmetricMatrixF32 {
     }
 }
 
-/// A [`PairDistances`] view deriving the dissimilarity
+/// The paper's correlation dissimilarity `d = sqrt(2 (1 − ρ))`, the
+/// edge length of the DBHT's shortest paths. The radicand is clamped at
+/// zero, so a similarity rounded above 1 maps to 0, not NaN. The dense
+/// matrices of `pfg_data` and [`DissimilarityView`] both call it, so they
+/// agree bit for bit.
+#[inline]
+pub fn dissimilarity(rho: f64) -> f64 {
+    (2.0 * (1.0 - rho)).max(0.0).sqrt()
+}
+
+/// A [`PairDistances`] view deriving the [`dissimilarity`]
 /// `d = sqrt(2 (1 − s))` from a similarity source on the fly — no dense
 /// `n²` dissimilarity matrix is ever materialized.
 ///
@@ -119,7 +129,7 @@ impl<'a, S: SimilaritySource> DissimilarityView<'a, S> {
 impl<S: SimilaritySource> PairDistances for DissimilarityView<'_, S> {
     #[inline]
     fn pair(&self, u: usize, v: usize) -> f64 {
-        (2.0 * (1.0 - self.source.get(u, v))).max(0.0).sqrt()
+        dissimilarity(self.source.get(u, v))
     }
 
     #[inline]

@@ -61,12 +61,12 @@ pub mod prelude {
     };
     pub use pfg_data::{
         correlation_and_dissimilarity, correlation_matrix, correlation_matrix_f32,
-        dissimilarity_from_correlation, dissimilarity_matrix, ucr_catalogue, StockMarket,
-        StockMarketConfig, TileConfig, TimeSeriesConfig, TimeSeriesDataset, SECTORS,
+        dissimilarity_from_correlation, ucr_catalogue, StockMarket, StockMarketConfig, TileConfig,
+        TimeSeriesConfig, TimeSeriesDataset, SECTORS,
     };
     pub use pfg_graph::{
-        all_pairs_shortest_paths, DissimilarityView, GroupBlocks, LrScratch, PairDistances,
-        SimilaritySource, SourceRows, SymmetricMatrix, SymmetricMatrixF32, WeightedGraph,
+        DissimilarityView, GroupBlocks, LrScratch, PairDistances, SimilaritySource, SourceRows,
+        SymmetricMatrix, SymmetricMatrixF32, WeightedGraph,
     };
     pub use pfg_metrics::{adjusted_mutual_information, adjusted_rand_index};
 }

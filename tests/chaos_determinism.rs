@@ -7,9 +7,14 @@
 //! function of input length alone, so every seed × thread-count
 //! combination must reproduce the single-threaded result bit for bit —
 //! for the most order-sensitive primitives (float reduction), the
-//! parallel sort, and the full tiled correlation/dissimilarity kernels.
+//! parallel sort, the full tiled correlation/dissimilarity kernels, PMFG
+//! construction, and the DBHT's demand-driven shortest-path stores.
 
+use pfg_core::dbht::{
+    assignment, converging_vertices, direction, dissimilarity_graph, restricted_distances,
+};
 use pfg_data::correlation::{correlation_matrix_with, TileConfig};
+use pfg_graph::{PairDistances, SourceRows};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -165,13 +170,59 @@ fn dissimilarity_pipeline_input_is_schedule_invariant() {
         .map(|_| (0..64).map(|_| rng.gen_range(-1.0f64..1.0)).collect())
         .collect();
     assert_schedule_invariant(
-        || pfg_data::correlation::dissimilarity_matrix(&series),
+        || pfg_data::correlation::correlation_and_dissimilarity(&series).1,
         |a, b| {
             a.n() == b.n()
                 && a.as_slice()
                     .iter()
                     .zip(b.as_slice())
                     .all(|(x, y)| x.to_bits() == y.to_bits())
+        },
+    );
+}
+
+#[test]
+fn restricted_distances_are_schedule_invariant() {
+    // The DBHT's distance layer under chaos: one Dijkstra per converging
+    // vertex (`SourceRows`) and one early-terminating Dijkstra per group
+    // member (`GroupBlocks`), each a pool job. Every entry the store
+    // serves, and its work counter, must match the 1-thread run bit for
+    // bit.
+    let mut rng = StdRng::seed_from_u64(29);
+    let n = 80;
+    let s = pfg_graph::SymmetricMatrix::from_fn(n, |i, j| {
+        if i == j {
+            1.0
+        } else {
+            rng.gen_range(0.01f64..0.99)
+        }
+    });
+    let d = s.map(|p| (2.0 * (1.0 - p)).sqrt());
+    let t = pfg_core::tmfg(&s, pfg_core::TmfgConfig::with_prefix(5)).expect("tmfg builds");
+    let bubble_graph = direction::direct_tmfg_bubble_tree(&t.bubble_tree, &t.graph);
+    let dgraph = dissimilarity_graph(&t.graph, &d);
+    let sources = converging_vertices(&bubble_graph);
+    let rows = SourceRows::compute(&dgraph, &sources);
+    let assigned = assignment::assign_vertices(&t.graph, &bubble_graph, &rows);
+    assert!(
+        assigned.groups.len() > 1,
+        "the input must have several groups"
+    );
+    let served = |u: usize, v: usize| {
+        u == v || assigned.group[u] == assigned.group[v] || rows.is_source(u) || rows.is_source(v)
+    };
+    assert_schedule_invariant(
+        || {
+            let rows = SourceRows::compute(&dgraph, &sources);
+            restricted_distances(&dgraph, rows, &assigned)
+        },
+        |a, b| {
+            a.blocks.vertices_settled() == b.blocks.vertices_settled()
+                && (0..n).all(|u| {
+                    (0..n)
+                        .filter(|&v| served(u, v))
+                        .all(|v| a.pair(u, v).to_bits() == b.pair(u, v).to_bits())
+                })
         },
     );
 }

@@ -5,10 +5,12 @@
 //! same heights, same cut clusters — on random, clustered and tie-heavy
 //! inputs. (The linkage engine itself is held bitwise to a from-scratch
 //! reference by the `dbht::hierarchy` unit tests.) Likewise, the
-//! restricted (demand-driven) APSP must agree with the dense `n²` matrix
-//! on every distance the DBHT actually reads: bitwise on intra-group pairs
-//! and on source–source pairs, and to floating-point noise on the
-//! one-directional source rows.
+//! restricted (demand-driven) APSP must agree with the full `n²` APSP —
+//! `SourceRows` with every vertex a source — on every distance the DBHT
+//! actually reads: bitwise on intra-group pairs and on source–source
+//! pairs, and to floating-point noise on the one-directional source rows.
+//! (Both run the same Dijkstra; `pfg_graph`'s unit tests hold that engine
+//! to an independent Floyd–Warshall oracle.)
 
 use par_filtered_graph_clustering::prelude::*;
 use pfg_core::dbht::{
@@ -70,7 +72,8 @@ struct Prepared {
     bubble_graph: pfg_core::dbht::DirectedBubbleGraph,
     assignment: pfg_core::VertexAssignment,
     distances: DbhtDistances,
-    dense: SymmetricMatrix,
+    /// The full APSP: a row from every vertex.
+    dense: SourceRows,
     sources: Vec<usize>,
 }
 
@@ -83,7 +86,8 @@ fn prepare(s: &SymmetricMatrix, prefix: usize) -> Prepared {
     let rows = SourceRows::compute(&dgraph, &sources);
     let assignment = assignment::assign_vertices(&t.graph, &bubble_graph, &rows);
     let distances = restricted_distances(&dgraph, rows, &assignment);
-    let dense = all_pairs_shortest_paths(&dgraph);
+    let all: Vec<usize> = (0..s.n()).collect();
+    let dense = SourceRows::compute(&dgraph, &all);
     Prepared {
         tmfg: t,
         bubble_graph,
@@ -184,7 +188,7 @@ fn restricted_apsp_matches_full_apsp_on_every_distance_dbht_reads() {
             for (i, &u) in members.iter().enumerate() {
                 for &v in &members[i + 1..] {
                     let restricted = p.distances.pair(u, v);
-                    let full = p.dense.get(u, v);
+                    let full = p.dense.pair(u, v);
                     assert_eq!(
                         restricted.to_bits(),
                         full.to_bits(),
@@ -200,7 +204,7 @@ fn restricted_apsp_matches_full_apsp_on_every_distance_dbht_reads() {
             for &b in &p.sources[i + 1..] {
                 assert_eq!(
                     p.distances.rows.pair(a, b).to_bits(),
-                    p.dense.get(a, b).to_bits(),
+                    p.dense.pair(a, b).to_bits(),
                     "{name}: source pair ({a}, {b})"
                 );
             }
@@ -211,7 +215,7 @@ fn restricted_apsp_matches_full_apsp_on_every_distance_dbht_reads() {
         for &a in &p.sources {
             for v in 0..n {
                 let restricted = p.distances.rows.pair(a, v);
-                let full = p.dense.get(a, v);
+                let full = p.dense.pair(a, v);
                 assert!(
                     (restricted - full).abs() <= 1e-9 * full.max(1.0),
                     "{name}: row pair ({a}, {v}): {restricted} vs {full}"

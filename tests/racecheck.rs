@@ -10,9 +10,8 @@
 //!   `file:line` of *both* conflicting claims — that is the property that
 //!   makes a violation debuggable rather than a mystery corruption.
 //! * **The real kernels are clean.** The audited production paths — the
-//!   tiled correlation kernel, the parallel merge sort, APSP row fills and
-//!   symmetrisation — run under the registry (and a chaos-seeded pool)
-//!   without tripping it.
+//!   tiled correlation kernel and the parallel merge sort — run under the
+//!   registry (and a chaos-seeded pool) without tripping it.
 #![cfg(pfg_racecheck)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -96,17 +95,12 @@ fn audited_kernels_run_clean_under_chaos() {
     pool.install(|| {
         let (corr, diss, _stats) = pfg_data::correlation::correlation_and_dissimilarity(&series);
         assert_eq!(corr.n(), 32);
+        assert_eq!(diss.n(), 32);
 
         let mut v: Vec<f64> = (0..30_000)
             .map(|i| ((i * 37) % 1000) as f64 * 0.5)
             .collect();
         v.par_sort_by(|a, b| a.total_cmp(b));
         assert!(v.windows(2).all(|w| w[0] <= w[1]));
-
-        let sim = corr.map(|r| (1.0 + r) / 2.0);
-        let result = pfg_core::tmfg(&sim, pfg_core::TmfgConfig::default()).expect("tmfg builds");
-        let dgraph = pfg_core::dbht::dissimilarity_graph(&result.graph, &diss);
-        let paths = pfg_graph::all_pairs_shortest_paths(&dgraph);
-        assert_eq!(paths.n(), 32);
     });
 }
