@@ -455,6 +455,45 @@ mod tests {
         assert!(rows.row(0)[2].is_infinite());
     }
 
+    #[test]
+    fn apsp_matches_per_source_dijkstra() {
+        // Every vertex a source: each pair averages its two directed runs,
+        // which must agree with the one-directional run from either end.
+        let g = weighted_square();
+        let apsp = SourceRows::compute(&g, &all_vertices(&g));
+        for s in 0..4 {
+            let single = SourceRows::compute(&g, &[s]);
+            for (t, &dt) in single.row(s).iter().enumerate() {
+                assert!((apsp.pair(s, t) - dt).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn apsp_is_symmetric_with_zero_diagonal() {
+        let g = weighted_square();
+        let apsp = SourceRows::compute(&g, &all_vertices(&g));
+        for i in 0..4 {
+            assert_eq!(apsp.pair(i, i), 0.0);
+            for j in 0..4 {
+                assert_eq!(apsp.pair(i, j), apsp.pair(j, i));
+            }
+        }
+    }
+
+    #[test]
+    fn apsp_satisfies_triangle_inequality() {
+        let g = weighted_square();
+        let apsp = SourceRows::compute(&g, &all_vertices(&g));
+        for i in 0..4 {
+            for j in 0..4 {
+                for k in 0..4 {
+                    assert!(apsp.pair(i, j) <= apsp.pair(i, k) + apsp.pair(k, j) + 1e-12);
+                }
+            }
+        }
+    }
+
     /// Floyd–Warshall over the adjacency lists: an all-pairs oracle that
     /// shares no code with the Dijkstra engine. Row-major `n × n`.
     fn floyd_warshall(g: &WeightedGraph) -> Vec<f64> {
