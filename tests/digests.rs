@@ -13,7 +13,9 @@
 //! must equal the golden constants below. The inputs are drawn from the
 //! `rand` shim with additions and multiplications only, and the
 //! dissimilarity is `sqrt(2 (1 − s))`; `sqrt` is correctly rounded, so the
-//! digests do not depend on the platform's libm.
+//! digests do not depend on the platform's libm. The `tdbht-f32` runs
+//! take the same matrices rounded once to `f32` through
+//! `ParTdbht::run_f32`, which derives the dissimilarity on the fly.
 //!
 //! A change that alters any output or counter on purpose re-pins the
 //! constants (the failure message prints every run's actual digests) and
@@ -34,6 +36,12 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("blocks-150/pmfg-dbht", 0x82b0a27d542f7764, 0x275cac2bdda513c0),
     ("ties-100/tdbht-p1", 0x0b74903dda6e694a, 0xbba06d91345edee0),
     ("ties-100/tdbht-p10", 0xc0f488495959b330, 0x1f7559eeacc0873d),
+    ("uniform-120/tdbht-f32-p1", 0x6cafbb005e286f42, 0xded27e2c37c0bc2d),
+    ("uniform-120/tdbht-f32-p10", 0x29a557481615ee24, 0xd685e3b29483e75e),
+    ("blocks-150/tdbht-f32-p1", 0xb639dbfc13175b8b, 0x61c25a90a5c4b12b),
+    ("blocks-150/tdbht-f32-p10", 0xcfc969f65e1b6912, 0xc938b7b70a96ddbf),
+    ("ties-100/tdbht-f32-p1", 0x0b74903dda6e694a, 0xbba06d91345edee0),
+    ("ties-100/tdbht-f32-p10", 0xc0f488495959b330, 0x1f7559eeacc0873d),
 ];
 
 /// 64-bit FNV-1a over the little-endian bytes of the words written.
@@ -134,9 +142,14 @@ fn hash_dbht_stats(h: &mut Fnv, stats: &DbhtRunStats) {
     h.usize(stats.apsp_source_rows);
 }
 
-/// `(outputs, counters)` of `ParTdbht::run` at `prefix`.
-fn tdbht_digests(s: &SymmetricMatrix, d: &SymmetricMatrix, prefix: usize) -> (u64, u64) {
-    let result = ParTdbht::with_prefix(prefix).run(s, d).unwrap();
+/// The matrix rounded once to `f32`.
+fn rounded_f32(s: &SymmetricMatrix) -> SymmetricMatrixF32 {
+    let data = s.as_slice().iter().map(|&x| x as f32).collect();
+    SymmetricMatrixF32::from_symmetrized(s.n(), data)
+}
+
+/// `(outputs, counters)` of one `ParTdbht` run.
+fn tdbht_digests(result: ParTdbhtResult) -> (u64, u64) {
     let mut out = Fnv::new();
     out.usize(result.tmfg.insertions.len());
     for ins in &result.tmfg.insertions {
@@ -216,12 +229,20 @@ fn outputs_and_counters_match_the_pinned_digests() {
         let d = dissimilarity_of(s);
         for prefix in [1, 10] {
             record(&mut actual, format!("{name}/tdbht-p{prefix}"), || {
-                tdbht_digests(s, &d, prefix)
+                tdbht_digests(ParTdbht::with_prefix(prefix).run(s, &d).unwrap())
             });
         }
         if *name == "blocks-150" {
             record(&mut actual, format!("{name}/pmfg-dbht"), || {
                 pmfg_dbht_digests(s, &d)
+            });
+        }
+    }
+    for (name, s) in &inputs {
+        let s32 = rounded_f32(s);
+        for prefix in [1, 10] {
+            record(&mut actual, format!("{name}/tdbht-f32-p{prefix}"), || {
+                tdbht_digests(ParTdbht::with_prefix(prefix).run_f32(&s32).unwrap())
             });
         }
     }
