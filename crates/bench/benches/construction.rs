@@ -1,12 +1,13 @@
 //! Filtered-graph construction benchmarks: sequential TMFG, prefix-batched
-//! TMFG (the Figure 4/5 "tmfg" stage), and the PMFG — both the sequential
-//! baseline and the round-based parallel construction, whose ratio tracks
-//! the paper's headline TMFG-vs-PMFG runtime gap (Figures 1/3).
+//! TMFG (the Figure 4/5 "tmfg" stage) on f64 and on f32 storage, and the
+//! PMFG — both the sequential baseline and the round-based parallel
+//! construction, whose ratio tracks the paper's headline TMFG-vs-PMFG
+//! runtime gap (Figures 1/3).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pfg_bench::{BenchDataset, SuiteConfig};
 use pfg_core::{pmfg, pmfg_sequential, tmfg, TmfgConfig};
-use pfg_data::ucr_catalogue;
+use pfg_data::{correlation_matrix_f32, ucr_catalogue, TileConfig};
 use std::hint::black_box;
 
 fn dataset(scale: f64) -> BenchDataset {
@@ -34,6 +35,18 @@ fn bench_tmfg(c: &mut Criterion) {
             })
         });
     }
+    // The large-n configuration: f32 storage at prefix 10, on a
+    // StarLightCurves stand-in (n ≈ 1,850) whose gain scans walk pools of
+    // up to n entries. The matrix is built once, outside the timed loop.
+    let spec = ucr_catalogue()
+        .into_iter()
+        .find(|s| s.name == "StarLightCurves")
+        .expect("catalogue entry");
+    let series = spec.generate(0.2, SuiteConfig::default().seed).series;
+    let (s32, _) = correlation_matrix_f32(&series, TileConfig::default());
+    group.bench_function(BenchmarkId::new("f32_prefix10", s32.n()), |b| {
+        b.iter(|| black_box(tmfg(&s32, TmfgConfig::with_prefix(10)).expect("valid")))
+    });
     group.finish();
 }
 

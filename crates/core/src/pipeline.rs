@@ -113,7 +113,8 @@ impl ParTdbht {
     ///
     /// # Errors
     /// Propagates [`CoreError`] for inputs that are too small, mismatched
-    /// matrix sizes, an invalid prefix, or an invalid edge dissimilarity.
+    /// matrix sizes, an invalid prefix, a non-finite similarity, or an
+    /// invalid edge dissimilarity.
     pub fn run(
         &self,
         similarity: &SymmetricMatrix,
@@ -140,7 +141,8 @@ impl ParTdbht {
     ///
     /// # Errors
     /// Propagates [`CoreError`] for inputs that are too small, mismatched
-    /// matrix sizes, or an invalid prefix. Returns
+    /// matrix sizes, an invalid prefix, or a non-finite similarity (the
+    /// diagonal included). Returns
     /// [`CoreError::InvalidDissimilarity`] if a TMFG edge's dissimilarity
     /// is NaN, negative or infinite; only those `3n − 6` entries are read.
     pub fn run_with<S: SimilaritySource, D: PairDistances>(

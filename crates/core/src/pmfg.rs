@@ -247,8 +247,8 @@ impl<'a, S: SimilaritySource> CandidateStream<'a, S> {
 ///
 /// # Errors
 /// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows, and
-/// [`CoreError::NonFiniteSimilarity`] if any off-diagonal entry is NaN or
-/// ±∞.
+/// [`CoreError::NonFiniteSimilarity`] if any entry, diagonal included, is
+/// NaN or ±∞.
 pub fn pmfg<S: SimilaritySource>(s: &S) -> Result<Pmfg, CoreError> {
     check_input(s)?;
     Ok(pmfg_rounds(s, BatchSchedule::PMFG_ROUNDS))
@@ -483,8 +483,8 @@ fn pmfg_rounds<S: SimilaritySource>(s: &S, schedule: BatchSchedule) -> Pmfg {
 ///
 /// # Errors
 /// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows, and
-/// [`CoreError::NonFiniteSimilarity`] if any off-diagonal entry is NaN or
-/// ±∞.
+/// [`CoreError::NonFiniteSimilarity`] if any entry, diagonal included, is
+/// NaN or ±∞.
 pub fn pmfg_sequential<S: SimilaritySource>(s: &S) -> Result<Pmfg, CoreError> {
     check_input(s)?;
     let n = s.n();
@@ -573,6 +573,19 @@ mod tests {
             let mut s = random_similarity(8, 41);
             s.set(2, 5, bad);
             let expected = Err(CoreError::NonFiniteSimilarity { row: 2, col: 5 });
+            assert_eq!(pmfg(&s).map(|p| p.graph.num_edges()), expected, "{bad}");
+            assert_eq!(
+                pmfg_sequential(&s).map(|p| p.graph.num_edges()),
+                expected,
+                "{bad}"
+            );
+        }
+        // The diagonal is no edge, but it is an entry of the input, in
+        // either sign.
+        for bad in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut s = random_similarity(8, 41);
+            s.set(6, 6, bad);
+            let expected = Err(CoreError::NonFiniteSimilarity { row: 6, col: 6 });
             assert_eq!(pmfg(&s).map(|p| p.graph.num_edges()), expected, "{bad}");
             assert_eq!(
                 pmfg_sequential(&s).map(|p| p.graph.num_edges()),

@@ -205,10 +205,11 @@ impl Tmfg {
 /// # Errors
 /// Returns [`CoreError::TooFewVertices`] if `s` has fewer than 4 rows,
 /// [`CoreError::InvalidPrefix`] if `config.prefix == 0`, and
-/// [`CoreError::NonFiniteSimilarity`] if any off-diagonal entry is NaN or
-/// ±∞ — the selector never picks NaN gains, and opposite infinities sum
-/// to NaN, so a vertex whose gains are all NaN could never be inserted and
-/// construction would not terminate.
+/// [`CoreError::NonFiniteSimilarity`] if any entry, diagonal included, is
+/// NaN or ±∞ — the selector never picks NaN gains, and opposite
+/// infinities sum to NaN, so a vertex whose gains are all NaN could never
+/// be inserted and construction would not terminate; a non-finite
+/// diagonal entry would decide the seed clique's row sums.
 pub fn tmfg<S: SimilaritySource>(s: &S, config: TmfgConfig) -> Result<Tmfg, CoreError> {
     if config.prefix == 0 {
         return Err(CoreError::InvalidPrefix);
@@ -904,6 +905,23 @@ mod tests {
                 "prefix {prefix}"
             );
         }
+        // A diagonal entry enters its row sum, so it picks the seed clique:
+        // unchecked, +NaN and +∞ forced vertex 7 into the clique and −NaN
+        // and −∞ kept it out. Every sign is rejected, by the pipeline too.
+        for bad in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut s = random_similarity(20, 31);
+            s.set(7, 7, bad);
+            let expected = Some(CoreError::NonFiniteSimilarity { row: 7, col: 7 });
+            assert_eq!(
+                tmfg(&s, TmfgConfig::with_prefix(1)).err(),
+                expected,
+                "{bad}"
+            );
+            let pipeline = crate::ParTdbht::with_prefix(1)
+                .run_with(&s, &pfg_graph::DissimilarityView::new(&s))
+                .err();
+            assert_eq!(pipeline, expected, "{bad}: pipeline");
+        }
     }
 
     #[test]
@@ -1171,8 +1189,9 @@ mod tests {
 
     /// A test-only uncached reference of the conflict-aware selector with
     /// [`BatchFreshness::Simultaneous`] placement. Every round recomputes
-    /// every active face's full candidate order over the remaining pool
-    /// — no cache, no bound, no tree — ranks all `(face, vertex)` pairs by
+    /// every active face's gain for every remaining vertex with
+    /// [`GainTable::gain_of`] — no scan, no cache, no bound, no tree —
+    /// ranks all `(face, vertex)` pairs by
     /// gain, then smaller face, then smaller vertex, and accepts pairs in
     /// that order while neither the face nor the vertex is used, up to
     /// `min(prefix, |remaining|, |active faces|)` of them.
@@ -1198,10 +1217,11 @@ mod tests {
             let target = prefix.min(pool.len()).min(active_faces.len());
             let mut pairs: Vec<(f64, usize, usize)> = Vec::new();
             for &f in &active_faces {
-                let (order, truncated) =
-                    GainTable::compute_candidates(s, faces[f], &pool, pool.len());
-                assert!(!truncated);
-                pairs.extend(order.into_iter().map(|(v, g)| (g, f, v)));
+                pairs.extend(
+                    pool.iter()
+                        .map(|&v| (GainTable::gain_of(s, faces[f], v), f, v))
+                        .filter(|&(gain, _, _)| !gain.is_nan()),
+                );
             }
             pairs.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
             let mut face_used = vec![false; faces.len()];
@@ -1335,8 +1355,9 @@ mod tests {
 
     #[test]
     fn f32_storage_matches_widened_f64() {
-        // Construction sees a source only through `get` and its row sums,
-        // so the f32 matrix and the f64 matrix holding its widened entries
+        // Construction reads a source through `get` and its rows (the gain
+        // scans, the row sums), and an f32 entry widens to f64 exactly, so
+        // the f32 matrix and the f64 matrix holding its widened entries
         // build the same TMFG, bit for bit.
         let s = random_similarity(40, 29);
         let f32_data: Vec<f32> = s.as_slice().iter().map(|&x| x as f32).collect();

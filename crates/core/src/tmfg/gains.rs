@@ -41,6 +41,26 @@
 //! proceeds, and ties resolve towards the smaller vertex id because the
 //! scan visits ids in increasing order.
 //!
+//! **How a scan walks the pool.** A scan takes its corner rows
+//! ([`SimilaritySource::row`]) once, then walks the pool in chunks of
+//! eight consecutive entries: it computes their eight gains into one
+//! array, each summed in the face's sorted-corner order with the trailing
+//! `+ 0.0`, exactly as [`GainTable::gain_of`] sums one, and only then
+//! tests the chunk against the list. A full list admits an entry only if
+//! its gain is strictly above the list's current worst (for a rescan, the
+//! current best), so a chunk whose every lane is at or below that bar —
+//! none of them NaN — is skipped whole: it only marks the list truncated,
+//! as the per-entry insert would have for each of its lanes. Any other
+//! chunk, and the `len % 8` tail, take the per-entry ordered insert lane
+//! by lane, in pool order. A skipped chunk is one in which the per-entry
+//! insert would have rejected every lane, and every other entry takes
+//! that insert in the same order, so every list, every `truncated` flag
+//! and every rescan winner is bit for bit the per-entry scan's. The bar
+//! test compares all eight lanes without a branch, and on most chunks it
+//! is all the selection work there is: a full list's worst gain is high
+//! and most of the pool falls below it, so about nine chunks in ten are
+//! skipped on the benchmark's TMFG workloads.
+//!
 //! The reverse index `faces_of_best` maps each vertex to the faces whose
 //! current head it is. A face re-registers on every head change and each
 //! entry is consumed (and stale entries dropped) the moment its vertex is
@@ -61,6 +81,96 @@ use crate::schedule::BatchSchedule;
 /// A freshly computed per-face candidate list (decreasing gain) and
 /// whether it was truncated at the cache depth.
 pub(crate) type CandidateList = (Vec<(usize, f64)>, bool);
+
+/// Consecutive pool entries whose gains a scan computes before it tests
+/// them against a list (16 lanes measured slower, 4 no faster).
+const LANES: usize = 8;
+
+/// A top-`depth` candidate list under construction: decreasing gain, ties
+/// towards the smaller vertex id, NaN gains skipped.
+struct TopList {
+    list: Vec<(usize, f64)>,
+    /// Whether a candidate was left off because the list was full.
+    truncated: bool,
+    depth: usize,
+    /// The gain of the list's last entry once the list is full, NaN
+    /// before: an entry at or below it cannot enter.
+    bar: f64,
+}
+
+impl TopList {
+    fn new(depth: usize) -> Self {
+        Self {
+            list: Vec::with_capacity(depth + 1),
+            truncated: false,
+            depth,
+            bar: f64::NAN,
+        }
+    }
+
+    /// The per-entry ordered insert of vertex `v` with gain `gain`.
+    #[inline]
+    fn offer(&mut self, v: usize, gain: f64) {
+        if gain.is_nan() {
+            return;
+        }
+        if self.list.len() == self.depth {
+            // Full list: only gains strictly above the current worst
+            // displace an entry (equal gains lose to the smaller vertex id
+            // already present). Either way a candidate is left off.
+            self.truncated = true;
+            if gain <= self.bar {
+                return;
+            }
+        }
+        // Descending by gain, ties towards the smaller vertex id: the scan
+        // visits vertices in increasing id order, so inserting *after*
+        // equal gains preserves the tie-break.
+        let at = self.list.partition_point(|&(_, g)| g >= gain);
+        self.list.insert(at, (v, gain));
+        self.list.truncate(self.depth);
+        if self.list.len() == self.depth {
+            self.bar = self.list[self.depth - 1].1;
+        }
+    }
+
+    /// Whether every lane is at or below the bar: the list is full, no
+    /// lane is NaN, and the per-entry insert would reject every lane.
+    /// Every lane is compared, with no early exit, so the test vectorises.
+    #[inline(always)]
+    fn rejects(&self, gains: &[f64; LANES]) -> bool {
+        let bar = self.bar;
+        gains.iter().fold(true, |all, &g| all & (g <= bar))
+    }
+
+    /// Offers one chunk of consecutive pool entries. A chunk the list
+    /// rejects only marks it truncated, as the per-entry insert would;
+    /// any other chunk takes the per-entry insert lane by lane.
+    #[inline(always)]
+    fn offer_chunk(&mut self, ids: &[usize; LANES], gains: &[f64; LANES]) {
+        if self.rejects(gains) {
+            self.truncated = true;
+            return;
+        }
+        for (&v, &gain) in ids.iter().zip(gains) {
+            self.offer(v, gain);
+        }
+    }
+
+    fn finish(self) -> CandidateList {
+        (self.list, self.truncated)
+    }
+}
+
+/// The gains of one chunk of pool entries.
+#[inline(always)]
+fn chunk_gains(ids: &[usize; LANES], gain: impl Fn(usize) -> f64) -> [f64; LANES] {
+    let mut gains = [0.0; LANES];
+    for (g, &v) in gains.iter_mut().zip(ids) {
+        *g = gain(v);
+    }
+    gains
+}
 
 /// Result of asking a face for its next still-available candidate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -277,32 +387,17 @@ impl GainTable {
         pool: &[usize],
         depth: usize,
     ) -> CandidateList {
-        let mut list: Vec<(usize, f64)> = Vec::with_capacity(depth + 1);
-        let mut truncated = false;
-        for &v in pool {
-            let gain = Self::gain_of(s, triangle, v);
-            if gain.is_nan() {
-                continue;
-            }
-            if list.len() == depth {
-                // Full cache: only gains strictly above the current worst
-                // displace an entry (equal gains lose to the smaller vertex
-                // id already present).
-                let (_, worst) = list[depth - 1];
-                if gain <= worst {
-                    truncated = true;
-                    continue;
-                }
-                truncated = true;
-            }
-            // Descending by gain, ties towards the smaller vertex id: the
-            // scan visits vertices in increasing id order, so inserting
-            // *after* equal gains preserves the tie-break.
-            let at = list.partition_point(|&(_, g)| g >= gain);
-            list.insert(at, (v, gain));
-            list.truncate(depth);
+        let [a, b, c] = triangle.corners().map(|corner| s.row(corner));
+        let gain = |v: usize| a[v].into() + b[v].into() + c[v].into() + 0.0;
+        let mut list = TopList::new(depth);
+        let (chunks, tail) = pool.as_chunks::<LANES>();
+        for ids in chunks {
+            list.offer_chunk(ids, &chunk_gains(ids, gain));
         }
-        (list, truncated)
+        for &v in tail {
+            list.offer(v, gain(v));
+        }
+        list.finish()
     }
 
     /// Fused candidate refresh for the three child faces created by one
@@ -320,11 +415,11 @@ impl GainTable {
     /// gain is summed **in that child's sorted-corner order** (the order
     /// [`GainTable::gain_of`] uses, including its trailing `+ 0.0`),
     /// because float addition is not associative and the differential
-    /// tests compare gains bitwise. The
-    /// per-child selection loop (NaN skip, strict-worst displacement,
-    /// `partition_point` insert) is the same code shape as
-    /// [`GainTable::compute_candidates`], so each returned list is exactly
-    /// what a standalone refresh of that child would have produced.
+    /// tests compare gains bitwise. Each child's list takes the pool's
+    /// chunks and tail in pool order through the same chunk test and
+    /// per-entry insert as [`GainTable::compute_candidates`], so each
+    /// returned list is exactly what a standalone refresh of that child
+    /// would have produced.
     pub(crate) fn compute_candidates_for_children<S: SimilaritySource>(
         s: &S,
         parent: Triangle,
@@ -343,6 +438,146 @@ impl GainTable {
                     .iter()
                     .position(|&x| x == corner)
                     .expect("child corners come from {parent} ∪ {vertex}");
+            }
+        }
+        let rows = ids.map(|x| s.row(x));
+        let mut lists: [TopList; 3] = std::array::from_fn(|_| TopList::new(depth));
+        let (chunks, tail) = pool.as_chunks::<LANES>();
+        for chunk in chunks {
+            // w[i][lane]: shared load i of the chunk's lane-th entry.
+            let mut w = [[0.0; LANES]; 4];
+            for (loads, row) in w.iter_mut().zip(&rows) {
+                *loads = chunk_gains(chunk, |u| row[u].into());
+            }
+            for (list, &[i, j, l]) in lists.iter_mut().zip(&perm) {
+                let (x, y, z) = (&w[i], &w[j], &w[l]);
+                let mut gains = [0.0; LANES];
+                for (lane, g) in gains.iter_mut().enumerate() {
+                    *g = x[lane] + y[lane] + z[lane] + 0.0;
+                }
+                list.offer_chunk(chunk, &gains);
+            }
+        }
+        for &u in tail {
+            let w: [f64; 4] = rows.map(|row| row[u].into());
+            for (list, &[i, j, l]) in lists.iter_mut().zip(&perm) {
+                list.offer(u, w[i] + w[j] + w[l] + 0.0);
+            }
+        }
+        lists.map(TopList::finish)
+    }
+
+    /// Scans `pool` (the remaining vertex ids, ascending) for the best
+    /// vertex to insert into `triangle` among those not `taken` — the
+    /// fallback when a truncated cached list runs dry mid-round. Ties break
+    /// towards the smaller vertex id; NaN gains never win. Returns
+    /// `(vertex, gain)` or `None`.
+    ///
+    /// The best so far is a depth-1 list, which a later entry displaces
+    /// only with a strictly larger gain. A chunk that list rejects holds
+    /// no new best, taken lanes or not, so only the other chunks look at
+    /// `taken`.
+    pub(crate) fn rescan_excluding<S: SimilaritySource>(
+        s: &S,
+        triangle: Triangle,
+        pool: &[usize],
+        taken: &[bool],
+    ) -> Option<(usize, f64)> {
+        let [a, b, c] = triangle.corners().map(|corner| s.row(corner));
+        let gain = |v: usize| a[v].into() + b[v].into() + c[v].into() + 0.0;
+        let mut best = TopList::new(1);
+        let (chunks, tail) = pool.as_chunks::<LANES>();
+        for ids in chunks {
+            let gains = chunk_gains(ids, gain);
+            if best.rejects(&gains) {
+                continue;
+            }
+            for (&v, &g) in ids.iter().zip(&gains) {
+                if !taken[v] {
+                    best.offer(v, g);
+                }
+            }
+        }
+        for &v in tail {
+            if !taken[v] {
+                best.offer(v, gain(v));
+            }
+        }
+        best.list.first().copied()
+    }
+
+    /// Scans `pool` for the single best vertex to insert into `triangle`,
+    /// ranking [`GainTable::gain_of`] entry by entry (ties towards the
+    /// smaller vertex id, NaN never wins); the tests' uncached reference.
+    #[cfg(test)]
+    pub(crate) fn best_for_face<S: SimilaritySource>(
+        s: &S,
+        triangle: Triangle,
+        pool: &[usize],
+    ) -> Option<(usize, f64)> {
+        pool.iter()
+            .map(|&v| (v, Self::gain_of(s, triangle, v)))
+            .filter(|&(_, gain)| !gain.is_nan())
+            .fold(None, |best, (v, gain)| match best {
+                Some((_, bg)) if gain <= bg => best,
+                _ => Some((v, gain)),
+            })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pfg_graph::{SymmetricMatrix, SymmetricMatrixF32};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Per-entry reference of [`GainTable::compute_candidates`]: every
+    /// pool entry takes the ordered insert, in pool order.
+    fn reference_candidates<S: SimilaritySource>(
+        s: &S,
+        triangle: Triangle,
+        pool: &[usize],
+        depth: usize,
+    ) -> CandidateList {
+        let mut list: Vec<(usize, f64)> = Vec::with_capacity(depth + 1);
+        let mut truncated = false;
+        for &v in pool {
+            let gain = GainTable::gain_of(s, triangle, v);
+            if gain.is_nan() {
+                continue;
+            }
+            if list.len() == depth {
+                let (_, worst) = list[depth - 1];
+                if gain <= worst {
+                    truncated = true;
+                    continue;
+                }
+                truncated = true;
+            }
+            let at = list.partition_point(|&(_, g)| g >= gain);
+            list.insert(at, (v, gain));
+            list.truncate(depth);
+        }
+        (list, truncated)
+    }
+
+    /// Per-entry reference of
+    /// [`GainTable::compute_candidates_for_children`]: four loads per pool
+    /// entry, then each child's ordered insert.
+    fn reference_candidates_for_children<S: SimilaritySource>(
+        s: &S,
+        parent: Triangle,
+        vertex: usize,
+        pool: &[usize],
+        depth: usize,
+    ) -> [CandidateList; 3] {
+        let [a, b, c] = parent.corners();
+        let ids = [a, b, c, vertex];
+        let mut perm = [[0usize; 3]; 3];
+        for (k, child) in parent.split_with(vertex).iter().enumerate() {
+            for (i, corner) in child.corners().into_iter().enumerate() {
+                perm[k][i] = ids.iter().position(|&x| x == corner).unwrap();
             }
         }
         let mut lists: [Vec<(usize, f64)>; 3] =
@@ -374,12 +609,8 @@ impl GainTable {
         [(l0, truncated[0]), (l1, truncated[1]), (l2, truncated[2])]
     }
 
-    /// Scans `pool` (the remaining vertex ids, ascending) for the best
-    /// vertex to insert into `triangle` among those not `taken` — the
-    /// fallback when a truncated cached list runs dry mid-round. Ties break
-    /// towards the smaller vertex id; NaN gains never win. Returns
-    /// `(vertex, gain)` or `None`.
-    pub(crate) fn rescan_excluding<S: SimilaritySource>(
+    /// Per-entry reference of [`GainTable::rescan_excluding`].
+    fn reference_rescan_excluding<S: SimilaritySource>(
         s: &S,
         triangle: Triangle,
         pool: &[usize],
@@ -390,7 +621,7 @@ impl GainTable {
             if taken[v] {
                 continue;
             }
-            let gain = Self::gain_of(s, triangle, v);
+            let gain = GainTable::gain_of(s, triangle, v);
             if gain.is_nan() {
                 continue;
             }
@@ -403,24 +634,121 @@ impl GainTable {
         best
     }
 
-    /// Scans `pool` for the single best vertex to insert into `triangle`.
-    /// Equivalent to [`GainTable::rescan_excluding`] with an empty `taken`
-    /// set; the tests' uncached reference.
-    #[cfg(test)]
-    pub(crate) fn best_for_face<S: SimilaritySource>(
-        s: &S,
-        triangle: Triangle,
-        pool: &[usize],
-    ) -> Option<(usize, f64)> {
-        let (list, _) = Self::compute_candidates(s, triangle, pool, 1);
-        list.first().copied()
+    /// A candidate list as comparable bits: `(vertex, gain bits)` pairs and
+    /// the truncation flag.
+    fn bits((list, truncated): &CandidateList) -> (Vec<(usize, u64)>, bool) {
+        let list = list.iter().map(|&(v, g)| (v, g.to_bits())).collect();
+        (list, *truncated)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pfg_graph::SymmetricMatrix;
+    /// The entries the scan property test draws its matrices from.
+    #[derive(Debug, Clone, Copy)]
+    enum Entries {
+        /// Uniform in `[-1, 1)`.
+        Continuous,
+        /// Four levels, so gains tie often, with each other and with a
+        /// full list's worst entry.
+        QuantizedTies,
+        /// Continuous, with a NaN stripe of twelve columns (whole chunks of
+        /// NaN gains) and one entry in eight NaN elsewhere.
+        Nan,
+        /// Mostly `−0.0` and `+0.0`, so many gains sum to `−0.0`.
+        NegativeZero,
+        /// Falling with the column id, so every chunk after a list fills
+        /// is skipped whole.
+        Falling,
+    }
+
+    fn entries_matrix(kind: Entries, n: usize, rng: &mut StdRng) -> SymmetricMatrix {
+        SymmetricMatrix::from_fn(n, |i, j| {
+            if i == j {
+                return 1.0;
+            }
+            match kind {
+                Entries::Continuous => rng.gen_range(-1.0..1.0),
+                Entries::QuantizedTies => rng.gen_range(0..4usize) as f64 * 0.25,
+                Entries::Nan if (24..36).contains(&j) || rng.gen_range(0..8usize) == 0 => f64::NAN,
+                Entries::Nan => rng.gen_range(-1.0..1.0),
+                Entries::NegativeZero => match rng.gen_range(0..4usize) {
+                    0 | 1 => -0.0,
+                    2 => 0.0,
+                    _ => 0.5,
+                },
+                Entries::Falling => 1.0 - (i + j) as f64 / (2 * n) as f64,
+            }
+        })
+    }
+
+    /// Checks the three chunked scans against their per-entry references
+    /// on one source, face, vertex, pool and `taken` mask.
+    fn assert_scans_match<S: SimilaritySource>(
+        s: &S,
+        parent: Triangle,
+        vertex: usize,
+        pool: &[usize],
+        taken: &[bool],
+        ctx: &str,
+    ) {
+        for depth in [1, 4, 8, 32] {
+            let got = GainTable::compute_candidates(s, parent, pool, depth);
+            let want = reference_candidates(s, parent, pool, depth);
+            assert_eq!(bits(&got), bits(&want), "{ctx} depth {depth}: single face");
+            let got = GainTable::compute_candidates_for_children(s, parent, vertex, pool, depth);
+            let want = reference_candidates_for_children(s, parent, vertex, pool, depth);
+            for k in 0..3 {
+                assert_eq!(
+                    bits(&got[k]),
+                    bits(&want[k]),
+                    "{ctx} depth {depth}: child {k}"
+                );
+            }
+        }
+        let bits = |best: Option<(usize, f64)>| best.map(|(v, g)| (v, g.to_bits()));
+        assert_eq!(
+            bits(GainTable::rescan_excluding(s, parent, pool, taken)),
+            bits(reference_rescan_excluding(s, parent, pool, taken)),
+            "{ctx}: rescan"
+        );
+    }
+
+    #[test]
+    fn chunked_scans_match_per_entry_references() {
+        // Every pool length from 0 to 40 (each remainder mod 8, chunks and
+        // tails), pools with gaps in their ids, f64 and f32 storage and
+        // four depths: the chunked scans must return the per-entry scans'
+        // lists, gain bits and truncation flags, and the same rescan
+        // winner under a random `taken` mask.
+        let n = 64;
+        let mut rng = StdRng::seed_from_u64(20230309);
+        for kind in [
+            Entries::Continuous,
+            Entries::QuantizedTies,
+            Entries::Nan,
+            Entries::NegativeZero,
+            Entries::Falling,
+        ] {
+            let m = entries_matrix(kind, n, &mut rng);
+            let data = m.as_slice().iter().map(|&x| x as f32).collect();
+            let m32 = SymmetricMatrixF32::from_symmetrized(n, data);
+            for len in 0..=40 {
+                // A random order of the ids: the first three are the parent
+                // face, the fourth the inserted vertex, and `len` of the
+                // rest, ascending, the pool.
+                let mut ids: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    ids.swap(i, rng.gen_range(0..i + 1));
+                }
+                let parent = Triangle::new(ids[0], ids[1], ids[2]);
+                let vertex = ids[3];
+                let mut pool = ids[4..4 + len].to_vec();
+                pool.sort_unstable();
+                let taken: Vec<bool> = (0..n).map(|_| rng.gen_range(0..3usize) == 0).collect();
+                let ctx = format!("{kind:?} pool {len}");
+                assert_scans_match(&m, parent, vertex, &pool, &taken, &format!("{ctx} f64"));
+                assert_scans_match(&m32, parent, vertex, &pool, &taken, &format!("{ctx} f32"));
+            }
+        }
+    }
 
     fn matrix() -> SymmetricMatrix {
         // 5 vertices; vertex 4 is strongly attached to {0,1,2}.

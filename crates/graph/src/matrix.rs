@@ -2,9 +2,13 @@
 //!
 //! The paper's input is an `n × n` similarity matrix `S` (e.g. Pearson
 //! correlations) plus a dissimilarity matrix `D` (e.g. `sqrt(2(1 − p))`).
-//! [`SymmetricMatrix`] stores the full dense matrix row-major; reads are
-//! `O(1)` and the memory layout keeps row scans (the hot loop of the TMFG
-//! gain computation) cache friendly.
+//! [`SymmetricMatrix`] and [`SymmetricMatrixF32`] store the full dense
+//! matrix row-major, so an entry read is `O(1)` and every row is one
+//! contiguous slice. Construction reads them through
+//! [`SimilaritySource`](crate::SimilaritySource): the TMFG gain scans, its
+//! hot loop, take a face's three corner rows once and read them at the
+//! remaining vertices' ids, and the seed clique's row sums add whole
+//! rows.
 
 use rayon::prelude::*;
 
@@ -114,12 +118,6 @@ impl SymmetricMatrix {
         &self.data[i * self.n..(i + 1) * self.n]
     }
 
-    /// Sum of row `i` (the "total sum across its row" used to pick the
-    /// initial 4-clique of the TMFG).
-    pub fn row_sum(&self, i: usize) -> f64 {
-        self.row(i).iter().sum()
-    }
-
     /// Applies `f` to every entry, returning a new matrix. Used e.g. to turn
     /// a correlation matrix into the dissimilarity `sqrt(2(1 − p))`. The
     /// parallel map and the collect fuse into a single pass over the data.
@@ -137,10 +135,11 @@ impl SymmetricMatrix {
 /// A dense symmetric `n × n` matrix stored as `f32`, halving the `n²`
 /// memory footprint of [`SymmetricMatrix`].
 ///
-/// Reads widen to `f64` at the [`SymmetricMatrixF32::get`] boundary, so
-/// every consumer that only *compares* weights (TMFG gains, PMFG candidate
-/// order, DBHT edge lookups — all `f64::total_cmp` based) works unchanged
-/// on top of this storage. The values themselves carry ~7 significant
+/// Reads widen to `f64` exactly — at [`SymmetricMatrixF32::get`], and per
+/// entry where a consumer reads whole rows (the TMFG gain scans and row
+/// sums) — so every consumer that only *compares* weights (TMFG gains,
+/// PMFG candidate order, DBHT edge lookups — all `f64::total_cmp` based)
+/// works unchanged on top of this storage. The values themselves carry ~7 significant
 /// decimal digits, which is far below the noise floor of estimated
 /// correlations; the end-to-end clustering quality impact is covered by a
 /// differential ARI test in the bench crate.
@@ -196,14 +195,6 @@ impl SymmetricMatrixF32 {
         debug_assert!(i < self.n && j < self.n);
         self.data[i * self.n + j] = value;
         self.data[j * self.n + i] = value;
-    }
-
-    /// Sum of row `i`, accumulated in `f64` in index order.
-    pub fn row_sum(&self, i: usize) -> f64 {
-        self.data[i * self.n..(i + 1) * self.n]
-            .iter()
-            .map(|&x| x as f64)
-            .sum()
     }
 
     /// Raw row-major data.

@@ -1,12 +1,14 @@
 //! Abstraction over similarity-matrix storage.
 //!
 //! Filtered-graph construction (TMFG, PMFG) only ever *reads* the
-//! similarity matrix — single entries, row sums, and the best-row seed —
-//! and only *compares* the weights it reads. [`SimilaritySource`] captures
-//! exactly that surface, so the same construction code runs over the dense
-//! `f64` matrix and the half-footprint `f32` matrix.
-//! [`DissimilarityView`] derives the DBHT's edge lengths, the
-//! [`dissimilarity`] of each similarity, from any source on the fly.
+//! similarity matrix — single entries, whole rows (the TMFG gain scans
+//! walk a face's corner rows over the remaining pool), row sums and the
+//! best-row seed — and only *compares* the weights it reads.
+//! [`SimilaritySource`] captures exactly that surface, so the same
+//! construction code runs over the dense `f64` matrix and the
+//! half-footprint `f32` matrix. [`DissimilarityView`] derives the DBHT's
+//! edge lengths, the [`dissimilarity`] of each similarity, from any source
+//! on the fly.
 
 use rayon::prelude::*;
 
@@ -15,21 +17,29 @@ use crate::shortest_paths::PairDistances;
 
 /// Read-only access to a symmetric similarity matrix.
 ///
-/// Implementations must be symmetric (`get(i, j) == get(j, i)` bitwise)
-/// with a meaningful diagonal (`get(i, i)` is included in row sums, as in
-/// [`SymmetricMatrix::row_sum`]). All default methods accumulate in index
-/// order so results are bitwise identical across implementations that
-/// return bitwise-identical entries.
+/// Implementations must be symmetric (`get(i, j) == get(j, i)` bitwise),
+/// with `row(i)[j]` widening to exactly `get(i, j)`, and a meaningful
+/// diagonal (`get(i, i)` is included in row sums). All default methods
+/// read rows and accumulate in index order, so results are bitwise
+/// identical across implementations whose entries widen to
+/// bitwise-identical `f64`s.
 pub trait SimilaritySource: Sync {
+    /// The stored type of one entry; it widens to `f64` exactly.
+    type Entry: Copy + Into<f64>;
+
     /// Number of rows (= columns = vertices).
     fn n(&self) -> usize;
 
     /// The similarity of `(i, j)` widened to `f64`.
     fn get(&self, i: usize, j: usize) -> f64;
 
-    /// Sum of row `i` including the diagonal, accumulated in index order.
+    /// Row `i` as stored: `n` entries, `row(i)[j]` being `(i, j)`.
+    fn row(&self, i: usize) -> &[Self::Entry];
+
+    /// Sum of row `i` including the diagonal, accumulated in `f64` in
+    /// index order.
     fn row_sum(&self, i: usize) -> f64 {
-        (0..self.n()).map(|j| self.get(i, j)).sum()
+        self.row(i).iter().map(|&x| x.into()).sum()
     }
 
     /// Row sums for every row, computed in parallel.
@@ -51,22 +61,25 @@ pub trait SimilaritySource: Sync {
         idx
     }
 
-    /// First non-finite (NaN or ±∞) entry of the strict upper triangle in
-    /// `(row, col)` lexicographic order, scanned in parallel.
+    /// First non-finite (NaN or ±∞) entry of the upper triangle, diagonal
+    /// included, in `(row, col)` lexicographic order, scanned in parallel.
+    /// Row `i` is read from column `i` on.
     fn find_non_finite(&self) -> Option<(usize, usize)> {
-        let n = self.n();
-        (0..n)
+        (0..self.n())
             .into_par_iter()
-            .filter_map(|row| {
-                ((row + 1)..n)
-                    .find(|&col| !self.get(row, col).is_finite())
-                    .map(|col| (row, col))
+            .filter_map(|i| {
+                self.row(i)[i..]
+                    .iter()
+                    .position(|&x| !x.into().is_finite())
+                    .map(|k| (i, i + k))
             })
             .min()
     }
 }
 
 impl SimilaritySource for SymmetricMatrix {
+    type Entry = f64;
+
     #[inline]
     fn n(&self) -> usize {
         SymmetricMatrix::n(self)
@@ -77,12 +90,15 @@ impl SimilaritySource for SymmetricMatrix {
         SymmetricMatrix::get(self, i, j)
     }
 
-    fn row_sum(&self, i: usize) -> f64 {
-        SymmetricMatrix::row_sum(self, i)
+    #[inline]
+    fn row(&self, i: usize) -> &[f64] {
+        SymmetricMatrix::row(self, i)
     }
 }
 
 impl SimilaritySource for SymmetricMatrixF32 {
+    type Entry = f32;
+
     #[inline]
     fn n(&self) -> usize {
         SymmetricMatrixF32::n(self)
@@ -93,8 +109,10 @@ impl SimilaritySource for SymmetricMatrixF32 {
         SymmetricMatrixF32::get(self, i, j)
     }
 
-    fn row_sum(&self, i: usize) -> f64 {
-        SymmetricMatrixF32::row_sum(self, i)
+    #[inline]
+    fn row(&self, i: usize) -> &[f32] {
+        let n = SymmetricMatrixF32::n(self);
+        &self.as_slice()[i * n..(i + 1) * n]
     }
 }
 
@@ -200,17 +218,24 @@ mod tests {
     #[test]
     fn nan_entry_matches_dense_scan() {
         // The parallel `find_non_finite` must report the first NaN or ±∞
-        // of a sequential row-major scan of the strict upper triangle.
+        // of a sequential row-major scan of the upper triangle, diagonal
+        // included.
         let mut m = random_matrix(10, 21);
         assert_eq!(SimilaritySource::find_non_finite(&m), None);
         m.set(3, 7, f64::NAN);
         m.set(2, 9, f64::NAN);
         let scan = |m: &SymmetricMatrix| {
             (0..10)
-                .flat_map(|i| ((i + 1)..10).map(move |j| (i, j)))
+                .flat_map(|i| (i..10).map(move |j| (i, j)))
                 .find(|&(i, j)| !m.get(i, j).is_finite())
         };
         assert_eq!(scan(&m), Some((2, 9)));
+        assert_eq!(SimilaritySource::find_non_finite(&m), scan(&m));
+        assert_eq!(f32_copy(&m).find_non_finite(), scan(&m));
+        // A diagonal entry counts, in either sign, ahead of the rest of
+        // its row.
+        m.set(2, 2, -f64::NAN);
+        assert_eq!(scan(&m), Some((2, 2)));
         assert_eq!(SimilaritySource::find_non_finite(&m), scan(&m));
         assert_eq!(f32_copy(&m).find_non_finite(), scan(&m));
         // Infinities count too, in either sign.

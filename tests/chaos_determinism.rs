@@ -7,14 +7,16 @@
 //! function of input length alone, so every seed × thread-count
 //! combination must reproduce the single-threaded result bit for bit —
 //! for the most order-sensitive primitives (float reduction), the
-//! parallel sort, the full tiled correlation/dissimilarity kernels, PMFG
-//! construction, and the DBHT's demand-driven shortest-path stores.
+//! parallel sort, the full tiled correlation/dissimilarity kernels, TMFG
+//! and PMFG construction, and the DBHT's demand-driven shortest-path
+//! stores.
 
 use pfg_core::dbht::{
     assignment, converging_vertices, direction, dissimilarity_graph, restricted_distances,
 };
+use pfg_core::{tmfg, Tmfg, TmfgConfig};
 use pfg_data::correlation::{correlation_matrix_with, TileConfig};
-use pfg_graph::{PairDistances, SourceRows};
+use pfg_graph::{PairDistances, SourceRows, SymmetricMatrix, SymmetricMatrixF32};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -136,7 +138,7 @@ fn pmfg_construction_is_schedule_invariant() {
     // commit re-test count — must be byte-identical to the 1-thread run.
     let mut rng = StdRng::seed_from_u64(23);
     let n = 60;
-    let s = pfg_graph::SymmetricMatrix::from_fn(n, |i, j| {
+    let s = SymmetricMatrix::from_fn(n, |i, j| {
         if i == j {
             1.0
         } else {
@@ -161,6 +163,51 @@ fn pmfg_construction_is_schedule_invariant() {
                 && a.commit_retests == b.commit_retests
         },
     );
+}
+
+/// Whether two TMFGs agree bit for bit: seed clique, insertion trace
+/// with gain bits, per-round counters and edge list with weight bits.
+fn same_tmfg(a: &Tmfg, b: &Tmfg) -> bool {
+    let trace = |t: &Tmfg| -> Vec<_> {
+        t.insertions
+            .iter()
+            .map(|ins| (ins.vertex, ins.face, ins.gain.to_bits(), ins.round))
+            .collect()
+    };
+    let edges = |t: &Tmfg| -> Vec<_> {
+        t.graph
+            .edges()
+            .map(|(u, v, w)| (u, v, w.to_bits()))
+            .collect()
+    };
+    a.initial_clique == b.initial_clique
+        && trace(a) == trace(b)
+        && a.round_stats == b.round_stats
+        && edges(a) == edges(b)
+}
+
+#[test]
+fn tmfg_construction_is_schedule_invariant() {
+    // TMFG under chaos. At n = 520, just above the shim's 512-item gate,
+    // the seed clique's row sums and the up-front non-finite scan run as
+    // pool jobs (the per-round scan batches stay under the gate). Both
+    // storages must reproduce the 1-thread construction bit for bit.
+    let mut rng = StdRng::seed_from_u64(31);
+    let n = 520;
+    let s = SymmetricMatrix::from_fn(n, |i, j| {
+        if i == j {
+            1.0
+        } else {
+            rng.gen_range(0.0f64..1.0)
+        }
+    });
+    let s32 =
+        SymmetricMatrixF32::from_symmetrized(n, s.as_slice().iter().map(|&x| x as f32).collect());
+    for prefix in [1, 10] {
+        let config = TmfgConfig::with_prefix(prefix);
+        assert_schedule_invariant(|| tmfg(&s, config).expect("tmfg builds"), same_tmfg);
+        assert_schedule_invariant(|| tmfg(&s32, config).expect("tmfg builds"), same_tmfg);
+    }
 }
 
 #[test]
@@ -190,7 +237,7 @@ fn restricted_distances_are_schedule_invariant() {
     // bit.
     let mut rng = StdRng::seed_from_u64(29);
     let n = 80;
-    let s = pfg_graph::SymmetricMatrix::from_fn(n, |i, j| {
+    let s = SymmetricMatrix::from_fn(n, |i, j| {
         if i == j {
             1.0
         } else {
