@@ -55,11 +55,11 @@
 //! by lane, in pool order. A skipped chunk is one in which the per-entry
 //! insert would have rejected every lane, and every other entry takes
 //! that insert in the same order, so every list, every `truncated` flag
-//! and every rescan winner is bit for bit the per-entry scan's. The bar
-//! test compares all eight lanes without a branch, and on most chunks it
-//! is all the selection work there is: a full list's worst gain is high
-//! and most of the pool falls below it, so about nine chunks in ten are
-//! skipped on the benchmark's TMFG workloads.
+//! and every rescan winner is bit for bit the per-entry scan's. On most
+//! chunks the bar test, eight compares against one value, is all the
+//! selection work there is: a full list's worst gain is high and most of
+//! the pool falls below it, so about nine chunks in ten are skipped on
+//! the benchmark's TMFG workloads.
 //!
 //! The reverse index `faces_of_best` maps each vertex to the faces whose
 //! current head it is. A face re-registers on every head change and each
@@ -136,7 +136,6 @@ impl TopList {
 
     /// Whether every lane is at or below the bar: the list is full, no
     /// lane is NaN, and the per-entry insert would reject every lane.
-    /// Every lane is compared, with no early exit, so the test vectorises.
     #[inline(always)]
     fn rejects(&self, gains: &[f64; LANES]) -> bool {
         let bar = self.bar;
@@ -162,14 +161,15 @@ impl TopList {
     }
 }
 
-/// The gains of one chunk of pool entries.
+/// The values `f` takes at one chunk's pool entries: their gains, or one
+/// row's entries.
 #[inline(always)]
-fn chunk_gains(ids: &[usize; LANES], gain: impl Fn(usize) -> f64) -> [f64; LANES] {
-    let mut gains = [0.0; LANES];
-    for (g, &v) in gains.iter_mut().zip(ids) {
-        *g = gain(v);
+fn lanes(ids: &[usize; LANES], f: impl Fn(usize) -> f64) -> [f64; LANES] {
+    let mut values = [0.0; LANES];
+    for (x, &v) in values.iter_mut().zip(ids) {
+        *x = f(v);
     }
-    gains
+    values
 }
 
 /// Result of asking a face for its next still-available candidate.
@@ -392,7 +392,7 @@ impl GainTable {
         let mut list = TopList::new(depth);
         let (chunks, tail) = pool.as_chunks::<LANES>();
         for ids in chunks {
-            list.offer_chunk(ids, &chunk_gains(ids, gain));
+            list.offer_chunk(ids, &lanes(ids, gain));
         }
         for &v in tail {
             list.offer(v, gain(v));
@@ -447,7 +447,7 @@ impl GainTable {
             // w[i][lane]: shared load i of the chunk's lane-th entry.
             let mut w = [[0.0; LANES]; 4];
             for (loads, row) in w.iter_mut().zip(&rows) {
-                *loads = chunk_gains(chunk, |u| row[u].into());
+                *loads = lanes(chunk, |u| row[u].into());
             }
             for (list, &[i, j, l]) in lists.iter_mut().zip(&perm) {
                 let (x, y, z) = (&w[i], &w[j], &w[l]);
@@ -488,7 +488,7 @@ impl GainTable {
         let mut best = TopList::new(1);
         let (chunks, tail) = pool.as_chunks::<LANES>();
         for ids in chunks {
-            let gains = chunk_gains(ids, gain);
+            let gains = lanes(ids, gain);
             if best.rejects(&gains) {
                 continue;
             }
