@@ -13,13 +13,10 @@ use pfg_graph::SymmetricMatrix;
 /// The linkage function used to measure the distance between clusters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Linkage {
-    /// Maximum pairwise distance (the COMP baseline and the DBHT
-    /// subroutine).
+    /// Maximum pairwise distance (the COMP baseline).
     Complete,
     /// Unweighted average pairwise distance (UPGMA; the AVG baseline).
     Average,
-    /// Minimum pairwise distance.
-    Single,
 }
 
 impl Linkage {
@@ -28,7 +25,6 @@ impl Linkage {
     fn update(&self, d_ak: f64, d_bk: f64, size_a: usize, size_b: usize) -> f64 {
         match self {
             Linkage::Complete => d_ak.max(d_bk),
-            Linkage::Single => d_ak.min(d_bk),
             Linkage::Average => {
                 let (sa, sb) = (size_a as f64, size_b as f64);
                 (sa * d_ak + sb * d_bk) / (sa + sb)
@@ -127,7 +123,7 @@ mod tests {
     #[test]
     fn two_tight_pairs_merge_first() {
         let d = line_points(&[0.0, 1.0, 10.0, 11.5]);
-        for linkage in [Linkage::Complete, Linkage::Average, Linkage::Single] {
+        for linkage in [Linkage::Complete, Linkage::Average] {
             let dend = hac(&d, linkage);
             let labels = dend.cut_to_clusters(2);
             assert_eq!(labels[0], labels[1]);
@@ -142,16 +138,6 @@ mod tests {
         let dend = hac(&d, Linkage::Complete);
         let root = dend.root().unwrap();
         assert!((dend.node(root).height - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_linkage_root_height_is_largest_gap() {
-        let d = line_points(&[0.0, 1.0, 4.0, 9.0]);
-        let dend = hac(&d, Linkage::Single);
-        let root = dend.root().unwrap();
-        // Single linkage merges along the chain; the last merge bridges the
-        // largest nearest-neighbor gap (9 - 4 = 5).
-        assert!((dend.node(root).height - 5.0).abs() < 1e-12);
     }
 
     #[test]

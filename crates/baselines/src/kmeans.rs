@@ -1,19 +1,9 @@
-//! k-means clustering: k-means++ seeding, scalable k-means|| seeding, and
-//! parallel Lloyd iterations (the K-MEANS baseline of §VII).
+//! k-means clustering: scalable k-means|| seeding and parallel Lloyd
+//! iterations (the K-MEANS baseline of §VII).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-
-/// Seeding strategy for the initial centroids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Seeding {
-    /// Classic k-means++ (one centroid sampled per round).
-    PlusPlus,
-    /// Scalable k-means|| (Bahmani et al.): oversample `2k` candidates per
-    /// round for a few rounds, then reduce with weighted k-means++.
-    Scalable,
-}
 
 /// Configuration of the k-means baseline.
 #[derive(Debug, Clone, Copy)]
@@ -24,8 +14,6 @@ pub struct KMeansConfig {
     pub max_iterations: usize,
     /// Convergence threshold on the relative decrease of the objective.
     pub tolerance: f64,
-    /// Seeding strategy.
-    pub seeding: Seeding,
     /// RNG seed.
     pub seed: u64,
 }
@@ -36,7 +24,6 @@ impl Default for KMeansConfig {
             k: 8,
             max_iterations: 100,
             tolerance: 1e-6,
-            seeding: Seeding::Scalable,
             seed: 1,
         }
     }
@@ -70,10 +57,7 @@ pub fn kmeans(points: &[Vec<f64>], config: &KMeansConfig) -> KMeansResult {
     let k = config.k.min(points.len());
     let mut rng = StdRng::seed_from_u64(config.seed);
 
-    let mut centroids = match config.seeding {
-        Seeding::PlusPlus => seed_plus_plus(points, k, &mut rng),
-        Seeding::Scalable => seed_scalable(points, k, &mut rng),
-    };
+    let mut centroids = seed_scalable(points, k, &mut rng);
     // Degenerate inputs (e.g. many identical points) can leave the seeding
     // with fewer than k candidates; pad with random points so the Lloyd
     // loop always works with k centroids.
@@ -154,41 +138,6 @@ fn nearest_centroid(point: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
         }
     }
     (best, best_dist)
-}
-
-/// Classic k-means++ seeding.
-fn seed_plus_plus(points: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
-    let first = rng.gen_range(0..points.len());
-    let mut centroids = vec![points[first].clone()];
-    let mut distances: Vec<f64> = points
-        .par_iter()
-        .map(|p| squared_distance(p, &centroids[0]))
-        .collect();
-    while centroids.len() < k {
-        let total: f64 = distances.iter().sum();
-        let choice = if total <= 0.0 {
-            rng.gen_range(0..points.len())
-        } else {
-            let mut target = rng.gen_range(0.0..total);
-            let mut chosen = points.len() - 1;
-            for (i, &d) in distances.iter().enumerate() {
-                if target < d {
-                    chosen = i;
-                    break;
-                }
-                target -= d;
-            }
-            chosen
-        };
-        centroids.push(points[choice].clone());
-        let newest = centroids.last().expect("just pushed");
-        distances = points
-            .par_iter()
-            .zip(distances.par_iter())
-            .map(|(p, &d)| d.min(squared_distance(p, newest)))
-            .collect();
-    }
-    centroids
 }
 
 /// Scalable k-means|| seeding (Bahmani et al. 2012): a few oversampling
@@ -340,21 +289,18 @@ mod tests {
     #[test]
     fn recovers_well_separated_blobs_with_both_seedings() {
         let (points, truth) = blobs(30, 3);
-        for seeding in [Seeding::PlusPlus, Seeding::Scalable] {
-            let result = kmeans(
-                &points,
-                &KMeansConfig {
-                    k: 3,
-                    seeding,
-                    seed: 7,
-                    ..KMeansConfig::default()
-                },
-            );
-            assert!(pair_agreement(&truth, &result.labels) > 0.95, "{seeding:?}");
-            assert_eq!(result.centroids.len(), 3);
-            assert!(result.inertia.is_finite());
-            assert!(result.iterations >= 1);
-        }
+        let result = kmeans(
+            &points,
+            &KMeansConfig {
+                k: 3,
+                seed: 7,
+                ..KMeansConfig::default()
+            },
+        );
+        assert!(pair_agreement(&truth, &result.labels) > 0.95);
+        assert_eq!(result.centroids.len(), 3);
+        assert!(result.inertia.is_finite());
+        assert!(result.iterations >= 1);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Baseline clustering methods the paper compares PAR-TDBHT against (§VII):
 //!
-//! * [`hac()`] — hierarchical agglomerative clustering with complete, average
-//!   or single linkage (the COMP and AVG baselines), implemented with the
+//! * [`hac()`] — hierarchical agglomerative clustering with complete or
+//!   average linkage (the COMP and AVG baselines), implemented with the
 //!   nearest-neighbor-chain algorithm over a parallel-built distance
 //!   matrix;
-//! * [`kmeans()`] — k-means++ and scalable k-means|| (the K-MEANS baseline);
+//! * [`kmeans()`] — k-means with scalable k-means|| seeding (the K-MEANS
+//!   baseline);
 //! * [`spectral`] — a k-nearest-neighbor spectral embedding used as the
 //!   preprocessing step of the K-MEANS-S baseline (and of the stock
 //!   experiment).

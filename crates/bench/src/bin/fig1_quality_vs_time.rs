@@ -6,7 +6,9 @@
 //!
 //! Usage: `cargo run --release -p pfg-bench --bin fig1_quality_vs_time [scale] [max_datasets]`
 
-use pfg_bench::{build_suite, parse_scale_from_args, run_method, secs, Method, Record};
+use pfg_bench::{
+    build_suite, parse_scale_from_args, pmfg_summary, run_method, secs, Method, Record,
+};
 
 fn main() {
     let mut config = parse_scale_from_args();
@@ -41,11 +43,12 @@ fn main() {
                 output.ari
             );
             let mut params = format!("n={}", dataset.len());
-            if let Some(p) = output.pmfg_stats {
+            if let Some(p) = &output.pmfg {
                 // Speculative-test efficiency of the round-based PMFG:
                 // the share of rejections decided off the critical path.
-                println!("  └ {}", p.summary_line());
-                params.push_str(&p.params_suffix());
+                let (line, suffix) = pmfg_summary(p);
+                println!("  └ {line}");
+                params.push_str(&suffix);
             }
             Record {
                 experiment: "fig1".into(),

@@ -3,7 +3,9 @@
 //!
 //! Usage: `cargo run --release -p pfg-bench --bin fig3_runtimes [scale] [max_datasets]`
 
-use pfg_bench::{build_suite, parse_scale_from_args, run_method, secs, Method, Record};
+use pfg_bench::{
+    build_suite, parse_scale_from_args, pmfg_summary, run_method, secs, Method, Record,
+};
 
 fn run_suite(threads: usize, config: &pfg_bench::SuiteConfig) {
     let pool = rayon::ThreadPoolBuilder::new()
@@ -40,11 +42,12 @@ fn run_suite(threads: usize, config: &pfg_bench::SuiteConfig) {
                 output.ari
             );
             let mut params = format!("threads={threads},n={}", dataset.len());
-            if let Some(p) = output.pmfg_stats {
+            if let Some(p) = &output.pmfg {
                 // The PMFG row is the figure's slow baseline; report how
                 // much of its rejection work ran speculatively in parallel.
-                println!("  └ {}", p.summary_line());
-                params.push_str(&p.params_suffix());
+                let (line, suffix) = pmfg_summary(p);
+                println!("  └ {line}");
+                params.push_str(&suffix);
             }
             Record {
                 experiment: "fig3".into(),

@@ -17,7 +17,7 @@
 //!   30 000) for CI-sized ones (500 / 1 000).
 
 use pfg_bench::records::{record_dir, write_json_array};
-use pfg_bench::{parse_scale_from_args, BenchDataset, CorrelationRunStats, Record, SuiteConfig};
+use pfg_bench::{parse_scale_from_args, BenchDataset, Record, SuiteConfig};
 use pfg_core::ParTdbht;
 use pfg_data::{correlation_matrix_f32, ucr_catalogue, TileConfig};
 use pfg_metrics::adjusted_rand_index;
@@ -102,7 +102,6 @@ fn nsweep(quick: bool) {
         let cluster_time = start.elapsed();
         let total = kernel_time + cluster_time;
         let ari = adjusted_rand_index(&labels, &result.clusters(classes));
-        let stats = CorrelationRunStats::of(&kernel);
         println!(
             "{:>8} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>8.3} {:>12.1}",
             n,
@@ -113,13 +112,16 @@ fn nsweep(quick: bool) {
             cluster_time.as_secs_f64(),
             total.as_secs_f64(),
             ari,
-            stats.output_bytes as f64 / 1e6
+            kernel.output_bytes as f64 / 1e6
         );
         Record {
             experiment: "fig4_nsweep".into(),
             dataset: format!("synth-{n}"),
             method: format!("PAR-TDBHT-{prefix}(f32)"),
-            params: format!("n={n},len={len},classes={classes}{}", stats.params_suffix()),
+            params: format!(
+                "n={n},len={len},classes={classes},tiles={},peak_bytes={}",
+                kernel.tiles_computed, kernel.peak_intermediate_bytes
+            ),
             seconds: total.as_secs_f64(),
             ari: Some(ari),
             value: Some(kernel_time.as_secs_f64()),

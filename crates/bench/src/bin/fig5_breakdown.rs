@@ -31,6 +31,7 @@ fn run(threads: usize, dataset: &BenchDataset) {
         });
         let t = result.timings;
         let stats = result.dbht_stats;
+        let apsp_frac = stats.restricted_fraction();
         println!(
             "{:>8} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>10.3}",
             prefix,
@@ -40,7 +41,7 @@ fn run(threads: usize, dataset: &BenchDataset) {
             t.assignment.as_secs_f64(),
             t.hierarchy.as_secs_f64(),
             t.total().as_secs_f64(),
-            stats.restricted_fraction()
+            apsp_frac
         );
         for (stage, secs) in [
             ("tmfg", t.tmfg.as_secs_f64()),
@@ -53,10 +54,13 @@ fn run(threads: usize, dataset: &BenchDataset) {
                 experiment: "fig5".into(),
                 dataset: dataset.name.clone(),
                 method: format!("PAR-TDBHT-{prefix}"),
-                params: format!("threads={threads},stage={stage}{}", stats.params_suffix()),
+                params: format!(
+                    "threads={threads},stage={stage},hac_rounds={},apsp_frac={apsp_frac:.4}",
+                    stats.hac_rounds
+                ),
                 seconds: secs,
                 ari: None,
-                value: Some(stats.restricted_fraction()),
+                value: Some(apsp_frac),
             }
             .emit();
         }

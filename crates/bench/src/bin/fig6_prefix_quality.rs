@@ -41,11 +41,17 @@ fn main() {
                 value: None,
             }
             .emit();
-            let stats = output.tmfg_stats.expect("TMFG method reports stats");
-            totals[slot].0 += stats.rounds;
-            totals[slot].1 += stats.conflicts;
-            totals[slot].2 += stats.rescans;
-            totals[slot].3 += stats.reassigned;
+            let t = output.tmfg.as_ref().expect("TMFG method carries its graph");
+            let (rounds, conflicts, rescans, reassigned) = (
+                t.rounds,
+                t.total_conflicts(),
+                t.total_rescans(),
+                t.total_reassigned(),
+            );
+            totals[slot].0 += rounds;
+            totals[slot].1 += conflicts;
+            totals[slot].2 += rescans;
+            totals[slot].3 += reassigned;
             table_lines.push(format!(
                 "{{\"dataset\":{},\"n\":{},\"prefix\":{},\"ari\":{:.6},\"seconds\":{:.6},\"rounds\":{},\"conflicts\":{},\"rescans\":{},\"reassigned\":{}}}",
                 json_string(&dataset.name),
@@ -53,10 +59,10 @@ fn main() {
                 prefix,
                 output.ari,
                 output.elapsed.as_secs_f64(),
-                stats.rounds,
-                stats.conflicts,
-                stats.rescans,
-                stats.reassigned,
+                rounds,
+                conflicts,
+                rescans,
+                reassigned,
             ));
         }
         println!();

@@ -10,9 +10,7 @@ pub mod methods;
 pub mod records;
 pub mod suite;
 
-pub use methods::{
-    run_method, CorrelationRunStats, Method, MethodOutput, PmfgRunStats, TmfgRunStats,
-};
+pub use methods::{pmfg_summary, run_method, Method, MethodOutput};
 pub use suite::{build_suite, parse_scale_from_args, BenchDataset, SuiteConfig};
 
 use std::time::Duration;

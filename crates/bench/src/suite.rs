@@ -1,10 +1,7 @@
 //! The benchmark data-set suite: scaled synthetic stand-ins for the 18 UCR
 //! data sets of Table II.
 
-use pfg_data::{
-    correlation_and_dissimilarity, correlation_matrix, dissimilarity_from_correlation,
-    ucr_catalogue, CorrelationKernelStats, UcrDatasetSpec,
-};
+use pfg_data::{correlation_and_dissimilarity, ucr_catalogue, UcrDatasetSpec};
 use pfg_graph::SymmetricMatrix;
 
 /// Configuration of the suite used by a harness run.
@@ -48,27 +45,17 @@ pub struct BenchDataset {
     pub correlation: SymmetricMatrix,
     /// Dissimilarity matrix `sqrt(2(1 − ρ))`.
     pub dissimilarity: SymmetricMatrix,
-    /// Counters of the tiled correlation kernel run that produced both
-    /// matrices (`None` only for ragged series, which fall back to the
-    /// reference kernel).
-    pub kernel_stats: Option<CorrelationKernelStats>,
 }
 
 impl BenchDataset {
     /// Prepares one spec at the given scale. Both derived matrices come
     /// from one fused pass of the tiled kernel — the correlation is never
     /// materialised twice and never re-mapped into the dissimilarity.
+    /// Every catalogue spec generates series of one length, which the
+    /// tiled kernel requires.
     pub fn prepare(spec: &UcrDatasetSpec, config: &SuiteConfig) -> Self {
         let dataset = spec.generate(config.scale, config.seed);
-        let uniform = dataset.series.windows(2).all(|w| w[0].len() == w[1].len());
-        let (correlation, dissimilarity, kernel_stats) = if uniform && !dataset.series.is_empty() {
-            let (c, d, stats) = correlation_and_dissimilarity(&dataset.series);
-            (c, d, Some(stats))
-        } else {
-            let c = correlation_matrix(&dataset.series);
-            let d = dissimilarity_from_correlation(&c);
-            (c, d, None)
-        };
+        let (correlation, dissimilarity, _) = correlation_and_dissimilarity(&dataset.series);
         Self {
             id: spec.id,
             name: dataset.name.clone(),
@@ -77,7 +64,6 @@ impl BenchDataset {
             labels: dataset.labels,
             correlation,
             dissimilarity,
-            kernel_stats,
         }
     }
 

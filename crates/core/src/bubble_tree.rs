@@ -27,18 +27,6 @@ pub struct Bubble {
 }
 
 impl Bubble {
-    /// Sum over all vertices of the bubble of `f(v)`.
-    pub fn total_edge_weight(&self, weight: impl Fn(usize, usize) -> f64) -> f64 {
-        let vs = self.vertices;
-        let mut sum = 0.0;
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                sum += weight(vs[i], vs[j]);
-            }
-        }
-        sum
-    }
-
     /// Returns `true` if `v` is one of the bubble's four vertices.
     #[inline]
     pub fn contains(&self, v: usize) -> bool {
@@ -123,11 +111,6 @@ impl BubbleTree {
         &self.bubbles[id]
     }
 
-    /// Iterator over `(id, bubble)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Bubble)> {
-        self.bubbles.iter().enumerate()
-    }
-
     /// `UpdateBubbleTree(v, t, T)` from Algorithm 2: vertex `v` was inserted
     /// into face `t`, which lies in bubble `containing_bubble`. Creates the
     /// new bubble and links it into the tree. Returns the new bubble's id.
@@ -167,30 +150,6 @@ impl BubbleTree {
             self.bubbles[containing_bubble].children.push(new_id);
         }
         new_id
-    }
-
-    /// The height (longest root-to-leaf path, in edges) of the tree.
-    pub fn height(&self) -> usize {
-        fn depth(tree: &BubbleTree, b: usize) -> usize {
-            tree.bubble(b)
-                .children
-                .iter()
-                .map(|&c| 1 + depth(tree, c))
-                .max()
-                .unwrap_or(0)
-        }
-        depth(self, self.root)
-    }
-
-    /// Ids of the bubbles containing each vertex, indexed by vertex.
-    pub fn bubbles_of_vertices(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.num_vertices];
-        for (id, b) in self.iter() {
-            for &v in &b.vertices {
-                out[v].push(id);
-            }
-        }
-        out
     }
 
     /// Checks the structural invariants of the tree (used by tests and
@@ -289,16 +248,32 @@ mod tests {
         assert_eq!(b4.parent_triangle, Some(Triangle::new(1, 2, 3)));
     }
 
+    /// Edges on the path from bubble `b` up to the root.
+    fn depth(tree: &BubbleTree, mut b: usize) -> usize {
+        let mut edges = 0;
+        while let Some(parent) = tree.bubble(b).parent {
+            b = parent;
+            edges += 1;
+        }
+        edges
+    }
+
     #[test]
     fn height_and_vertex_membership() {
         let tree = paper_example_tree();
-        assert_eq!(tree.height(), 2);
-        let membership = tree.bubbles_of_vertices();
+        // The longest root-to-leaf path has two edges: b3 → b2 → {b1, b4}.
+        let height = (0..tree.len()).map(|b| depth(&tree, b)).max();
+        assert_eq!(height, Some(2));
+        let bubbles_with = |v: usize| -> Vec<usize> {
+            (0..tree.len())
+                .filter(|&b| tree.bubble(b).contains(v))
+                .collect()
+        };
         // Vertex 1 is in every bubble.
-        assert_eq!(membership[1].len(), 4);
+        assert_eq!(bubbles_with(1).len(), 4);
         // Vertex 4 is only in bubble 0, vertex 6 only in bubble 2.
-        assert_eq!(membership[4], vec![0]);
-        assert_eq!(membership[6], vec![2]);
+        assert_eq!(bubbles_with(4), vec![0]);
+        assert_eq!(bubbles_with(6), vec![2]);
     }
 
     #[test]
@@ -318,20 +293,8 @@ mod tests {
         let tree = BubbleTree::new([2, 0, 3, 1], Triangle::new(0, 1, 2), 4);
         tree.check_invariants().unwrap();
         assert_eq!(tree.len(), 1);
-        assert_eq!(tree.height(), 0);
+        assert_eq!(depth(&tree, 0), 0);
         assert_eq!(tree.bubble(0).vertices, [0, 1, 2, 3]);
         assert!(!tree.is_empty());
-    }
-
-    #[test]
-    fn bubble_total_edge_weight() {
-        let b = Bubble {
-            vertices: [0, 1, 2, 3],
-            parent: None,
-            parent_triangle: None,
-            children: vec![],
-        };
-        // All six edges weight 1 → total 6.
-        assert_eq!(b.total_edge_weight(|_, _| 1.0), 6.0);
     }
 }

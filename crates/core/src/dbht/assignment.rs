@@ -37,21 +37,13 @@ pub struct VertexAssignment {
 }
 
 impl VertexAssignment {
-    /// The vertices assigned to group `g`, in increasing order.
-    pub fn vertices_in_group(&self, g: usize) -> Vec<usize> {
-        (0..self.group.len())
-            .filter(|&v| self.group[v] == g)
-            .collect()
-    }
-
     /// The number of distinct groups.
     pub fn num_groups(&self) -> usize {
         self.groups.len()
     }
 
     /// Member lists for every group in `groups` order (each ascending),
-    /// built in one pass — the `O(n)` replacement for calling
-    /// [`VertexAssignment::vertices_in_group`] per group.
+    /// built in one `O(n)` pass.
     pub fn group_members(&self) -> Vec<Vec<usize>> {
         let index_of: std::collections::HashMap<usize, usize> = self
             .groups
@@ -72,7 +64,7 @@ impl VertexAssignment {
 /// normalised by the bubble's edge count `3(|b| − 2)`. For TMFG bubbles
 /// (4-cliques) the denominator is always 6, matching the simplification in
 /// §V-C.
-pub fn chi(graph: &WeightedGraph, bubble: &[usize], v: usize) -> f64 {
+fn chi(graph: &WeightedGraph, bubble: &[usize], v: usize) -> f64 {
     let attach: f64 = bubble
         .iter()
         .filter(|&&u| u != v)
@@ -85,7 +77,7 @@ pub fn chi(graph: &WeightedGraph, bubble: &[usize], v: usize) -> f64 {
 /// Normalised attachment χ′ of vertex `v` to bubble `b`: the attachment
 /// weight divided by twice the bubble's internal edge weight (which equals
 /// the χ_total normaliser of Algorithm 4, lines 19–23).
-pub fn chi_prime(graph: &WeightedGraph, bubble: &[usize], v: usize) -> f64 {
+fn chi_prime(graph: &WeightedGraph, bubble: &[usize], v: usize) -> f64 {
     let attach: f64 = bubble
         .iter()
         .filter(|&&u| u != v)
@@ -383,13 +375,12 @@ mod tests {
                 assignment.group[v]
             );
         }
-        // Every group is non-empty and vertices_in_group partitions 0..n.
-        let total: usize = assignment
-            .groups
-            .iter()
-            .map(|&g| assignment.vertices_in_group(g).len())
-            .sum();
-        assert_eq!(total, n);
+        // Every group is non-empty and the member lists partition 0..n.
+        let members = assignment.group_members();
+        assert!(members.iter().all(|m| !m.is_empty()));
+        let mut all: Vec<usize> = members.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..n).collect::<Vec<_>>());
     }
 
     #[test]

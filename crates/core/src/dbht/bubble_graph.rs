@@ -27,7 +27,6 @@ pub struct DirectedBubbleGraph {
     bubbles: Vec<Vec<usize>>,
     edges: Vec<DirectedBubbleEdge>,
     out_adj: Vec<Vec<usize>>,
-    in_adj: Vec<Vec<usize>>,
     num_vertices: usize,
 }
 
@@ -46,17 +45,14 @@ impl DirectedBubbleGraph {
         }
         let nb = bubbles.len();
         let mut out_adj = vec![Vec::new(); nb];
-        let mut in_adj = vec![Vec::new(); nb];
         for e in &edges {
             assert!(e.from < nb && e.to < nb, "edge references unknown bubble");
             out_adj[e.from].push(e.to);
-            in_adj[e.to].push(e.from);
         }
         Self {
             bubbles,
             edges,
             out_adj,
-            in_adj,
             num_vertices,
         }
     }
@@ -76,25 +72,9 @@ impl DirectedBubbleGraph {
         &self.bubbles[b]
     }
 
-    /// All bubbles.
-    pub fn bubbles(&self) -> &[Vec<usize>] {
-        &self.bubbles
-    }
-
     /// The directed edges.
     pub fn edges(&self) -> &[DirectedBubbleEdge] {
         &self.edges
-    }
-
-    /// Out-degree of bubble `b`.
-    pub fn out_degree(&self, b: usize) -> usize {
-        self.out_adj[b].len()
-    }
-
-    /// In-degree of bubble `b` (number of bubble-tree edges directed into
-    /// it).
-    pub fn in_degree(&self, b: usize) -> usize {
-        self.in_adj[b].len()
     }
 
     /// The converging bubbles: bubbles with no outgoing edges (Algorithm 4,
@@ -216,10 +196,12 @@ mod tests {
     fn converging_bubbles_have_no_out_edges() {
         let g = figure2_graph();
         assert_eq!(g.converging_bubbles(), vec![1]);
-        assert_eq!(g.out_degree(0), 1);
-        assert_eq!(g.out_degree(1), 0);
-        assert_eq!(g.in_degree(1), 3);
-        assert_eq!(g.in_degree(0), 0);
+        let out_degree = |b: usize| g.edges().iter().filter(|e| e.from == b).count();
+        let in_degree = |b: usize| g.edges().iter().filter(|e| e.to == b).count();
+        assert_eq!(out_degree(0), 1);
+        assert_eq!(out_degree(1), 0);
+        assert_eq!(in_degree(1), 3);
+        assert_eq!(in_degree(0), 0);
         g.check_invariants().unwrap();
     }
 

@@ -86,28 +86,6 @@ impl DbhtRunStats {
             self.apsp_pairs_computed as f64 / self.apsp_pairs_full as f64
         }
     }
-
-    /// Human-readable one-liner for the figure binaries' tables.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "dbht rounds={} merges={} apsp={}/{} ({:.3})",
-            self.hac_rounds,
-            self.hac_merges,
-            self.apsp_pairs_computed,
-            self.apsp_pairs_full,
-            self.restricted_fraction()
-        )
-    }
-
-    /// Suffix appended to a `Record`'s `params` field so the counters land
-    /// in the machine-readable output too.
-    pub fn params_suffix(&self) -> String {
-        format!(
-            ",hac_rounds={},apsp_frac={:.4}",
-            self.hac_rounds,
-            self.restricted_fraction()
-        )
-    }
 }
 
 /// The full DBHT output.
@@ -121,13 +99,6 @@ pub struct Dbht {
     pub assignment: VertexAssignment,
     /// HAC and restricted-APSP counters of this run.
     pub stats: DbhtRunStats,
-}
-
-impl Dbht {
-    /// Number of converging bubbles (= number of first-level groups).
-    pub fn num_groups(&self) -> usize {
-        self.bubble_graph.converging_bubbles().len()
-    }
 }
 
 /// Runs the DBHT on a TMFG, using the fast Θ(n)-work direction computation

@@ -21,18 +21,6 @@ pub struct PlanarBubbleDecomposition {
     pub edges: Vec<(usize, usize, Triangle)>,
 }
 
-impl PlanarBubbleDecomposition {
-    /// Returns the bubble ids whose vertex set contains the whole triangle.
-    pub fn bubbles_containing(&self, t: Triangle) -> Vec<usize> {
-        self.bubbles
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| t.corners().iter().all(|c| b.contains(c)))
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
 /// Decomposes a maximal planar graph into its bubbles.
 ///
 /// The graph must be connected and maximal planar (`3n − 6` edges); TMFGs
@@ -93,20 +81,23 @@ pub fn decompose(graph: &WeightedGraph) -> PlanarBubbleDecomposition {
     // planar graph is shared by exactly two bubbles; if the decomposition
     // ever yields more, connect them in a star so that the structure stays
     // a tree.
-    let decomposition = PlanarBubbleDecomposition {
-        bubbles,
-        edges: Vec::new(),
-    };
     for &t in &separating {
-        let sharing = decomposition.bubbles_containing(t);
+        let sharing = bubbles_containing(&bubbles, t);
         for &other in sharing.iter().skip(1) {
             edges.push((sharing[0], other, t));
         }
     }
-    PlanarBubbleDecomposition {
-        bubbles: decomposition.bubbles,
-        edges,
-    }
+    PlanarBubbleDecomposition { bubbles, edges }
+}
+
+/// The ids of the bubbles whose vertex set contains the whole triangle.
+fn bubbles_containing(bubbles: &[Vec<usize>], t: Triangle) -> Vec<usize> {
+    bubbles
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| t.corners().iter().all(|c| b.contains(c)))
+        .map(|(i, _)| i)
+        .collect()
 }
 
 /// Returns `true` if removing the corners of `t` disconnects the subgraph

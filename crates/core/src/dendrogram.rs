@@ -139,23 +139,6 @@ impl Dendrogram {
         })
     }
 
-    /// Leaves contained in the subtree rooted at `id`.
-    pub fn leaves_of(&self, id: usize) -> Vec<usize> {
-        let mut leaves = Vec::new();
-        let mut stack = vec![id];
-        while let Some(x) = stack.pop() {
-            let node = &self.nodes[x];
-            if node.is_leaf() {
-                leaves.push(x);
-            } else {
-                stack.push(node.left.expect("internal"));
-                stack.push(node.right.expect("internal"));
-            }
-        }
-        leaves.sort_unstable();
-        leaves
-    }
-
     /// Cuts the dendrogram so that exactly `k` clusters remain (or as many
     /// as possible if fewer than `k` leaves / merges exist), returning a
     /// cluster label in `0..k` for every leaf.
@@ -185,43 +168,13 @@ impl Dendrogram {
             uf.union(id, node.right.expect("internal"));
         }
         // Any applied-parent chain links leaves transitively; unapplied
-        // merges leave their children in separate clusters.
-        leaf_labels(&mut uf, n)
+        // merges leave their children in separate clusters. Leaves occupy
+        // indices `0..n` and `labels` numbers sets in index order, so its
+        // first `n` entries are compact per-leaf labels.
+        let mut labels = uf.labels();
+        labels.truncate(n);
+        labels
     }
-
-    /// Cuts the dendrogram at `height`: merges with height strictly greater
-    /// than `height` are ignored. Returns a label per leaf.
-    pub fn cut_at_height(&self, height: f64) -> Vec<usize> {
-        let n = self.num_leaves;
-        let mut uf = UnionFind::new(self.nodes.len());
-        for id in self.internal_nodes() {
-            let node = &self.nodes[id];
-            if node.height <= height {
-                uf.union(id, node.left.expect("internal"));
-                uf.union(id, node.right.expect("internal"));
-            }
-        }
-        leaf_labels(&mut uf, n)
-    }
-
-    /// Number of clusters produced by [`Dendrogram::cut_at_height`].
-    pub fn num_clusters_at_height(&self, height: f64) -> usize {
-        let labels = self.cut_at_height(height);
-        let mut distinct: Vec<usize> = labels;
-        distinct.sort_unstable();
-        distinct.dedup();
-        distinct.len()
-    }
-}
-
-/// Compact first-appearance labels for the `n` leaves of a dendrogram-node
-/// union-find. Leaves occupy indices `0..n`, so truncating
-/// [`UnionFind::labels`] (which visits elements in index order) to `n`
-/// yields exactly the per-leaf labels.
-fn leaf_labels(uf: &mut UnionFind, n: usize) -> Vec<usize> {
-    let mut labels = uf.labels();
-    labels.truncate(n);
-    labels
 }
 
 #[cfg(test)]
@@ -244,8 +197,10 @@ mod tests {
         assert_eq!(d.root(), Some(6));
         assert_eq!(d.node(6).size, 4);
         assert!(d.is_monotone());
-        assert_eq!(d.leaves_of(4), vec![0, 1]);
-        assert_eq!(d.leaves_of(6), vec![0, 1, 2, 3]);
+        // Node 4 joins leaves 0 and 1; the root joins nodes 4 and 5.
+        assert_eq!((d.node(4).left, d.node(4).right), (Some(0), Some(1)));
+        assert_eq!((d.node(6).left, d.node(6).right), (Some(4), Some(5)));
+        assert_eq!(d.node(0).parent, Some(4));
     }
 
     #[test]
@@ -273,15 +228,6 @@ mod tests {
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(distinct.len(), 4);
-    }
-
-    #[test]
-    fn cut_at_height_thresholds() {
-        let d = small_dendrogram();
-        assert_eq!(d.num_clusters_at_height(0.5), 4);
-        assert_eq!(d.num_clusters_at_height(1.5), 3);
-        assert_eq!(d.num_clusters_at_height(2.5), 2);
-        assert_eq!(d.num_clusters_at_height(5.0), 1);
     }
 
     #[test]

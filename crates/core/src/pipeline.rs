@@ -57,12 +57,6 @@ impl StageTimings {
     pub fn total(&self) -> Duration {
         self.tmfg + self.apsp + self.direction + self.assignment + self.hierarchy
     }
-
-    /// The paper's lumped Figure 5 "bubble tree" category
-    /// (direction + assignment).
-    pub fn bubble_tree(&self) -> Duration {
-        self.direction + self.assignment
-    }
 }
 
 /// The result of running the full pipeline.

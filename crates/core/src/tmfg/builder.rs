@@ -998,6 +998,26 @@ mod tests {
     }
 
     #[test]
+    fn appendix_simultaneous_prefix_three_recovers_the_ground_truth() {
+        // The appendix's point (Figure 12): the batched TMFG recovers the
+        // clusters {0,1,2} / {3,4,5} and the exact TMFG does not. Only the
+        // simultaneous placement reproduces it; the default intra-round
+        // placement rebuilds the exact TMFG and its cut.
+        let s = appendix_matrix();
+        let d = s.map(|p| (2.0 * (1.0 - p)).sqrt());
+        let cut = |config: TmfgConfig| {
+            crate::ParTdbht::new(config)
+                .run(&s, &d)
+                .unwrap()
+                .clusters(2)
+        };
+        let simultaneous = cut(TmfgConfig::with_prefix(3).simultaneous());
+        assert_eq!(simultaneous, vec![0, 0, 0, 1, 1, 1]);
+        assert_eq!(cut(TmfgConfig::with_prefix(1)), vec![0, 0, 1, 0, 1, 1]);
+        assert_eq!(cut(TmfgConfig::with_prefix(3)), vec![0, 0, 1, 0, 1, 1]);
+    }
+
+    #[test]
     fn appendix_prefix_three_intra_round_recovers_sequential_placement() {
         // Same input, default (intra-round) freshness: 5 still lands in
         // {0,3,4}, but 2 is placed after 5 and sees the freshly created

@@ -50,8 +50,7 @@ impl Default for TileConfig {
     }
 }
 
-/// Counters describing one run of the tiled kernel, surfaced through the
-/// bench layer's `CorrelationRunStats`.
+/// Counters describing one run of the tiled kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorrelationKernelStats {
     /// Number of series (matrix dimension).

@@ -161,11 +161,6 @@ impl StockMarket {
             })
             .collect()
     }
-
-    /// The sector name of stock `i`.
-    pub fn sector_name(&self, i: usize) -> &'static str {
-        SECTORS[self.sector[i]]
-    }
 }
 
 #[cfg(test)]
@@ -270,8 +265,8 @@ mod tests {
             num_days: 30,
             ..StockMarketConfig::default()
         });
-        assert_eq!(market.sector_name(0), "TECHNOLOGY");
-        assert_eq!(market.sector_name(11), "TECHNOLOGY");
-        assert_eq!(market.sector_name(1), "INDUSTRIALS");
+        assert_eq!(SECTORS[market.sector[0]], "TECHNOLOGY");
+        assert_eq!(SECTORS[market.sector[11]], "TECHNOLOGY");
+        assert_eq!(SECTORS[market.sector[1]], "INDUSTRIALS");
     }
 }

@@ -1,44 +1,17 @@
 //! Breadth-first search over [`WeightedGraph`]s.
 //!
 //! The original DBHT algorithm uses BFS to split the graph into the interior
-//! and exterior of each separating triangle; our optimized direction
-//! computation avoids that, but BFS is still used for reference
-//! implementations in tests and for reachability in the directed bubble
-//! tree.
+//! and exterior of each separating triangle. The planar bubble
+//! decomposition and the generic direction computation in `pfg_core` still
+//! do: removing a separating triangle and flooding from one side yields
+//! that side's vertices. [`WeightedGraph::is_connected`] floods with every
+//! vertex allowed.
 
 use crate::weighted_graph::WeightedGraph;
 use std::collections::VecDeque;
 
-/// Hop distances from `source`; unreachable vertices get `usize::MAX`.
-pub fn bfs_distances(graph: &WeightedGraph, source: usize) -> Vec<usize> {
-    let n = graph.num_vertices();
-    let mut dist = vec![usize::MAX; n];
-    let mut queue = VecDeque::new();
-    dist[source] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        for &(v, _) in graph.neighbors(u) {
-            if dist[v] == usize::MAX {
-                dist[v] = dist[u] + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
-/// Boolean reachability from `source`.
-pub fn bfs_reachable(graph: &WeightedGraph, source: usize) -> Vec<bool> {
-    bfs_distances(graph, source)
-        .into_iter()
-        .map(|d| d != usize::MAX)
-        .collect()
-}
-
 /// BFS restricted to the subgraph induced by `allowed` vertices, starting
-/// from `source` (which must be allowed). Used by the quadratic reference
-/// implementation of the bubble-tree direction computation: removing a
-/// separating triangle and flooding from one side yields its interior.
+/// from `source` (which must be allowed): the vertices it reaches.
 pub fn bfs_reachable_within(graph: &WeightedGraph, source: usize, allowed: &[bool]) -> Vec<bool> {
     let n = graph.num_vertices();
     debug_assert_eq!(allowed.len(), n);
@@ -68,24 +41,6 @@ mod tests {
             g.add_edge(i, i + 1, 1.0);
         }
         g
-    }
-
-    #[test]
-    fn distances_on_path() {
-        let g = path_graph(5);
-        assert_eq!(bfs_distances(&g, 0), vec![0, 1, 2, 3, 4]);
-        assert_eq!(bfs_distances(&g, 2), vec![2, 1, 0, 1, 2]);
-    }
-
-    #[test]
-    fn unreachable_vertices_are_max() {
-        let mut g = WeightedGraph::new(4);
-        g.add_edge(0, 1, 1.0);
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[0], 0);
-        assert_eq!(d[1], 1);
-        assert_eq!(d[2], usize::MAX);
-        assert_eq!(bfs_reachable(&g, 0), vec![true, true, false, false]);
     }
 
     #[test]

@@ -26,9 +26,9 @@ pub mod similarity;
 pub mod union_find;
 pub mod weighted_graph;
 
-pub use bfs::{bfs_distances, bfs_reachable, bfs_reachable_within};
+pub use bfs::bfs_reachable_within;
 pub use matrix::{SymmetricMatrix, SymmetricMatrixF32};
-pub use planarity::{is_planar, stays_planar_with_edge, LrScratch};
+pub use planarity::{is_planar, LrScratch};
 pub use shortest_paths::{GroupBlocks, PairDistances, SourceRows};
 pub use similarity::{dissimilarity, DissimilarityView, SimilaritySource};
 pub use union_find::UnionFind;

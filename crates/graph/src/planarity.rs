@@ -715,17 +715,6 @@ pub fn is_planar(graph: &WeightedGraph) -> bool {
     LrScratch::new().is_planar(graph)
 }
 
-/// Returns `true` if adding edge `(u, v)` to `graph` would keep it planar.
-/// The graph is borrowed and never modified (or cloned).
-///
-/// **Precondition:** `graph` must be planar; only the component the new
-/// edge lands in is tested (see [`LrScratch::stays_planar_with_edge`]).
-///
-/// One-shot convenience over [`LrScratch::stays_planar_with_edge`].
-pub fn stays_planar_with_edge(graph: &WeightedGraph, u: usize, v: usize) -> bool {
-    LrScratch::new().stays_planar_with_edge(graph, u, v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -975,7 +964,7 @@ mod tests {
     fn stays_planar_helper_does_not_mutate() {
         let mut h = WeightedGraph::new(5);
         h.add_edge(0, 1, 1.0);
-        assert!(stays_planar_with_edge(&h, 2, 3));
+        assert!(LrScratch::new().stays_planar_with_edge(&h, 2, 3));
         assert_eq!(h.num_edges(), 1);
     }
 

@@ -366,28 +366,11 @@ impl GroupBlocks {
         }
     }
 
-    /// The group index containing `v`, if any.
-    #[inline]
-    pub fn group_of(&self, v: usize) -> Option<usize> {
-        let g = self.group_of[v];
-        (g != usize::MAX).then_some(g)
-    }
-
     /// Whether `u` and `v` lie in the same group (and thus have a block
     /// entry).
     #[inline]
     pub fn same_group(&self, u: usize, v: usize) -> bool {
         self.group_of[u] != usize::MAX && self.group_of[u] == self.group_of[v]
-    }
-
-    /// Sorted member list of group `g`.
-    pub fn group(&self, g: usize) -> &[usize] {
-        &self.groups[g]
-    }
-
-    /// Number of groups.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
     }
 
     /// Distance entries stored across all blocks (`Σ |G|²`).
@@ -621,7 +604,7 @@ mod tests {
         assert!(rows.sources().is_empty());
         assert_eq!(rows.pairs_computed(), 0);
         let blocks = GroupBlocks::compute(&g, &[]);
-        assert_eq!(blocks.num_groups(), 0);
+        assert_eq!(blocks.num_vertices(), 0);
         assert_eq!(blocks.pairs_computed(), 0);
         assert_eq!(blocks.vertices_settled(), 0);
     }

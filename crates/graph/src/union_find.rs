@@ -1,14 +1,13 @@
 //! Disjoint-set (union–find) with path compression and union by rank.
 //!
-//! Used by the dendrogram-cutting utilities and by graph-connectivity
-//! checks in tests.
+//! Used by `pfg_core`'s dendrogram cut, which unions the applied merges
+//! and reads one label per leaf.
 
 /// A classic union–find structure over `0..n`.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
-    num_sets: usize,
 }
 
 impl UnionFind {
@@ -17,23 +16,7 @@ impl UnionFind {
         Self {
             parent: (0..n).collect(),
             rank: vec![0; n],
-            num_sets: n,
         }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Returns `true` if the structure is empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets remaining.
-    pub fn num_sets(&self) -> usize {
-        self.num_sets
     }
 
     /// Finds the representative of `x` with path compression.
@@ -67,18 +50,12 @@ impl UnionFind {
         if self.rank[hi] == self.rank[lo] {
             self.rank[hi] += 1;
         }
-        self.num_sets -= 1;
         true
     }
 
-    /// Returns `true` if `a` and `b` are in the same set.
-    pub fn same_set(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Returns, for every element, a label in `0..num_sets` such that two
-    /// elements share a label iff they are in the same set. Labels are
-    /// assigned in order of first appearance.
+    /// Returns, for every element, a label in `0..s`, where `s` is the
+    /// number of sets, such that two elements share a label iff they are in
+    /// the same set. Labels are assigned in order of first appearance.
     pub fn labels(&mut self) -> Vec<usize> {
         let n = self.parent.len();
         let mut label_of_root = vec![usize::MAX; n];
@@ -103,13 +80,13 @@ mod tests {
     #[test]
     fn union_and_find() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.num_sets(), 5);
         assert!(uf.union(0, 1));
         assert!(uf.union(3, 4));
         assert!(!uf.union(1, 0));
-        assert_eq!(uf.num_sets(), 3);
-        assert!(uf.same_set(0, 1));
-        assert!(!uf.same_set(0, 3));
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(0), uf.find(3));
+        // Three sets remain: {0, 1}, {2} and {3, 4}.
+        assert_eq!(uf.labels(), vec![0, 0, 1, 2, 2]);
     }
 
     #[test]
@@ -125,17 +102,17 @@ mod tests {
         assert_ne!(labels[0], labels[1]);
         assert_ne!(labels[3], labels[0]);
         assert_ne!(labels[3], labels[1]);
-        // Labels are compact: exactly num_sets distinct values.
+        // Labels are compact: exactly one distinct value per set, and the
+        // three unions left three sets.
         let mut distinct: Vec<usize> = labels.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        assert_eq!(distinct.len(), uf.num_sets());
+        assert_eq!(distinct, vec![0, 1, 2]);
     }
 
     #[test]
     fn empty_structure() {
-        let uf = UnionFind::new(0);
-        assert!(uf.is_empty());
-        assert_eq!(uf.num_sets(), 0);
+        let mut uf = UnionFind::new(0);
+        assert!(uf.labels().is_empty());
     }
 }

@@ -127,7 +127,9 @@ impl WeightedGraph {
         if n <= 1 {
             return true;
         }
-        crate::bfs::bfs_reachable(self, 0).iter().all(|&r| r)
+        crate::bfs::bfs_reachable_within(self, 0, &vec![true; n])
+            .iter()
+            .all(|&r| r)
     }
 
     /// Checks the defining edge-count property of a maximal planar graph on

@@ -36,10 +36,15 @@ fn main() {
         result.tmfg.bubble_tree.len(),
         result.tmfg.rounds
     );
+    let stats = result.dbht_stats;
     println!(
-        "DBHT: {} groups (converging bubbles), {}",
+        "DBHT: {} groups (converging bubbles), dbht rounds={} merges={} apsp={}/{} ({:.3})",
         result.assignment.num_groups(),
-        result.dbht_stats.summary_line()
+        stats.hac_rounds,
+        stats.hac_merges,
+        stats.apsp_pairs_computed,
+        stats.apsp_pairs_full,
+        stats.restricted_fraction()
     );
     println!(
         "stage timings: tmfg {:?}, apsp {:?}, direction {:?}, assignment {:?}, hierarchy {:?}",

@@ -5,7 +5,6 @@
 //! Run with: `cargo run --release --example time_series_clustering`
 
 use par_filtered_graph_clustering::prelude::*;
-use pfg_baselines::kmeans::Seeding;
 
 fn main() {
     // Use the CBF-like entry of the Table II catalogue at 30% scale.
@@ -61,7 +60,6 @@ fn main() {
         &dataset.series,
         &KMeansConfig {
             k,
-            seeding: Seeding::Scalable,
             seed: 3,
             ..KMeansConfig::default()
         },

@@ -2,7 +2,6 @@
 //! filtered graphs → DBHT → evaluation, plus baseline comparisons.
 
 use par_filtered_graph_clustering::prelude::*;
-use pfg_baselines::kmeans::Seeding;
 
 /// A small but realistic labeled data set shared by the tests.
 fn small_dataset(seed: u64) -> (TimeSeriesDataset, SymmetricMatrix, SymmetricMatrix) {
@@ -120,7 +119,6 @@ fn kmeans_baseline_runs_on_raw_series() {
         &dataset.series,
         &KMeansConfig {
             k,
-            seeding: Seeding::Scalable,
             seed: 1,
             ..KMeansConfig::default()
         },
