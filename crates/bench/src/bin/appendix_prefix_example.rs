@@ -7,7 +7,7 @@
 //! library default, intra-round placement, would instead reproduce the
 //! sequential insertion of vertex 2 into {0,4,5}).
 //!
-//! Usage: `cargo run --release -p pfg-bench --bin appendix_prefix_example`
+//! Usage: `cargo run --release -p pfg_bench --bin appendix_prefix_example`
 
 use pfg_core::{tmfg, ParTdbht, TmfgConfig};
 use pfg_graph::SymmetricMatrix;

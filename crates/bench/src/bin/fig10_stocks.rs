@@ -2,7 +2,7 @@
 //! PAR-TDBHT (prefix 30) compared against the ICB-style sector labels —
 //! the stacked sector-composition counts per cluster.
 //!
-//! Usage: `cargo run --release -p pfg-bench --bin fig10_stocks [num_stocks] [num_days]`
+//! Usage: `cargo run --release -p pfg_bench --bin fig10_stocks [num_stocks] [num_days]`
 
 use pfg_baselines::{spectral_embedding, SpectralConfig};
 use pfg_bench::Record;

@@ -3,7 +3,7 @@
 //! that sector medians are comparable while the "mixed" clusters skew
 //! towards smaller caps.
 //!
-//! Usage: `cargo run --release -p pfg-bench --bin fig11_market_cap [num_stocks] [num_days]`
+//! Usage: `cargo run --release -p pfg_bench --bin fig11_market_cap [num_stocks] [num_days]`
 
 use pfg_baselines::{spectral_embedding, SpectralConfig};
 use pfg_core::ParTdbht;

@@ -4,7 +4,7 @@
 //! One point per (method, data set); the paper's claim is that the filtered
 //! -graph methods sit up and to the right (slower but better clusters).
 //!
-//! Usage: `cargo run --release -p pfg-bench --bin fig1_quality_vs_time [scale] [max_datasets]`
+//! Usage: `cargo run --release -p pfg_bench --bin fig1_quality_vs_time [scale] [max_datasets]`
 
 use pfg_bench::{
     build_suite, parse_scale_from_args, pmfg_summary, run_method, secs, Method, Record,

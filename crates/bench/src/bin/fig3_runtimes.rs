@@ -1,7 +1,7 @@
 //! Figure 3: running time of every hierarchical method on every data set,
 //! on a single thread (top plot) and on all cores (bottom plot).
 //!
-//! Usage: `cargo run --release -p pfg-bench --bin fig3_runtimes [scale] [max_datasets]`
+//! Usage: `cargo run --release -p pfg_bench --bin fig3_runtimes [scale] [max_datasets]`
 
 use pfg_bench::{
     build_suite, parse_scale_from_args, pmfg_summary, run_method, secs, Method, Record,

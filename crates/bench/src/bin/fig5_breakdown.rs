@@ -7,7 +7,7 @@
 //! regressions to the exact pass. Each row also reports the restricted
 //! APSP's output fraction (computed pairs / n²) as a `Record` value.
 //!
-//! Usage: `cargo run --release -p pfg-bench --bin fig5_breakdown [scale]`
+//! Usage: `cargo run --release -p pfg_bench --bin fig5_breakdown [scale]`
 
 use pfg_bench::{parse_scale_from_args, BenchDataset, Record, SuiteConfig};
 use pfg_core::ParTdbht;

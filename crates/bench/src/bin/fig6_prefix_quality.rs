@@ -28,10 +28,12 @@ fn main() {
     let mut totals = vec![(0usize, 0usize, 0usize, 0usize); prefixes.len()];
     for dataset in &suite {
         print!("{:<28}", dataset.name);
+        // A row's records go out after its newline, each on its own line.
+        let mut records = Vec::with_capacity(prefixes.len());
         for (slot, &prefix) in prefixes.iter().enumerate() {
             let output = run_method(Method::ParTdbht { prefix }, dataset);
             print!(" {:>8.3}", output.ari);
-            Record {
+            records.push(Record {
                 experiment: "fig6".into(),
                 dataset: dataset.name.clone(),
                 method: format!("PAR-TDBHT-{prefix}"),
@@ -39,8 +41,7 @@ fn main() {
                 seconds: output.elapsed.as_secs_f64(),
                 ari: Some(output.ari),
                 value: None,
-            }
-            .emit();
+            });
             let t = output.tmfg.as_ref().expect("TMFG method carries its graph");
             let (rounds, conflicts, rescans, reassigned) = (
                 t.rounds,
@@ -66,6 +67,7 @@ fn main() {
             ));
         }
         println!();
+        records.iter().for_each(Record::emit);
     }
     println!();
     println!("# batch selector counters (summed over the suite)");

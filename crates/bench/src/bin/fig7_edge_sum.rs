@@ -1,7 +1,7 @@
 //! Figure 7: ratio of the filtered graph's total edge weight to that of the
 //! sequential TMFG, for PMFG and for prefix sizes 1–200.
 //!
-//! Usage: `cargo run --release -p pfg-bench --bin fig7_edge_sum [scale] [max_datasets]`
+//! Usage: `cargo run --release -p pfg_bench --bin fig7_edge_sum [scale] [max_datasets]`
 
 use pfg_bench::{build_suite, parse_scale_from_args, Record};
 use pfg_core::{pmfg, tmfg, TmfgConfig};
@@ -32,33 +32,26 @@ fn main() {
             .edge_weight_sum()
             / sequential;
         print!("{:<28} {:>8.4}", dataset.name, pmfg_ratio);
-        Record {
+        let record = |method: String, ratio: f64| Record {
             experiment: "fig7".into(),
             dataset: dataset.name.clone(),
-            method: "PMFG".into(),
+            method,
             params: String::new(),
             seconds: 0.0,
             ari: None,
-            value: Some(pmfg_ratio),
-        }
-        .emit();
+            value: Some(ratio),
+        };
+        // A row's records go out after its newline, each on its own line.
+        let mut records = vec![record("PMFG".into(), pmfg_ratio)];
         for prefix in prefixes {
             let ratio = tmfg(&dataset.correlation, TmfgConfig::with_prefix(prefix))
                 .expect("valid matrices")
                 .edge_weight_sum()
                 / sequential;
             print!(" {:>8.4}", ratio);
-            Record {
-                experiment: "fig7".into(),
-                dataset: dataset.name.clone(),
-                method: format!("TMFG-prefix-{prefix}"),
-                params: String::new(),
-                seconds: 0.0,
-                ari: None,
-                value: Some(ratio),
-            }
-            .emit();
+            records.push(record(format!("TMFG-prefix-{prefix}"), ratio));
         }
         println!();
+        records.iter().for_each(Record::emit);
     }
 }

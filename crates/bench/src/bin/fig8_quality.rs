@@ -1,7 +1,7 @@
 //! Figure 8: clustering quality (ARI) of PAR-TDBHT-1, PAR-TDBHT-10,
 //! PMFG+DBHT, COMP, AVG, K-MEANS and K-MEANS-S on every data set.
 //!
-//! Usage: `cargo run --release -p pfg-bench --bin fig8_quality [scale] [max_datasets]`
+//! Usage: `cargo run --release -p pfg_bench --bin fig8_quality [scale] [max_datasets]`
 
 use pfg_bench::{build_suite, parse_scale_from_args, run_method, Method, Record};
 

@@ -1,7 +1,7 @@
 //! Figure 9: sensitivity of K-MEANS-S to the number of nearest neighbors β
 //! used by the spectral embedding.
 //!
-//! Usage: `cargo run --release -p pfg-bench --bin fig9_kmeans_s_sensitivity [scale] [max_datasets]`
+//! Usage: `cargo run --release -p pfg_bench --bin fig9_kmeans_s_sensitivity [scale] [max_datasets]`
 
 use pfg_bench::{build_suite, parse_scale_from_args, run_method, Method, Record};
 

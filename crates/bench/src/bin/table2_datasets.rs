@@ -1,7 +1,7 @@
 //! Table II: summary of the benchmark data sets (id, name, n, L, #classes)
 //! and the scaled sizes actually generated at the chosen harness scale.
 //!
-//! Usage: `cargo run --release -p pfg-bench --bin table2_datasets [scale] [max_datasets]`
+//! Usage: `cargo run --release -p pfg_bench --bin table2_datasets [scale] [max_datasets]`
 
 use pfg_bench::{build_suite, parse_scale_from_args};
 use pfg_data::ucr_catalogue;

@@ -8,28 +8,40 @@
 //! correlation is then the dot product `ρ(i, j) = Z[i] · Z[j]`, i.e.
 //! `C = Z · Zᵀ`. The kernel walks the upper triangle of `C` tile by
 //! tile: the tile pairs `(I, J)` with `I ≤ J` of a `T × T` blocking are
-//! distributed over threads, and each tile pair computes the entries
-//! `{(i, j) : i ∈ I, j ∈ J, i ≤ j}` with a register-blocked microkernel —
-//! for a fixed row `i`, four columns `j..j+4` share one pass over `k`,
-//! each pair keeping its own accumulator. Both mirrored positions `(i, j)` and `(j, i)` of
-//! the flat output buffer are written from the single computed value, so
-//! there is no separate symmetrise pass and no `Vec<Vec<f64>>`
-//! intermediate: peak intermediate allocation is the `n · L` profile
-//! buffer (one tile band of rows when `L ≤ T`), down from the previous
-//! kernel's ~3×n² (normalised rows + row-major products + matrix).
+//! distributed over threads. Each column tile is first copied k-major
+//! into panels of 8 columns (a private `Panels` buffer; a tile's last
+//! panel is zero-padded). A tile pair then takes the rows of `I` four at
+//! a time and runs them against each panel of `J` in one pass over `k`,
+//! accumulating a 4 × 8 register block in which each pair keeps its own
+//! lane. The block body is written once and compiled twice: for the
+//! target's baseline ISA (SSE2 on x86_64, the only copy on other
+//! targets) and, on x86_64, with AVX2 enabled. Each kernel call picks the
+//! AVX2 copy when `is_x86_feature_detected!("avx2")` holds.
+//!
+//! A full block strictly above the diagonal is stored as four row runs of
+//! 8 at `(i, j)` and, mirrored, eight column runs of 4 at `(j, i)`. A
+//! partial block (at a tile's end) or one that crosses the diagonal is
+//! stored pair by pair, skipping the pairs below the diagonal. There is
+//! no separate symmetrise pass and no `Vec<Vec<f64>>` intermediate: the
+//! only intermediates are the `n · L` profile and its panel copy (see
+//! [`CorrelationKernelStats::peak_intermediate_bytes`]).
 //!
 //! # Determinism
 //!
 //! Each entry is computed *exactly once*, by whichever task owns its tile
-//! pair, and each pair's dot product accumulates in ascending-`k` order
-//! into a private accumulator. Neither the tile size nor the thread count
-//! changes any pair's summation order, so the output is bitwise invariant
-//! across tile sizes and `RAYON_NUM_THREADS` — and bitwise identical to
-//! the reference kernel ([`correlation_matrix_reference`]), whose
-//! `0.5 * (ρ_ij + ρ_ji)` symmetrisation averages two bitwise-equal values
-//! (both sides accumulate the same products in the same order; IEEE-754
+//! pair, and each pair's dot product starts from +0.0 and accumulates in
+//! ascending-`k` order, with a separate multiply and add, into its own
+//! lane. No fused multiply-add is used: it rounds once where the
+//! reference rounds twice, and would change the bits. Neither the tile
+//! size, the thread count nor the compiled copy changes any pair's
+//! summation order, so the output is bitwise invariant across all three
+//! — and bitwise identical to the reference kernel
+//! ([`correlation_matrix_reference`]), whose `0.5 * (ρ_ij + ρ_ji)`
+//! symmetrisation averages two bitwise-equal values (both sides
+//! accumulate the same products in the same order; IEEE-754
 //! multiplication is commutative, and `0.5 * (x + x) == x` exactly).
-//! Differential tests in this module assert the equality.
+//! Differential tests in this module assert the equality for both
+//! compiled copies.
 
 use pfg_graph::{dissimilarity, SymmetricMatrix, SymmetricMatrixF32};
 use pfg_primitives::{DisjointWriteAudit, SendPtr};
@@ -61,8 +73,11 @@ pub struct CorrelationKernelStats {
     pub tile: usize,
     /// Upper-triangle tile pairs computed: `t(t+1)/2` for `t = ⌈n/T⌉`.
     pub tiles_computed: usize,
-    /// Peak intermediate allocation in bytes: the flat z-profile buffer
-    /// (`8 · n · L`). Everything else the kernel touches is output.
+    /// Peak intermediate allocation in bytes, a function of `n`, `L` and
+    /// the tile `T` only: the flat z-profile (`8 · n · L`) plus its panel
+    /// copy (`8 · L` per panel column, where each column tile's columns
+    /// are rounded up to a multiple of 8). Everything else the kernel
+    /// touches is output.
     pub peak_intermediate_bytes: usize,
     /// Bytes of output matrices written by the call.
     pub output_bytes: usize,
@@ -128,107 +143,309 @@ fn z_normalize_into(s: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Stores `v` at the mirrored positions `(i, j)` and `(j, i)` of the flat
-/// `n × n` buffer behind `ptr` — once only when `i == j` — and declares
-/// each store to `audit`, whose exactly-once-per-cell check (active under
-/// `--cfg pfg_racecheck`) is what pins down the tile decomposition's
-/// disjoint-write claim.
-///
-/// # Safety
-/// `ptr` must point at `n * n` valid writable elements and the caller must
-/// be the unique writer of positions `(i, j)` and `(j, i)`: the tiled
-/// kernel assigns each unordered pair to exactly one tile task.
-#[inline]
-unsafe fn write_sym<T: Copy + Send>(
-    ptr: SendPtr<T>,
-    audit: &DisjointWriteAudit,
-    n: usize,
-    i: usize,
-    j: usize,
-    v: T,
-) {
-    audit.write_once(i * n + j);
-    *ptr.get().add(i * n + j) = v;
-    if i != j {
-        audit.write_once(j * n + i);
-        *ptr.get().add(j * n + i) = v;
+/// Rows of a register block.
+const MR: usize = 4;
+/// Columns of a register block, and of a panel.
+const NR: usize = 8;
+
+/// The profile's rows copied k-major into panels of [`NR`] columns, one
+/// run of panels per column tile: entry `k · NR + c` of panel `p` of tile
+/// `t` is `Z[tT + pNR + c][k]`, and 0 past the tile's last column.
+struct Panels {
+    data: Vec<f64>,
+    /// Length of one panel: `NR · L`.
+    panel_len: usize,
+    /// Offset between two column tiles: a full tile's panels.
+    tile_stride: usize,
+}
+
+impl Panels {
+    /// Packs every column tile of `z` in parallel. The buffer holds
+    /// `⌈cols/NR⌉` panels per column tile, so its length depends on `n`,
+    /// `L` and `tile` only.
+    fn pack(z: &ZProfile, tile: usize) -> Self {
+        let panel_len = NR * z.len;
+        let tile_stride = tile.div_ceil(NR) * panel_len;
+        let len = (0..z.n.div_ceil(tile))
+            .map(|t| (z.n - t * tile).min(tile).div_ceil(NR) * panel_len)
+            .sum();
+        let mut data = vec![0.0f64; len];
+        data.par_chunks_mut(tile_stride.max(1))
+            .enumerate()
+            .for_each(|(t, panels)| {
+                let j0 = t * tile;
+                for (c, j) in (j0..(j0 + tile).min(z.n)).enumerate() {
+                    let panel = &mut panels[(c / NR) * panel_len..][..panel_len];
+                    for (k, &x) in z.row(j).iter().enumerate() {
+                        panel[k * NR + c % NR] = x;
+                    }
+                }
+            });
+        Self {
+            data,
+            panel_len,
+            tile_stride,
+        }
+    }
+
+    /// Panel `p` of column tile `t`.
+    #[inline(always)]
+    fn panel(&self, t: usize, p: usize) -> &[f64] {
+        &self.data[t * self.tile_stride + p * self.panel_len..][..self.panel_len]
+    }
+
+    /// Heap footprint of the panel buffer in bytes.
+    fn memory_bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<f64>()
     }
 }
 
-/// Runs the tiled kernel, calling `emit(i, j, ρ)` exactly once per pair
-/// `i <= j` of the upper triangle (diagonal included, as `1.0`). Returns
-/// the number of tile pairs computed.
-fn for_each_pair<E: Fn(usize, usize, f64) + Sync>(z: &ZProfile, tile: usize, emit: E) -> usize {
-    let n = z.n;
-    let tile = tile.max(1);
-    if n == 0 {
-        return 0;
+/// One computed block: `rho[r][c]` is ρ(i + r, j + c), clamped to
+/// `[-1, 1]` and 1 on the diagonal, for `r < rows` and `c < cols`. The
+/// lanes past `rows` and `cols` are padding and are never stored.
+struct Block {
+    i: usize,
+    j: usize,
+    rows: usize,
+    cols: usize,
+    rho: [[f64; NR]; MR],
+}
+
+/// The block body: `acc[r][c] = Σ_k rows[r][k] · panel[k · NR + c]`, every
+/// lane from +0.0 in ascending `k` with a separate multiply and add — the
+/// reference kernel's per-pair order. Never use `mul_add` here: a fused
+/// add rounds once and changes the bits.
+#[inline(always)]
+fn block_body(rows: [&[f64]; MR], panel: &[f64]) -> [[f64; NR]; MR] {
+    let (panel, _) = panel.as_chunks::<NR>();
+    let rows = rows.map(|row| &row[..panel.len()]);
+    let mut acc = [[0.0f64; NR]; MR];
+    for (k, b) in panel.iter().enumerate() {
+        for (lanes, row) in acc.iter_mut().zip(&rows) {
+            let x = row[k];
+            for (a, &y) in lanes.iter_mut().zip(b) {
+                *a += x * y;
+            }
+        }
     }
-    let nt = n.div_ceil(tile);
+    acc
+}
+
+/// Every pair `i ∈ I, j ∈ J, i ≤ j` of the tile pair `(ti, tj)`: blocks of
+/// [`MR`] rows of `I` against each panel of `J` that holds such a pair,
+/// each handed to `emit` once. Inlined into both compiled copies.
+#[inline(always)]
+fn tile_pair<E: Fn(&Block)>(
+    z: &ZProfile,
+    panels: &Panels,
+    tile: usize,
+    (ti, tj): (usize, usize),
+    emit: &E,
+) {
+    let n = z.n;
+    let (i0, i1) = (ti * tile, (ti * tile + tile).min(n));
+    let (j0, j1) = (tj * tile, (tj * tile + tile).min(n));
+    for i in (i0..i1).step_by(MR) {
+        let rows = (i1 - i).min(MR);
+        // A short block repeats its last row in the unused lanes.
+        let a = std::array::from_fn(|r| z.row(i + r.min(rows - 1)));
+        // On a diagonal tile pair, start at the panel holding column i.
+        let first = if ti == tj { (i - j0) / NR } else { 0 };
+        for p in first..(j1 - j0).div_ceil(NR) {
+            let j = j0 + p * NR;
+            let mut rho = block_body(a, panels.panel(tj, p));
+            for lanes in &mut rho {
+                for x in lanes.iter_mut() {
+                    *x = x.clamp(-1.0, 1.0);
+                }
+            }
+            if ti == tj {
+                // The diagonal is 1 by definition, whatever its z-row's norm.
+                for (r, lanes) in rho.iter_mut().enumerate() {
+                    for (c, x) in lanes.iter_mut().enumerate() {
+                        if i + r == j + c {
+                            *x = 1.0;
+                        }
+                    }
+                }
+            }
+            let cols = (j1 - j).min(NR);
+            emit(&Block {
+                i,
+                j,
+                rows,
+                cols,
+                rho,
+            });
+        }
+    }
+}
+
+/// [`tile_pair`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tile_pair_avx2<E: Fn(&Block)>(
+    z: &ZProfile,
+    panels: &Panels,
+    tile: usize,
+    ids: (usize, usize),
+    emit: &E,
+) {
+    tile_pair(z, panels, tile, ids, emit);
+}
+
+/// The compiled copy of the block body a kernel call runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    /// The target's baseline ISA: SSE2 on x86_64, the only copy elsewhere.
+    Baseline,
+    /// The AVX2 copy.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The widest copy this CPU can run, checked at run time.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Baseline
+    }
+}
+
+/// Runs the tiled kernel on the copy `isa`, calling `emit` exactly once
+/// per block (see [`Block`]); together the blocks cover every pair
+/// `i <= j` of the upper triangle once, the diagonal as `1.0`. Returns
+/// the kernel counters, `output_bytes` left at 0 for the caller.
+fn for_each_block<E: Fn(&Block) + Sync>(
+    z: &ZProfile,
+    tile: usize,
+    isa: Isa,
+    emit: E,
+) -> CorrelationKernelStats {
+    let tile = tile.max(1);
+    let nt = z.n.div_ceil(tile);
+    let panels = Panels::pack(z, tile);
     let mut tile_pairs = Vec::with_capacity(nt * (nt + 1) / 2);
     for ti in 0..nt {
         for tj in ti..nt {
             tile_pairs.push((ti, tj));
         }
     }
-    let len = z.len;
     // `with_max_len(1)`: one tile pair is a cache-sized unit of work;
     // don't let the executor's cheap-item heuristic glue them together.
-    tile_pairs.par_iter().with_max_len(1).for_each(|&(ti, tj)| {
-        let (i0, i1) = (ti * tile, (ti * tile + tile).min(n));
-        let (j0, j1) = (tj * tile, (tj * tile + tile).min(n));
-        for i in i0..i1 {
-            let zi = &z.row(i)[..len];
-            let mut j = if ti == tj { i } else { j0 };
-            if j == i {
-                emit(i, i, 1.0);
-                j += 1;
-            }
-            // Register-blocked microkernel: four columns share one pass
-            // over k, each pair accumulating in ascending-k order into
-            // its own register — the order the reference kernel uses.
-            while j + 4 <= j1 {
-                let r0 = &z.row(j)[..len];
-                let r1 = &z.row(j + 1)[..len];
-                let r2 = &z.row(j + 2)[..len];
-                let r3 = &z.row(j + 3)[..len];
-                let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-                for k in 0..len {
-                    let x = zi[k];
-                    a0 += x * r0[k];
-                    a1 += x * r1[k];
-                    a2 += x * r2[k];
-                    a3 += x * r3[k];
-                }
-                emit(i, j, a0.clamp(-1.0, 1.0));
-                emit(i, j + 1, a1.clamp(-1.0, 1.0));
-                emit(i, j + 2, a2.clamp(-1.0, 1.0));
-                emit(i, j + 3, a3.clamp(-1.0, 1.0));
-                j += 4;
-            }
-            while j < j1 {
-                let rj = &z.row(j)[..len];
-                let mut acc = 0.0f64;
-                for k in 0..len {
-                    acc += zi[k] * rj[k];
-                }
-                emit(i, j, acc.clamp(-1.0, 1.0));
-                j += 1;
-            }
+    let tasks = tile_pairs.par_iter().with_max_len(1);
+    match isa {
+        Isa::Baseline => tasks.for_each(|&ids| tile_pair(z, &panels, tile, ids, &emit)),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => {
+            assert!(
+                std::arch::is_x86_feature_detected!("avx2"),
+                "the AVX2 kernel needs a CPU with AVX2"
+            );
+            tasks.for_each(|&ids| {
+                // SAFETY: `tile_pair_avx2` needs AVX2 and nothing else, and
+                // the `is_x86_feature_detected!("avx2")` assert above has
+                // checked at run time that this CPU has it.
+                unsafe { tile_pair_avx2(z, &panels, tile, ids, &emit) }
+            });
         }
-    });
-    nt * (nt + 1) / 2
-}
-
-fn base_stats(z: &ZProfile, tile: usize, tiles: usize) -> CorrelationKernelStats {
+    }
     CorrelationKernelStats {
         n: z.n,
         series_len: z.len,
-        tile: tile.max(1),
-        tiles_computed: tiles,
-        peak_intermediate_bytes: z.memory_bytes(),
+        tile,
+        tiles_computed: nt * (nt + 1) / 2,
+        peak_intermediate_bytes: z.memory_bytes() + panels.memory_bytes(),
         output_bytes: 0,
     }
+}
+
+/// Stores block `b`, mapped through `f`, into the flat `n × n` buffer
+/// behind `ptr`: each pair `(i, j)` of the block with `i <= j` at `(i, j)`
+/// and at `(j, i)` — once only when `i == j`. A full block strictly above
+/// the diagonal goes out as [`MR`] row runs of [`NR`] and [`NR`] column
+/// runs of [`MR`]; any other block pair by pair. Each store is declared
+/// to `audit`, whose exactly-once-per-cell check (active under
+/// `--cfg pfg_racecheck`) is what pins down the tile decomposition's
+/// disjoint-write claim.
+///
+/// # Safety
+/// `ptr` must point at `n * n` valid writable elements and the caller must
+/// be the unique writer of the cells `b` stores: the tiled kernel emits
+/// each block of the upper triangle once, from one tile task.
+#[inline(always)]
+unsafe fn write_block<T: Copy + Default + Send>(
+    ptr: SendPtr<T>,
+    audit: &DisjointWriteAudit,
+    n: usize,
+    b: &Block,
+    f: impl Fn(f64) -> T,
+) {
+    let mut v = [[T::default(); NR]; MR];
+    for (lanes, rho) in v.iter_mut().zip(&b.rho) {
+        for (x, &rho) in lanes.iter_mut().zip(rho) {
+            *x = f(rho);
+        }
+    }
+    let out = ptr.get();
+    if b.rows == MR && b.cols == NR && b.i + MR <= b.j {
+        for (r, lanes) in v.iter().enumerate() {
+            let at = (b.i + r) * n + b.j;
+            for (c, &x) in lanes.iter().enumerate() {
+                audit.write_once(at + c);
+                *out.add(at + c) = x;
+            }
+        }
+        for c in 0..NR {
+            let at = (b.j + c) * n + b.i;
+            for (r, lanes) in v.iter().enumerate() {
+                audit.write_once(at + r);
+                *out.add(at + r) = lanes[c];
+            }
+        }
+    } else {
+        for (r, lanes) in v.iter().enumerate().take(b.rows) {
+            for (c, &x) in lanes.iter().enumerate().take(b.cols) {
+                let (i, j) = (b.i + r, b.j + c);
+                if i <= j {
+                    audit.write_once(i * n + j);
+                    *out.add(i * n + j) = x;
+                }
+                if i < j {
+                    audit.write_once(j * n + i);
+                    *out.add(j * n + i) = x;
+                }
+            }
+        }
+    }
+}
+
+/// Runs the kernel on the copy `isa` into `K` fresh `n × n` buffers, one
+/// per `labels` entry: buffer `k` holds `map(ρ)[k]` at `(i, j)` and
+/// `(j, i)` for every pair. `output_bytes` counts all `K` buffers.
+fn kernel_into<T: Copy + Default + Send, const K: usize>(
+    z: &ZProfile,
+    tile: usize,
+    isa: Isa,
+    labels: [&'static str; K],
+    map: impl Fn(f64) -> [T; K] + Sync,
+) -> ([Vec<T>; K], CorrelationKernelStats) {
+    let n = z.n;
+    let mut out: [Vec<T>; K] = std::array::from_fn(|_| vec![T::default(); n * n]);
+    let ptrs = out.each_mut().map(|buf| SendPtr::new(buf.as_mut_ptr()));
+    let audits = labels.map(|label| DisjointWriteAudit::cells(label, n * n));
+    // SAFETY: `write_block`'s contract — every buffer has n·n elements and
+    // the tiled kernel emits each block of the upper triangle exactly once.
+    let mut stats = for_each_block(z, tile, isa, |b| unsafe {
+        for (k, (&ptr, audit)) in ptrs.iter().zip(&audits).enumerate() {
+            write_block(ptr, audit, n, b, |rho| map(rho)[k]);
+        }
+    });
+    stats.output_bytes = K * n * n * std::mem::size_of::<T>();
+    (out, stats)
 }
 
 /// The full Pearson correlation matrix of a collection of series,
@@ -238,7 +455,7 @@ fn base_stats(z: &ZProfile, tile: usize, tiles: usize) -> CorrelationKernelStats
 /// reference kernel.
 pub fn correlation_matrix(series: &[Vec<f64>]) -> SymmetricMatrix {
     match ZProfile::build(series) {
-        Some(z) => correlation_from_profile(&z, TileConfig::default()).0,
+        Some(z) => correlation_from_profile(&z, TileConfig::default(), Isa::detect()).0,
         None => correlation_matrix_reference(series),
     }
 }
@@ -253,26 +470,17 @@ pub fn correlation_matrix_with(
     config: TileConfig,
 ) -> (SymmetricMatrix, CorrelationKernelStats) {
     let z = ZProfile::build(series).expect("tiled kernel requires uniform-length series");
-    correlation_from_profile(&z, config)
+    correlation_from_profile(&z, config, Isa::detect())
 }
 
-/// The tiled kernel over an existing profile.
+/// The tiled kernel over an existing profile, on the copy `isa`.
 fn correlation_from_profile(
     z: &ZProfile,
     config: TileConfig,
+    isa: Isa,
 ) -> (SymmetricMatrix, CorrelationKernelStats) {
-    let n = z.n;
-    let mut data = vec![0.0f64; n * n];
-    let ptr = SendPtr::new(data.as_mut_ptr());
-    let audit = DisjointWriteAudit::cells("correlation matrix", n * n);
-    // SAFETY: `write_sym`'s contract — `data` has n·n elements and the
-    // tiled kernel emits each unordered pair exactly once.
-    let tiles = for_each_pair(z, config.tile, |i, j, rho| unsafe {
-        write_sym(ptr, &audit, n, i, j, rho);
-    });
-    let mut stats = base_stats(z, config.tile, tiles);
-    stats.output_bytes = n * n * std::mem::size_of::<f64>();
-    (SymmetricMatrix::from_symmetrized(n, data), stats)
+    let ([data], stats) = kernel_into(z, config.tile, isa, ["correlation matrix"], |rho| [rho]);
+    (SymmetricMatrix::from_symmetrized(z.n, data), stats)
 }
 
 /// The correlation matrix in `f32` storage: computed in `f64` by the same
@@ -285,18 +493,18 @@ pub fn correlation_matrix_f32(
     config: TileConfig,
 ) -> (SymmetricMatrixF32, CorrelationKernelStats) {
     let z = ZProfile::build(series).expect("tiled kernel requires uniform-length series");
-    let n = z.n;
-    let mut data = vec![0.0f32; n * n];
-    let ptr = SendPtr::new(data.as_mut_ptr());
-    let audit = DisjointWriteAudit::cells("correlation matrix (f32)", n * n);
-    // SAFETY: as in `correlation_from_profile` — n·n buffer, one emit per
-    // unordered pair.
-    let tiles = for_each_pair(&z, config.tile, |i, j, rho| unsafe {
-        write_sym(ptr, &audit, n, i, j, rho as f32);
-    });
-    let mut stats = base_stats(&z, config.tile, tiles);
-    stats.output_bytes = n * n * std::mem::size_of::<f32>();
-    (SymmetricMatrixF32::from_symmetrized(n, data), stats)
+    correlation_f32_from_profile(&z, config, Isa::detect())
+}
+
+/// [`correlation_matrix_f32`] over an existing profile, on the copy `isa`.
+fn correlation_f32_from_profile(
+    z: &ZProfile,
+    config: TileConfig,
+    isa: Isa,
+) -> (SymmetricMatrixF32, CorrelationKernelStats) {
+    let label = "correlation matrix (f32)";
+    let ([data], stats) = kernel_into(z, config.tile, isa, [label], |rho| [rho as f32]);
+    (SymmetricMatrixF32::from_symmetrized(z.n, data), stats)
 }
 
 /// The fused path for callers that need *both* matrices: one kernel pass
@@ -309,23 +517,22 @@ pub fn correlation_and_dissimilarity(
     series: &[Vec<f64>],
 ) -> (SymmetricMatrix, SymmetricMatrix, CorrelationKernelStats) {
     let z = ZProfile::build(series).expect("tiled kernel requires uniform-length series");
-    let n = z.n;
-    let mut corr = vec![0.0f64; n * n];
-    let mut diss = vec![0.0f64; n * n];
-    let cptr = SendPtr::new(corr.as_mut_ptr());
-    let dptr = SendPtr::new(diss.as_mut_ptr());
-    let caudit = DisjointWriteAudit::cells("fused correlation matrix", n * n);
-    let daudit = DisjointWriteAudit::cells("fused dissimilarity matrix", n * n);
-    // SAFETY: as in `correlation_from_profile`, independently per buffer.
-    let tiles = for_each_pair(&z, TileConfig::default().tile, |i, j, rho| unsafe {
-        write_sym(cptr, &caudit, n, i, j, rho);
-        write_sym(dptr, &daudit, n, i, j, dissimilarity(rho));
+    fused_from_profile(&z, Isa::detect())
+}
+
+/// [`correlation_and_dissimilarity`] over an existing profile, on the
+/// copy `isa`.
+fn fused_from_profile(
+    z: &ZProfile,
+    isa: Isa,
+) -> (SymmetricMatrix, SymmetricMatrix, CorrelationKernelStats) {
+    let labels = ["fused correlation matrix", "fused dissimilarity matrix"];
+    let ([corr, diss], stats) = kernel_into(z, TileConfig::default().tile, isa, labels, |rho| {
+        [rho, dissimilarity(rho)]
     });
-    let mut stats = base_stats(&z, TileConfig::default().tile, tiles);
-    stats.output_bytes = 2 * n * n * std::mem::size_of::<f64>();
     (
-        SymmetricMatrix::from_symmetrized(n, corr),
-        SymmetricMatrix::from_symmetrized(n, diss),
+        SymmetricMatrix::from_symmetrized(z.n, corr),
+        SymmetricMatrix::from_symmetrized(z.n, diss),
         stats,
     )
 }
@@ -412,6 +619,15 @@ mod tests {
             .collect()
     }
 
+    /// Every compiled copy of the block body this CPU can run.
+    fn isas() -> Vec<Isa> {
+        let mut isas = vec![Isa::Baseline];
+        if Isa::detect() != Isa::Baseline {
+            isas.push(Isa::detect());
+        }
+        isas
+    }
+
     /// The correlation of two series, read off the two-series matrix.
     fn correlation_of(a: &[f64], b: &[f64]) -> f64 {
         correlation_matrix(&[a.to_vec(), b.to_vec()]).get(0, 1)
@@ -475,26 +691,57 @@ mod tests {
 
     #[test]
     fn tiled_matches_reference_bitwise_across_tile_sizes() {
-        for (n, len) in [(1, 4), (37, 23), (64, 5), (101, 46)] {
-            let series = synthetic_series(n, len, n as u64);
-            let reference = correlation_matrix_reference(&series);
-            for tile in [1, 8, 37, 64, 256] {
-                let (tiled, stats) = correlation_matrix_with(&series, TileConfig { tile });
-                assert_eq!(
-                    tiled.as_slice().len(),
-                    reference.as_slice().len(),
-                    "n={n} tile={tile}"
-                );
-                for (idx, (a, b)) in tiled
-                    .as_slice()
-                    .iter()
-                    .zip(reference.as_slice().iter())
-                    .enumerate()
-                {
-                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} tile={tile} idx={idx}");
+        // n = 16..24 covers every remainder mod 8 inside one tile and, at
+        // tiles 3, 8 and 12, across tiles; L = 1 and 2 give zero z-rows
+        // (every length-1 series is constant); identical and negated
+        // series clamp at ±1.
+        let mut inputs: Vec<Vec<Vec<f64>>> = [(1, 4), (37, 23), (64, 5), (101, 46), (19, 1)]
+            .into_iter()
+            .chain((16..24).map(|n| (n, 9)))
+            .map(|(n, len)| synthetic_series(n, len, n as u64))
+            .collect();
+        let mut short = synthetic_series(21, 2, 21);
+        for s in short.iter_mut().step_by(3) {
+            s.fill(1.5);
+        }
+        inputs.push(short);
+        let base = synthetic_series(10, 13, 5);
+        let negated = base.iter().map(|s| s.iter().map(|x| -x).collect());
+        inputs.push(
+            base.iter()
+                .cloned()
+                .chain(base.clone())
+                .chain(negated)
+                .collect(),
+        );
+        for series in &inputs {
+            let n = series.len();
+            let len = series[0].len();
+            let reference = correlation_matrix_reference(series);
+            let z = ZProfile::build(series).expect("uniform-length input");
+            for isa in isas() {
+                for tile in [1, 3, 8, 12, 37, 64, 256] {
+                    let (tiled, stats) = correlation_from_profile(&z, TileConfig { tile }, isa);
+                    assert_eq!(
+                        tiled.as_slice().len(),
+                        reference.as_slice().len(),
+                        "n={n} tile={tile}"
+                    );
+                    for (idx, (a, b)) in tiled
+                        .as_slice()
+                        .iter()
+                        .zip(reference.as_slice().iter())
+                        .enumerate()
+                    {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{isa:?} n={n} L={len} tile={tile} idx={idx}"
+                        );
+                    }
+                    let nt = n.div_ceil(tile);
+                    assert_eq!(stats.tiles_computed, nt * (nt + 1) / 2);
                 }
-                let nt = n.div_ceil(tile);
-                assert_eq!(stats.tiles_computed, nt * (nt + 1) / 2);
             }
         }
     }
@@ -557,34 +804,40 @@ mod tests {
     #[test]
     fn fused_dissimilarity_matches_mapped_path() {
         let series = synthetic_series(33, 17, 3);
-        let (corr, diss, stats) = correlation_and_dissimilarity(&series);
+        let z = ZProfile::build(&series).expect("uniform-length input");
         let reference = correlation_matrix_reference(&series);
         let mapped = dissimilarity_from_correlation(&reference);
-        for (a, b) in corr.as_slice().iter().zip(reference.as_slice().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for isa in isas() {
+            let (corr, diss, stats) = fused_from_profile(&z, isa);
+            for (a, b) in corr.as_slice().iter().zip(reference.as_slice().iter()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{isa:?}");
+            }
+            for (a, b) in diss.as_slice().iter().zip(mapped.as_slice().iter()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{isa:?}");
+            }
+            assert_eq!(stats.output_bytes, 2 * 33 * 33 * 8);
         }
-        for (a, b) in diss.as_slice().iter().zip(mapped.as_slice().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(stats.output_bytes, 2 * 33 * 33 * 8);
     }
 
     #[test]
     fn f32_mode_is_the_rounded_f64_kernel() {
         let series = synthetic_series(29, 21, 7);
-        let (corr, _) = correlation_matrix_with(&series, TileConfig::default());
-        let (corr32, stats) = correlation_matrix_f32(&series, TileConfig::default());
-        for i in 0..29 {
-            for j in 0..29 {
-                assert_eq!(
-                    corr32.get(i, j),
-                    (corr.get(i, j) as f32) as f64,
-                    "({i},{j})"
-                );
+        let z = ZProfile::build(&series).expect("uniform-length input");
+        for isa in isas() {
+            let (corr, _) = correlation_from_profile(&z, TileConfig::default(), isa);
+            let (corr32, stats) = correlation_f32_from_profile(&z, TileConfig::default(), isa);
+            for i in 0..29 {
+                for j in 0..29 {
+                    assert_eq!(
+                        corr32.get(i, j),
+                        (corr.get(i, j) as f32) as f64,
+                        "{isa:?} ({i},{j})"
+                    );
+                }
             }
+            assert_eq!(stats.output_bytes, 29 * 29 * 4);
+            assert_eq!(stats.output_bytes * 2, 29 * 29 * 8);
         }
-        assert_eq!(stats.output_bytes, 29 * 29 * 4);
-        assert_eq!(stats.output_bytes * 2, 29 * 29 * 8);
     }
 
     #[test]
@@ -592,14 +845,20 @@ mod tests {
         let n = 96;
         let len = 46;
         let series = synthetic_series(n, len, 11);
-        let (_, stats) = correlation_matrix_with(&series, TileConfig::default());
-        // The only intermediate is the flat z-profile: exactly 8·n·L
-        // bytes, which for L ≤ n + T is within "1×n² plus one tile band"
-        // — far below the old kernel's ~3×n² of Vec<Vec> intermediates.
-        assert_eq!(stats.peak_intermediate_bytes, 8 * n * len);
-        assert!(stats.peak_intermediate_bytes <= 8 * n * (n + stats.tile));
-        assert_eq!(stats.n, n);
-        assert_eq!(stats.series_len, len);
+        // The intermediates are the flat z-profile (8·n·L bytes) and its
+        // panel copy (8·L bytes per panel column, each column tile rounded
+        // up to a multiple of 8 columns): one 96-column tile at the
+        // default 128, eight 12-column tiles of 16 panel columns at 12.
+        for (tile, panel_cols) in [(128, 96), (12, 8 * 16)] {
+            let (_, stats) = correlation_matrix_with(&series, TileConfig { tile });
+            assert_eq!(
+                stats.peak_intermediate_bytes,
+                8 * n * len + 8 * len * panel_cols
+            );
+            assert!(stats.peak_intermediate_bytes <= 8 * n * (n + stats.tile));
+            assert_eq!(stats.n, n);
+            assert_eq!(stats.series_len, len);
+        }
     }
 
     #[test]

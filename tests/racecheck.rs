@@ -88,14 +88,26 @@ fn audited_kernels_run_clean_under_chaos() {
         .chaos_seed(0xC0FFEE)
         .build()
         .expect("pool builds");
+    // 301 series are three tiles at the default 128, so several tasks
+    // write each matrix; 301 is 1 mod 4 and 5 mod 8, so the last tile
+    // ends in a partial row block and a partial panel.
     let mut rng = StdRng::seed_from_u64(17);
-    let series: Vec<Vec<f64>> = (0..32)
+    let series: Vec<Vec<f64>> = (0..301)
         .map(|_| (0..80).map(|_| rng.gen_range(-1.0f64..1.0)).collect())
         .collect();
     pool.install(|| {
-        let (corr, diss, _stats) = pfg_data::correlation::correlation_and_dissimilarity(&series);
-        assert_eq!(corr.n(), 32);
-        assert_eq!(diss.n(), 32);
+        use pfg_data::correlation::{
+            correlation_and_dissimilarity, correlation_matrix_f32, correlation_matrix_with,
+            TileConfig,
+        };
+        let (corr, diss, stats) = correlation_and_dissimilarity(&series);
+        assert_eq!(corr.n(), 301);
+        assert_eq!(diss.n(), 301);
+        assert_eq!(stats.tiles_computed, 6);
+        let (corr64, _) = correlation_matrix_with(&series, TileConfig::default());
+        assert_eq!(corr64.as_slice(), corr.as_slice());
+        let (corr32, _) = correlation_matrix_f32(&series, TileConfig::default());
+        assert_eq!(corr32.n(), 301);
 
         let mut v: Vec<f64> = (0..30_000)
             .map(|i| ((i * 37) % 1000) as f64 * 0.5)
