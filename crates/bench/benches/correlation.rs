@@ -1,12 +1,10 @@
-//! Input-layer benchmarks: the tiled z-normalize-once correlation kernel
-//! against the pre-tiling reference (normalised `Vec<Vec>` rows plus an
-//! averaging symmetrise tail), the `f32`-storage variant, and the fused
-//! correlation+dissimilarity pass.
+//! Input-layer benchmarks: the tiled z-normalize-once correlation kernel,
+//! its `f32`-storage variant, and the fused correlation+dissimilarity
+//! pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pfg_data::{
-    correlation_and_dissimilarity, correlation_matrix_f32, correlation_matrix_reference,
-    correlation_matrix_with, TileConfig,
+    correlation_and_dissimilarity, correlation_matrix_f32, correlation_matrix_with, TileConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,9 +42,6 @@ fn bench_kernel(c: &mut Criterion) {
         let data = series(n, 64);
         group.bench_with_input(BenchmarkId::new("tiled", n), &data, |b, data| {
             b.iter(|| black_box(correlation_matrix_with(data, TileConfig::default())))
-        });
-        group.bench_with_input(BenchmarkId::new("reference", n), &data, |b, data| {
-            b.iter(|| black_box(correlation_matrix_reference(data)))
         });
     }
     let data = series(2000, 64);

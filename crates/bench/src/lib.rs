@@ -1,5 +1,6 @@
 //! Shared harness utilities for the experiment binaries that regenerate the
-//! paper's tables and figures (see DESIGN.md §4 for the experiment index).
+//! paper's tables and figures (README, "Reproducing the paper's figures and
+//! tables", has the experiment index).
 //!
 //! Each binary in `src/bin/` reproduces one table or figure; this library
 //! provides the pieces they share: building the UCR-like data-set suite at
@@ -20,8 +21,9 @@ pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 
-/// A serialisable experiment record dumped by the harnesses so results can
-/// be collected into EXPERIMENTS.md.
+/// A serialisable experiment record dumped by the harnesses, one JSON line
+/// per result, so outputs can be concatenated and grepped (README,
+/// "Reproducing the paper's figures and tables").
 #[derive(Debug, Clone)]
 pub struct Record {
     /// Experiment id (e.g. "fig6").

@@ -7,8 +7,6 @@
 //! `k` clusters remain reproduces the evaluation protocol of §VII (cut such
 //! that the number of clusters equals the number of ground-truth classes).
 
-use pfg_graph::UnionFind;
-
 /// A node of a [`Dendrogram`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DendroNode {
@@ -161,25 +159,42 @@ impl Dendrogram {
                 .then(a.cmp(&b))
         });
         let merges_to_apply = internal.len().saturating_sub(k.saturating_sub(1));
-        let mut uf = UnionFind::new(self.nodes.len());
+        let mut applied = vec![false; self.nodes.len()];
         for &id in internal.iter().take(merges_to_apply) {
-            let node = &self.nodes[id];
-            uf.union(id, node.left.expect("internal"));
-            uf.union(id, node.right.expect("internal"));
+            applied[id] = true;
         }
-        // Any applied-parent chain links leaves transitively; unapplied
-        // merges leave their children in separate clusters. Leaves occupy
-        // indices `0..n` and `labels` numbers sets in index order, so its
-        // first `n` entries are compact per-leaf labels.
-        let mut labels = uf.labels();
-        labels.truncate(n);
-        labels
+        // `top[v]` is the highest node reached from `v` through applied
+        // merges only: an applied parent joins its children's clusters,
+        // an unapplied one leaves them apart. `merge` gives a parent a
+        // larger id than its children, so one pass in decreasing id order
+        // sets every parent's entry before its children read it.
+        let mut top: Vec<usize> = (0..self.nodes.len()).collect();
+        for v in (0..self.nodes.len()).rev() {
+            if let Some(parent) = self.nodes[v].parent.filter(|&p| applied[p]) {
+                top[v] = top[parent];
+            }
+        }
+        // Clusters are numbered in order of their first leaf.
+        let mut label_of_top = vec![usize::MAX; self.nodes.len()];
+        let mut next = 0;
+        top[..n]
+            .iter()
+            .map(|&t| {
+                if label_of_top[t] == usize::MAX {
+                    label_of_top[t] = next;
+                    next += 1;
+                }
+                label_of_top[t]
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Builds the dendrogram ((0,1)@1, (2,3)@2)@4 over 4 leaves.
     fn small_dendrogram() -> Dendrogram {
@@ -269,5 +284,71 @@ mod tests {
         let d = Dendrogram::new(1);
         assert_eq!(d.root(), Some(0));
         assert_eq!(d.cut_to_clusters(1), vec![0]);
+    }
+
+    /// The cut as a union–find over every node: each of the `n − k`
+    /// lowest merges joins its node with both children, and the leaves'
+    /// sets are numbered in order of first appearance.
+    fn cut_by_union_find(d: &Dendrogram, k: usize) -> Vec<usize> {
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        let mut internal: Vec<usize> = d.internal_nodes().collect();
+        internal.sort_by(|&a, &b| {
+            let (ha, hb) = (d.node(a).height, d.node(b).height);
+            ha.total_cmp(&hb).then(a.cmp(&b))
+        });
+        let apply = internal.len().saturating_sub(k.max(1) - 1);
+        let mut parent: Vec<usize> = (0..d.len()).collect();
+        for &id in &internal[..apply] {
+            let node = d.node(id);
+            for child in [node.left, node.right].into_iter().flatten() {
+                let (a, b) = (find(&mut parent, id), find(&mut parent, child));
+                parent[a] = b;
+            }
+        }
+        let mut label_of_root = vec![usize::MAX; d.len()];
+        let mut next = 0;
+        (0..d.num_leaves())
+            .map(|leaf| {
+                let root = find(&mut parent, leaf);
+                if label_of_root[root] == usize::MAX {
+                    label_of_root[root] = next;
+                    next += 1;
+                }
+                label_of_root[root]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cut_matches_union_find_on_random_forests() {
+        // Random merge trees, some only partly merged, with heights drawn
+        // from four values so that ties and non-monotone merges occur;
+        // every k from 0 to n + 1.
+        let mut rng = StdRng::seed_from_u64(23);
+        for _ in 0..200 {
+            let n = rng.gen_range(0..=14usize);
+            let mut d = Dendrogram::new(n);
+            let mut roots: Vec<usize> = (0..n).collect();
+            let merges = rng.gen_range(0..=n.saturating_sub(1));
+            for _ in 0..merges {
+                let a = roots.swap_remove(rng.gen_range(0..roots.len()));
+                let b = roots.swap_remove(rng.gen_range(0..roots.len()));
+                let height = rng.gen_range(0..4usize) as f64;
+                roots.push(d.merge(a, b, height));
+            }
+            for k in 0..=n + 1 {
+                assert_eq!(
+                    d.cut_to_clusters(k),
+                    cut_by_union_find(&d, k),
+                    "n={n} merges={merges} k={k}"
+                );
+            }
+        }
     }
 }

@@ -31,17 +31,18 @@
 //! Each entry is computed *exactly once*, by whichever task owns its tile
 //! pair, and each pair's dot product starts from +0.0 and accumulates in
 //! ascending-`k` order, with a separate multiply and add, into its own
-//! lane. No fused multiply-add is used: it rounds once where the
-//! reference rounds twice, and would change the bits. Neither the tile
+//! lane. No fused multiply-add is used: it rounds once where a separate
+//! multiply and add round twice, and would change the bits. Neither the tile
 //! size, the thread count nor the compiled copy changes any pair's
-//! summation order, so the output is bitwise invariant across all three
-//! — and bitwise identical to the reference kernel
-//! ([`correlation_matrix_reference`]), whose `0.5 * (ρ_ij + ρ_ji)`
-//! symmetrisation averages two bitwise-equal values (both sides
-//! accumulate the same products in the same order; IEEE-754
-//! multiplication is commutative, and `0.5 * (x + x) == x` exactly).
-//! Differential tests in this module assert the equality for both
-//! compiled copies.
+//! summation order, so the output is bitwise invariant across all three.
+//! The test oracle is the pre-tiling kernel, `correlation_matrix_reference`
+//! in this module's tests: normalised `Vec<Vec<f64>>` rows, one dot
+//! product per ordered pair folded from +0.0 in ascending `k`, and a
+//! `0.5 * (ρ_ij + ρ_ji)` symmetrisation that averages two bitwise-equal
+//! values (both sides accumulate the same products in the same order;
+//! IEEE-754 multiplication is commutative, and `0.5 * (x + x) == x`
+//! exactly). The differential tests assert bitwise equality with it for
+//! both compiled copies, at every tile size and thread count.
 
 use pfg_graph::{dissimilarity, SymmetricMatrix, SymmetricMatrixF32};
 use pfg_primitives::{DisjointWriteAudit, SendPtr};
@@ -94,15 +95,21 @@ struct ZProfile {
 }
 
 impl ZProfile {
-    /// Normalises `series` in parallel. Returns `None` when the series do
-    /// not all have the same length (the tiled kernel requires a
-    /// rectangular profile; ragged input falls back to the reference
-    /// kernel).
-    fn build(series: &[Vec<f64>]) -> Option<Self> {
+    /// Normalises `series` in parallel. This is the kernel's one input
+    /// check, shared by every entry point.
+    ///
+    /// # Panics
+    /// Panics if the series do not all have the same length: the kernel
+    /// needs a rectangular profile.
+    fn build(series: &[Vec<f64>]) -> Self {
         let n = series.len();
         let len = series.first().map_or(0, |s| s.len());
-        if series.iter().any(|s| s.len() != len) {
-            return None;
+        if let Some(i) = series.iter().position(|s| s.len() != len) {
+            panic!(
+                "correlation input must be uniform-length series: \
+                 series {i} has length {}, series 0 has length {len}",
+                series[i].len()
+            );
         }
         let mut data = vec![0.0f64; n * len];
         data.par_chunks_mut(len.max(1))
@@ -110,7 +117,7 @@ impl ZProfile {
             .for_each(|(row, s)| {
                 z_normalize_into(s, &mut row[..s.len()]);
             });
-        Some(Self { n, len, data })
+        Self { n, len, data }
     }
 
     #[inline]
@@ -125,7 +132,7 @@ impl ZProfile {
 }
 
 /// Centres `s` and scales it to unit norm, writing into `out`
-/// (bitwise-identically to the reference kernel's per-row normalisation:
+/// (bitwise-identically to the test oracle's per-row normalisation:
 /// same sums, same order, same zero-variance fallback).
 fn z_normalize_into(s: &[f64], out: &mut [f64]) {
     debug_assert_eq!(s.len(), out.len());
@@ -213,7 +220,7 @@ struct Block {
 
 /// The block body: `acc[r][c] = Σ_k rows[r][k] · panel[k · NR + c]`, every
 /// lane from +0.0 in ascending `k` with a separate multiply and add — the
-/// reference kernel's per-pair order. Never use `mul_add` here: a fused
+/// test oracle's per-pair order. Never use `mul_add` here: a fused
 /// add rounds once and changes the bits.
 #[inline(always)]
 fn block_body(rows: [&[f64]; MR], panel: &[f64]) -> [[f64; NR]; MR] {
@@ -449,19 +456,16 @@ fn kernel_into<T: Copy + Default + Send, const K: usize>(
 }
 
 /// The full Pearson correlation matrix of a collection of series,
-/// computed by the tiled kernel (bitwise identical to
-/// [`correlation_matrix_reference`] at any tile size and thread count).
-/// The diagonal is 1. Ragged-length collections fall back to the
-/// reference kernel.
+/// computed by the tiled kernel at the default tiling. The diagonal is 1.
+///
+/// # Panics
+/// Panics if the series do not all have the same length.
 pub fn correlation_matrix(series: &[Vec<f64>]) -> SymmetricMatrix {
-    match ZProfile::build(series) {
-        Some(z) => correlation_from_profile(&z, TileConfig::default(), Isa::detect()).0,
-        None => correlation_matrix_reference(series),
-    }
+    correlation_matrix_with(series, TileConfig::default()).0
 }
 
 /// [`correlation_matrix`] with explicit tiling, also returning the kernel
-/// counters.
+/// counters. The matrix is the same bits at every tile size.
 ///
 /// # Panics
 /// Panics if the series do not all have the same length.
@@ -469,8 +473,7 @@ pub fn correlation_matrix_with(
     series: &[Vec<f64>],
     config: TileConfig,
 ) -> (SymmetricMatrix, CorrelationKernelStats) {
-    let z = ZProfile::build(series).expect("tiled kernel requires uniform-length series");
-    correlation_from_profile(&z, config, Isa::detect())
+    correlation_from_profile(&ZProfile::build(series), config, Isa::detect())
 }
 
 /// The tiled kernel over an existing profile, on the copy `isa`.
@@ -492,8 +495,7 @@ pub fn correlation_matrix_f32(
     series: &[Vec<f64>],
     config: TileConfig,
 ) -> (SymmetricMatrixF32, CorrelationKernelStats) {
-    let z = ZProfile::build(series).expect("tiled kernel requires uniform-length series");
-    correlation_f32_from_profile(&z, config, Isa::detect())
+    correlation_f32_from_profile(&ZProfile::build(series), config, Isa::detect())
 }
 
 /// [`correlation_matrix_f32`] over an existing profile, on the copy `isa`.
@@ -516,8 +518,7 @@ fn correlation_f32_from_profile(
 pub fn correlation_and_dissimilarity(
     series: &[Vec<f64>],
 ) -> (SymmetricMatrix, SymmetricMatrix, CorrelationKernelStats) {
-    let z = ZProfile::build(series).expect("tiled kernel requires uniform-length series");
-    fused_from_profile(&z, Isa::detect())
+    fused_from_profile(&ZProfile::build(series), Isa::detect())
 }
 
 /// [`correlation_and_dissimilarity`] over an existing profile, on the
@@ -535,59 +536,6 @@ fn fused_from_profile(
         SymmetricMatrix::from_symmetrized(z.n, diss),
         stats,
     )
-}
-
-/// The pre-tiling reference kernel: normalised `Vec<Vec<f64>>` rows, a
-/// full `n × n` product pass, and an averaging symmetrise tail. Kept as
-/// the differential-test oracle (the tiled kernel must match it bitwise)
-/// and as the fallback for ragged-length collections.
-pub fn correlation_matrix_reference(series: &[Vec<f64>]) -> SymmetricMatrix {
-    let n = series.len();
-    // Pre-compute centred, unit-norm series so each pair is a dot product.
-    let normalized: Vec<Vec<f64>> = series
-        .par_iter()
-        .map(|s| {
-            let mean = s.iter().sum::<f64>() / s.len().max(1) as f64;
-            let centred: Vec<f64> = s.iter().map(|&x| x - mean).collect();
-            let norm = centred.iter().map(|&x| x * x).sum::<f64>().sqrt();
-            if norm <= 0.0 {
-                vec![0.0; s.len()]
-            } else {
-                centred.iter().map(|&x| x / norm).collect()
-            }
-        })
-        .collect();
-    let rows: Vec<Vec<f64>> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            (0..n)
-                .map(|j| {
-                    if i == j {
-                        1.0
-                    } else {
-                        normalized[i]
-                            .iter()
-                            .zip(normalized[j].iter())
-                            .map(|(&x, &y)| x * y)
-                            .sum::<f64>()
-                            .clamp(-1.0, 1.0)
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let mut m = SymmetricMatrix::zeros(n);
-    // Indexing two different rows (`rows[i][j]` and `rows[j][i]`) per
-    // iteration — the iterator rewrite clippy suggests does not apply.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..n {
-        for j in i..n {
-            // Average the two symmetric entries to wash out rounding noise.
-            let v = 0.5 * (rows[i][j] + rows[j][i]);
-            m.set(i, j, v);
-        }
-    }
-    m
 }
 
 /// The [`dissimilarity`] `d = sqrt(2 (1 − p))` of every entry, used by
@@ -617,6 +565,59 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// The pre-tiling kernel, the bitwise oracle of the tiled one:
+    /// normalised `Vec<Vec<f64>>` rows, a full `n × n` product pass whose
+    /// dot products fold from +0.0 in ascending `k` (std's `Sum` starts
+    /// from −0.0, so an empty sum would be −0.0), and an averaging
+    /// symmetrise tail.
+    fn correlation_matrix_reference(series: &[Vec<f64>]) -> SymmetricMatrix {
+        let n = series.len();
+        // Pre-compute centred, unit-norm series so each pair is a dot product.
+        let normalized: Vec<Vec<f64>> = series
+            .par_iter()
+            .map(|s| {
+                let mean = s.iter().sum::<f64>() / s.len().max(1) as f64;
+                let centred: Vec<f64> = s.iter().map(|&x| x - mean).collect();
+                let norm = centred.iter().map(|&x| x * x).sum::<f64>().sqrt();
+                if norm <= 0.0 {
+                    vec![0.0; s.len()]
+                } else {
+                    centred.iter().map(|&x| x / norm).collect()
+                }
+            })
+            .collect();
+        let rows: Vec<Vec<f64>> = (0..n)
+            .into_par_iter()
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        if i == j {
+                            1.0
+                        } else {
+                            normalized[i]
+                                .iter()
+                                .zip(normalized[j].iter())
+                                .fold(0.0, |acc, (&x, &y)| acc + x * y)
+                                .clamp(-1.0, 1.0)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut m = SymmetricMatrix::zeros(n);
+        // Indexing two different rows (`rows[i][j]` and `rows[j][i]`) per
+        // iteration — the iterator rewrite clippy suggests does not apply.
+        #[allow(clippy::needless_range_loop)]
+        for i in 0..n {
+            for j in i..n {
+                // Average the two symmetric entries to wash out rounding noise.
+                let v = 0.5 * (rows[i][j] + rows[j][i]);
+                m.set(i, j, v);
+            }
+        }
+        m
     }
 
     /// Every compiled copy of the block body this CPU can run.
@@ -693,13 +694,15 @@ mod tests {
     fn tiled_matches_reference_bitwise_across_tile_sizes() {
         // n = 16..24 covers every remainder mod 8 inside one tile and, at
         // tiles 3, 8 and 12, across tiles; L = 1 and 2 give zero z-rows
-        // (every length-1 series is constant); identical and negated
-        // series clamp at ±1.
-        let mut inputs: Vec<Vec<Vec<f64>>> = [(1, 4), (37, 23), (64, 5), (101, 46), (19, 1)]
-            .into_iter()
-            .chain((16..24).map(|n| (n, 9)))
-            .map(|(n, len)| synthetic_series(n, len, n as u64))
-            .collect();
+        // (every length-1 series is constant), and L = 0 empty dot
+        // products, which must be +0.0; identical and negated series
+        // clamp at ±1.
+        let mut inputs: Vec<Vec<Vec<f64>>> =
+            [(1, 4), (37, 23), (64, 5), (101, 46), (19, 1), (3, 0)]
+                .into_iter()
+                .chain((16..24).map(|n| (n, 9)))
+                .map(|(n, len)| synthetic_series(n, len, n as u64))
+                .collect();
         let mut short = synthetic_series(21, 2, 21);
         for s in short.iter_mut().step_by(3) {
             s.fill(1.5);
@@ -718,7 +721,7 @@ mod tests {
             let n = series.len();
             let len = series[0].len();
             let reference = correlation_matrix_reference(series);
-            let z = ZProfile::build(series).expect("uniform-length input");
+            let z = ZProfile::build(series);
             for isa in isas() {
                 for tile in [1, 3, 8, 12, 37, 64, 256] {
                     let (tiled, stats) = correlation_from_profile(&z, TileConfig { tile }, isa);
@@ -786,25 +789,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ragged_series_fall_back_to_reference() {
-        let series = vec![
+    fn ragged_series() -> Vec<Vec<f64>> {
+        vec![
             vec![1.0, 2.0, 3.0, 4.0],
             vec![4.0, 3.0, 2.0],
             vec![1.0, 3.0, 2.0, 4.0],
-        ];
-        assert!(ZProfile::build(&series).is_none());
-        let m = correlation_matrix(&series);
-        let reference = correlation_matrix_reference(&series);
-        for (a, b) in m.as_slice().iter().zip(reference.as_slice().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        ]
+    }
+
+    #[test]
+    #[should_panic(expected = "uniform-length series")]
+    fn ragged_series_are_rejected_by_correlation_matrix() {
+        correlation_matrix(&ragged_series());
+    }
+
+    #[test]
+    #[should_panic(expected = "uniform-length series")]
+    fn ragged_series_are_rejected_by_correlation_matrix_f32() {
+        correlation_matrix_f32(&ragged_series(), TileConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "uniform-length series")]
+    fn ragged_series_are_rejected_by_correlation_and_dissimilarity() {
+        correlation_and_dissimilarity(&ragged_series());
     }
 
     #[test]
     fn fused_dissimilarity_matches_mapped_path() {
         let series = synthetic_series(33, 17, 3);
-        let z = ZProfile::build(&series).expect("uniform-length input");
+        let z = ZProfile::build(&series);
         let reference = correlation_matrix_reference(&series);
         let mapped = dissimilarity_from_correlation(&reference);
         for isa in isas() {
@@ -822,7 +836,7 @@ mod tests {
     #[test]
     fn f32_mode_is_the_rounded_f64_kernel() {
         let series = synthetic_series(29, 21, 7);
-        let z = ZProfile::build(&series).expect("uniform-length input");
+        let z = ZProfile::build(&series);
         for isa in isas() {
             let (corr, _) = correlation_from_profile(&z, TileConfig::default(), isa);
             let (corr32, stats) = correlation_f32_from_profile(&z, TileConfig::default(), isa);

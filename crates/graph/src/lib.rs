@@ -23,7 +23,6 @@ pub mod matrix;
 pub mod planarity;
 pub mod shortest_paths;
 pub mod similarity;
-pub mod union_find;
 pub mod weighted_graph;
 
 pub use bfs::bfs_reachable_within;
@@ -31,5 +30,4 @@ pub use matrix::{SymmetricMatrix, SymmetricMatrixF32};
 pub use planarity::{is_planar, LrScratch};
 pub use shortest_paths::{GroupBlocks, PairDistances, SourceRows};
 pub use similarity::{dissimilarity, DissimilarityView, SimilaritySource};
-pub use union_find::UnionFind;
 pub use weighted_graph::WeightedGraph;

@@ -2,35 +2,105 @@
 //!
 //! The paper's input is an `n × n` similarity matrix `S` (e.g. Pearson
 //! correlations) plus a dissimilarity matrix `D` (e.g. `sqrt(2(1 − p))`).
-//! [`SymmetricMatrix`] and [`SymmetricMatrixF32`] store the full dense
-//! matrix row-major, so an entry read is `O(1)` and every row is one
-//! contiguous slice. Construction reads them through
-//! [`SimilaritySource`](crate::SimilaritySource): the TMFG gain scans, its
-//! hot loop, take a face's three corner rows once and read them at the
-//! remaining vertices' ids, and the seed clique's row sums add whole
+//! [`SymmetricMatrix`] stores the full dense matrix row-major, so an entry
+//! read is `O(1)` and every row is one contiguous slice. It is generic
+//! over the entry width: `f64` by default, or `f32`
+//! ([`SymmetricMatrixF32`]) to halve the `n²` footprint. Every read
+//! widens to `f64` exactly. Construction reads either width through
+//! [`SimilaritySource`](crate::SimilaritySource): the TMFG gain scans,
+//! its hot loop, take a face's three corner rows once and read them at
+//! the remaining vertices' ids, and the seed clique's row sums add whole
 //! rows.
 
 use rayon::prelude::*;
 
-/// A dense symmetric `n × n` matrix of `f64` values.
+/// A dense symmetric `n × n` matrix with entries of type `T` (`f64`
+/// unless named otherwise).
 ///
 /// The full matrix is stored (both triangles) so row scans never branch.
 /// Writes through [`SymmetricMatrix::set`] keep the matrix symmetric.
+/// [`SymmetricMatrix::get`] widens an entry to `f64` exactly, so every
+/// consumer that only *compares* weights (TMFG gains, PMFG candidate
+/// order, DBHT edge lookups — all `f64::total_cmp` based) reads both
+/// widths through the same code.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SymmetricMatrix {
+pub struct SymmetricMatrix<T = f64> {
     n: usize,
-    data: Vec<f64>,
+    data: Vec<T>,
 }
 
-impl SymmetricMatrix {
+/// A [`SymmetricMatrix`] stored as `f32`, halving the `n²` memory
+/// footprint of the `f64` matrix. The values carry ~7 significant decimal
+/// digits, which is far below the noise floor of estimated correlations;
+/// the end-to-end clustering quality impact is covered by a differential
+/// ARI test in the bench crate.
+pub type SymmetricMatrixF32 = SymmetricMatrix<f32>;
+
+impl<T: Copy + Into<f64>> SymmetricMatrix<T> {
     /// Creates an `n × n` matrix filled with `fill`.
-    pub fn filled(n: usize, fill: f64) -> Self {
+    pub fn filled(n: usize, fill: T) -> Self {
         Self {
             n,
             data: vec![fill; n * n],
         }
     }
 
+    /// Builds a matrix from row-major data that the producer has already
+    /// made *exactly* symmetric (e.g. the tiled correlation kernel, which
+    /// writes both mirrored positions of each pair from a single computed
+    /// value), skipping [`SymmetricMatrix::from_rows`]'s `O(n²)` tolerance
+    /// sweep and taking ownership of the buffer without a copy.
+    ///
+    /// Debug builds still verify exact symmetry.
+    pub fn from_symmetrized(n: usize, data: Vec<T>) -> Self {
+        assert_eq!(data.len(), n * n, "matrix data must have n*n entries");
+        let m = Self { n, data };
+        #[cfg(debug_assertions)]
+        for i in 0..n {
+            for j in (i + 1)..n {
+                debug_assert!(
+                    m.get(i, j).to_bits() == m.get(j, i).to_bits(),
+                    "from_symmetrized requires exact symmetry: ({i},{j})"
+                );
+            }
+        }
+        m
+    }
+
+    /// Number of rows (= columns).
+    #[inline]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Returns the value at `(i, j)`, widened to `f64`.
+    #[inline]
+    pub fn get(&self, i: usize, j: usize) -> f64 {
+        debug_assert!(i < self.n && j < self.n);
+        self.data[i * self.n + j].into()
+    }
+
+    /// Sets `(i, j)` and `(j, i)` to `value`.
+    #[inline]
+    pub fn set(&mut self, i: usize, j: usize, value: T) {
+        debug_assert!(i < self.n && j < self.n);
+        self.data[i * self.n + j] = value;
+        self.data[j * self.n + i] = value;
+    }
+
+    /// Returns row `i` as a slice of length `n`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[T] {
+        &self.data[i * self.n..(i + 1) * self.n]
+    }
+
+    /// Raw row-major data.
+    pub fn as_slice(&self) -> &[T] {
+        &self.data
+    }
+}
+
+impl SymmetricMatrix {
     /// Creates an `n × n` zero matrix.
     pub fn zeros(n: usize) -> Self {
         Self::filled(n, 0.0)
@@ -55,29 +125,6 @@ impl SymmetricMatrix {
         m
     }
 
-    /// Builds a matrix from row-major data that the producer has already
-    /// made *exactly* symmetric (e.g. the symmetrised APSP buffer, or the
-    /// tiled correlation kernel that writes both mirrored positions of each
-    /// pair from a single computed value), skipping
-    /// [`SymmetricMatrix::from_rows`]'s `O(n²)` tolerance sweep and taking
-    /// ownership of the buffer without a copy.
-    ///
-    /// Debug builds still verify exact symmetry.
-    pub fn from_symmetrized(n: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), n * n, "matrix data must have n*n entries");
-        let m = Self { n, data };
-        #[cfg(debug_assertions)]
-        for i in 0..n {
-            for j in (i + 1)..n {
-                debug_assert!(
-                    m.get(i, j).to_bits() == m.get(j, i).to_bits(),
-                    "from_symmetrized requires exact symmetry: ({i},{j})"
-                );
-            }
-        }
-        m
-    }
-
     /// Builds a matrix by evaluating `f(i, j)` for the upper triangle
     /// (including the diagonal) and mirroring it.
     pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
@@ -91,115 +138,12 @@ impl SymmetricMatrix {
         m
     }
 
-    /// Number of rows (= columns).
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Returns the value at `(i, j)`.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(i < self.n && j < self.n);
-        self.data[i * self.n + j]
-    }
-
-    /// Sets `(i, j)` and `(j, i)` to `value`.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, value: f64) {
-        debug_assert!(i < self.n && j < self.n);
-        self.data[i * self.n + j] = value;
-        self.data[j * self.n + i] = value;
-    }
-
-    /// Returns row `i` as a slice of length `n`.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.n..(i + 1) * self.n]
-    }
-
     /// Applies `f` to every entry, returning a new matrix. Used e.g. to turn
     /// a correlation matrix into the dissimilarity `sqrt(2(1 − p))`. The
     /// parallel map and the collect fuse into a single pass over the data.
     pub fn map(&self, f: impl Fn(f64) -> f64 + Sync) -> Self {
         let data: Vec<f64> = self.data.par_iter().map(|&x| f(x)).collect();
         Self { n: self.n, data }
-    }
-
-    /// Raw row-major data.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-}
-
-/// A dense symmetric `n × n` matrix stored as `f32`, halving the `n²`
-/// memory footprint of [`SymmetricMatrix`].
-///
-/// Reads widen to `f64` exactly — at [`SymmetricMatrixF32::get`], and per
-/// entry where a consumer reads whole rows (the TMFG gain scans and row
-/// sums) — so every consumer that only *compares* weights (TMFG gains,
-/// PMFG candidate order, DBHT edge lookups — all `f64::total_cmp` based)
-/// works unchanged on top of this storage. The values themselves carry ~7 significant
-/// decimal digits, which is far below the noise floor of estimated
-/// correlations; the end-to-end clustering quality impact is covered by a
-/// differential ARI test in the bench crate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SymmetricMatrixF32 {
-    n: usize,
-    data: Vec<f32>,
-}
-
-impl SymmetricMatrixF32 {
-    /// Creates an `n × n` matrix filled with `fill`.
-    pub fn filled(n: usize, fill: f32) -> Self {
-        Self {
-            n,
-            data: vec![fill; n * n],
-        }
-    }
-
-    /// Builds a matrix from row-major data the producer has already made
-    /// *exactly* symmetric (both mirrored positions written from one
-    /// computed value). Debug builds verify exact bit symmetry.
-    pub fn from_symmetrized(n: usize, data: Vec<f32>) -> Self {
-        assert_eq!(data.len(), n * n, "matrix data must have n*n entries");
-        let m = Self { n, data };
-        #[cfg(debug_assertions)]
-        for i in 0..n {
-            for j in (i + 1)..n {
-                debug_assert!(
-                    m.data[i * n + j].to_bits() == m.data[j * n + i].to_bits(),
-                    "from_symmetrized requires exact symmetry: ({i},{j})"
-                );
-            }
-        }
-        m
-    }
-
-    /// Number of rows (= columns).
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Returns the value at `(i, j)`, widened to `f64`.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(i < self.n && j < self.n);
-        self.data[i * self.n + j] as f64
-    }
-
-    /// Sets `(i, j)` and `(j, i)` to `value`.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, value: f32) {
-        debug_assert!(i < self.n && j < self.n);
-        self.data[i * self.n + j] = value;
-        self.data[j * self.n + i] = value;
-    }
-
-    /// Raw row-major data.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
     }
 }
 

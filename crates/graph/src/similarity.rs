@@ -5,14 +5,14 @@
 //! walk a face's corner rows over the remaining pool), row sums and the
 //! best-row seed — and only *compares* the weights it reads.
 //! [`SimilaritySource`] captures exactly that surface, so the same
-//! construction code runs over the dense `f64` matrix and the
-//! half-footprint `f32` matrix. [`DissimilarityView`] derives the DBHT's
-//! edge lengths, the [`dissimilarity`] of each similarity, from any source
-//! on the fly.
+//! construction code runs over both entry widths of the one dense
+//! [`SymmetricMatrix`] — `f64`, and the half-footprint `f32` — through one
+//! generic impl. [`DissimilarityView`] derives the DBHT's edge lengths,
+//! the [`dissimilarity`] of each similarity, from any source on the fly.
 
 use rayon::prelude::*;
 
-use crate::matrix::{SymmetricMatrix, SymmetricMatrixF32};
+use crate::matrix::SymmetricMatrix;
 use crate::shortest_paths::PairDistances;
 
 /// Read-only access to a symmetric similarity matrix.
@@ -77,8 +77,10 @@ pub trait SimilaritySource: Sync {
     }
 }
 
-impl SimilaritySource for SymmetricMatrix {
-    type Entry = f64;
+/// Both entry widths, `f64` and `f32`: a row is the stored slice, and an
+/// entry widens to `f64` exactly.
+impl<T: Copy + Into<f64> + Sync> SimilaritySource for SymmetricMatrix<T> {
+    type Entry = T;
 
     #[inline]
     fn n(&self) -> usize {
@@ -91,28 +93,8 @@ impl SimilaritySource for SymmetricMatrix {
     }
 
     #[inline]
-    fn row(&self, i: usize) -> &[f64] {
+    fn row(&self, i: usize) -> &[T] {
         SymmetricMatrix::row(self, i)
-    }
-}
-
-impl SimilaritySource for SymmetricMatrixF32 {
-    type Entry = f32;
-
-    #[inline]
-    fn n(&self) -> usize {
-        SymmetricMatrixF32::n(self)
-    }
-
-    #[inline]
-    fn get(&self, i: usize, j: usize) -> f64 {
-        SymmetricMatrixF32::get(self, i, j)
-    }
-
-    #[inline]
-    fn row(&self, i: usize) -> &[f32] {
-        let n = SymmetricMatrixF32::n(self);
-        &self.as_slice()[i * n..(i + 1) * n]
     }
 }
 
@@ -159,6 +141,7 @@ impl<S: SimilaritySource> PairDistances for DissimilarityView<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::SymmetricMatrixF32;
 
     fn random_matrix(n: usize, seed: u64) -> SymmetricMatrix {
         let mut state = seed | 1;
