@@ -394,8 +394,13 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         // Line 5: the candidate lists for each initial face.
         let mut gains = GainTable::new(n, config.prefix);
         let depth = gains.depth();
+        // A scan batch (here, in `refresh_stale` and in `apply_batch`) is a
+        // short list of whole scans of the remaining pool. `with_max_len(1)`
+        // makes each scan its own pool job: the shim's 512-item gate, meant
+        // for cheap items, would otherwise run the whole batch inline.
         let face_candidates: Vec<CandidateList> = faces
             .par_iter()
+            .with_max_len(1)
             .map(|&t| GainTable::compute_candidates(s, t, &pool, depth))
             .collect();
         let mut face_active = Vec::with_capacity(4);
@@ -527,8 +532,10 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         }
         stats.refreshes += batch.len();
         let (s, faces, pool, depth) = (self.s, &self.faces, &self.pool, self.gains.depth());
+        // One pool job per scan (see `Builder::new`).
         let lists: Vec<CandidateList> = batch
             .par_iter()
+            .with_max_len(1)
             .map(|&f| GainTable::compute_candidates(s, faces[f], pool, depth))
             .collect();
         for (face, (list, truncated)) in batch.into_iter().zip(lists) {
@@ -662,9 +669,10 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         // scan of the remaining pool (4 similarity loads per vertex instead
         // of 9 — the follow-up paper's gain maintenance). Children consumed
         // later in the same round (intra-round freshness) are skipped at
-        // install.
+        // install. One pool job per fused scan (see `Builder::new`).
         let fused: Vec<(ChildGroup, [CandidateList; 3])> = groups
             .par_iter()
+            .with_max_len(1)
             .map(|&g| {
                 (
                     g,
@@ -1333,8 +1341,8 @@ mod tests {
         // a strict total order).
         //
         // The per-round parallel steps — the fused child refresh and the
-        // stale-face rescans — are short pipelines (at most a few dozen
-        // scans), which the shim runs inline under its 512-item gate; the
+        // stale-face rescans — run each scan as its own pool job, so at 2
+        // and 8 threads the scans land on the workers in any order; the
         // comparison pins that the construction, selector counters
         // included, is independent of the pool it runs on. n = 300 gives
         // prefixes 10 and 50 many conflict, rescan and refresh rounds.

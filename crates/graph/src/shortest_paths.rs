@@ -67,8 +67,10 @@ impl PartialOrd for HeapEntry {
 }
 
 /// Dijkstra from `source` over the (non-negative) edge weights, writing
-/// into `dist`, a row of length `num_vertices` whose every entry is
-/// overwritten; unreached vertices get `f64::INFINITY`.
+/// into `dist`, a row of length `num_vertices` that the caller hands in
+/// with every entry `f64::INFINITY` (checked in debug builds only: the
+/// caller allocates the row that way, so a second fill here would write
+/// it twice). Unreached vertices keep `f64::INFINITY`.
 ///
 /// Without `targets` the run goes to exhaustion. With
 /// `Some((is_target, count))` it stops as soon as all `count` flagged
@@ -83,7 +85,10 @@ fn dijkstra(
 ) -> usize {
     let n = graph.num_vertices();
     debug_assert_eq!(dist.len(), n);
-    dist.fill(f64::INFINITY);
+    debug_assert!(
+        dist.iter().all(|&d| d == f64::INFINITY),
+        "Dijkstra needs an all-infinite row"
+    );
     let mut done = vec![false; n];
     let mut heap = BinaryHeap::with_capacity(n);
     let mut settled = 0usize;
@@ -203,7 +208,8 @@ impl SourceRows {
             assert!(s < n, "source {s} out of range");
             row_of[s] = i;
         }
-        let mut rows = vec![0.0f64; sources.len() * n];
+        // All +∞, as `dijkstra` requires of the row it is handed.
+        let mut rows = vec![f64::INFINITY; sources.len() * n];
         // `with_max_len(1)`: each row is a whole Dijkstra run, so declare
         // it heavy — without the hint the executor's cheap-item heuristic
         // would run small source sets entirely inline. `n.max(1)` keeps

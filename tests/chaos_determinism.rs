@@ -188,10 +188,11 @@ fn same_tmfg(a: &Tmfg, b: &Tmfg) -> bool {
 
 #[test]
 fn tmfg_construction_is_schedule_invariant() {
-    // TMFG under chaos. At n = 520, just above the shim's 512-item gate,
-    // the seed clique's row sums and the up-front non-finite scan run as
-    // pool jobs (the per-round scan batches stay under the gate). Both
-    // storages must reproduce the 1-thread construction bit for bit.
+    // TMFG under chaos. The per-round scan batches run each scan as its
+    // own pool job at every n. n = 520, just above the shim's 512-item
+    // gate, also sends the seed clique's row sums and the up-front
+    // non-finite scan to the pool. Both storages must reproduce the
+    // 1-thread construction bit for bit.
     let mut rng = StdRng::seed_from_u64(31);
     let n = 520;
     let s = SymmetricMatrix::from_fn(n, |i, j| {
