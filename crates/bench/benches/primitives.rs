@@ -1,6 +1,5 @@
 //! Executor microbenchmarks of the work-stealing executor: fork–join
-//! round trips, deque contention, skewed work, parallel sort, and a join
-//! after a sequential gap (the TMFG round's regime). (The
+//! round trips, deque contention, skewed work and parallel sort. (The
 //! target keeps its `primitives` name so the `primitives/executor/*`
 //! series keep their history.)
 
@@ -9,7 +8,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 /// Worker count for the executor benchmarks. Fixed (rather than detected)
 /// so the numbers are comparable across machines; oversubscription on
@@ -33,63 +31,6 @@ fn skewed_work(x: f64, i: usize, n: usize) -> f64 {
         acc = acc * 1.000_000_1 + 0.5;
     }
     acc
-}
-
-/// Busy-waits for `d`, as a compute-bound task or sequential step would.
-fn spin_for(d: Duration) {
-    let start = Instant::now();
-    while start.elapsed() < d {
-        std::hint::spin_loop();
-    }
-}
-
-/// Fork–join after a sequential gap, the regime of a TMFG round: a
-/// 100 µs sequential step (the round's selection), then two equal tasks
-/// (two scans of a batch). The `pool` series runs the tasks as
-/// `rayon::join` on a 2-thread pool (the caller plus one worker), the
-/// `inline` series one after the other; `(inline − pool) / 64` is the time
-/// a join saves per round. It is positive only if the worker is still
-/// awake when the join forks, after the gap.
-fn bench_join_after_gap(c: &mut Criterion) {
-    const ROUNDS: usize = 64;
-    const GAP: Duration = Duration::from_micros(100);
-    let mut group = c.benchmark_group("executor");
-    group.sample_size(20);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("join-after-gap bench pool");
-    for task_us in [10u64, 20] {
-        let task = Duration::from_micros(task_us);
-        group.bench_with_input(
-            BenchmarkId::new("join_after_gap/pool", task_us),
-            &task,
-            |b, &task| {
-                b.iter(|| {
-                    pool.install(|| {
-                        for _ in 0..ROUNDS {
-                            spin_for(GAP);
-                            rayon::join(|| spin_for(task), || spin_for(task));
-                        }
-                    })
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("join_after_gap/inline", task_us),
-            &task,
-            |b, &task| {
-                b.iter(|| {
-                    for _ in 0..ROUNDS {
-                        spin_for(GAP);
-                        spin_for(task);
-                        spin_for(task);
-                    }
-                })
-            },
-        );
-    }
-    group.finish();
 }
 
 /// Executor benchmarks: many fine-grained fork–join rounds (the pattern
@@ -214,5 +155,5 @@ fn bench_executor(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_executor, bench_join_after_gap);
+criterion_group!(benches, bench_executor);
 criterion_main!(benches);

@@ -69,8 +69,8 @@ impl PartialOrd for HeapEntry {
 /// Dijkstra from `source` over the (non-negative) edge weights, writing
 /// into `dist`, a row of length `num_vertices` that the caller hands in
 /// with every entry `f64::INFINITY` (checked in debug builds only: the
-/// caller allocates the row that way, so a second fill here would write
-/// it twice). Unreached vertices keep `f64::INFINITY`.
+/// caller fills the row, or allocates it that way, so a second fill here
+/// would write it twice). Unreached vertices keep `f64::INFINITY`.
 ///
 /// Without `targets` the run goes to exhaustion. With
 /// `Some((is_target, count))` it stops as soon as all `count` flagged
@@ -208,16 +208,18 @@ impl SourceRows {
             assert!(s < n, "source {s} out of range");
             row_of[s] = i;
         }
-        // All +∞, as `dijkstra` requires of the row it is handed.
-        let mut rows = vec![f64::INFINITY; sources.len() * n];
+        let mut rows = vec![0.0f64; sources.len() * n];
         // `with_max_len(1)`: each row is a whole Dijkstra run, so declare
         // it heavy — without the hint the executor's cheap-item heuristic
         // would run small source sets entirely inline. `n.max(1)` keeps
-        // the chunk size valid on an empty graph.
+        // the chunk size valid on an empty graph. Each job fills its own
+        // row with the +∞ that `dijkstra` requires, so the fill runs in
+        // parallel and the zeroed allocation is not written twice.
         rows.par_chunks_mut(n.max(1))
             .with_max_len(1)
             .enumerate()
             .for_each(|(i, row)| {
+                row.fill(f64::INFINITY);
                 dijkstra(graph, sources[i], None, row);
             });
         average_mirrored_pairs(&mut rows, n, |i| sources[i]);

@@ -197,10 +197,8 @@ impl ThreadPoolBuilder {
 
 /// A caller-owned pool of persistent workers, mirroring `rayon::ThreadPool`.
 ///
-/// Workers are spawned by [`ThreadPoolBuilder::build`] and joined when the
-/// pool is dropped. An idle worker keeps looking for work for about
-/// 200 µs, then parks on the pool's condvar; in a pool with more threads
-/// than the host has cores it parks almost at once.
+/// Workers are spawned by [`ThreadPoolBuilder::build`], park on the pool's
+/// condvar while idle, and are joined when the pool is dropped.
 pub struct ThreadPool {
     state: std::sync::Arc<pool::PoolState>,
     workers: Vec<std::thread::JoinHandle<()>>,

@@ -80,16 +80,6 @@
 //!   ([`SleepWake::wake_all`]).
 //!   The FIFO design's `notify_all` per round — every worker woken for
 //!   every batch — is gone, which is most visible on fine-grained rounds.
-//! * **Idle spin before parking.** A worker that finds no work scans the
-//!   deques again after a `yield_now`, up to [`WORKER_SPIN_ROUNDS`]
-//!   (512, 140–200 µs) rounds, before it parks. A fork that follows a
-//!   sequential gap of up to that length (a TMFG round's selection
-//!   between two scan batches) then finds the worker awake. A pool with
-//!   more threads than the host has cores keeps
-//!   [`OVERSUBSCRIBED_SPIN_ROUNDS`] (4), because there a spinning worker
-//!   takes a core from a thread with work. The spin lives in
-//!   `worker_loop`, outside [`SleepWake`], so the protocol that
-//!   `pfg_model` checks is unchanged.
 //! * The **global pool** is built lazily on first use, sized by
 //!   `RAYON_NUM_THREADS` when set to a positive integer (like real
 //!   rayon), otherwise by the cached hardware probe
@@ -127,35 +117,13 @@ const MAX_PIECES: usize = 64;
 /// between rounds) a thread waiting on a join flag makes before parking.
 const WAIT_SPIN_ROUNDS: usize = 32;
 
-/// Idle scan rounds (each a scan over every deque, then a `yield_now`) a
-/// worker makes before parking when its pool fits the host. 512
-/// `yield_now` calls take 140–200 µs on a 2-core x86_64 host: long enough
-/// to span the 20–100 µs sequential gap between two TMFG scan batches,
-/// so the next fork finds the worker awake instead of paying a wake-up
-/// as long as the job. On that host a 2 × 10 µs join after a 100 µs gap
-/// (`executor/join_after_gap/*/10`) saves about 7 µs per round against
-/// running both tasks inline; with 4 rounds it saved nothing. The price
-/// is about 220 µs of CPU per idle spell before the worker parks.
-const WORKER_SPIN_ROUNDS: usize = 512;
-
-/// Idle scan rounds before parking in a pool with more threads than the
-/// host has cores. There, every spinning worker holds a core that a
-/// thread with work could use: on a 2-core host, the chaos suite's
-/// 8-thread pools took 15–20% more CPU time for the same wall time with
-/// 512 rounds.
-const OVERSUBSCRIBED_SPIN_ROUNDS: usize = 4;
-
-/// The idle spin of a pool's workers: [`WORKER_SPIN_ROUNDS`] when the
-/// pool fits the host, [`OVERSUBSCRIBED_SPIN_ROUNDS`] when it has more
-/// threads than [`hardware_parallelism`]. Steers only when a worker
-/// parks, never what a job computes.
-fn worker_spin_rounds(num_threads: usize) -> usize {
-    if num_threads <= hardware_parallelism() {
-        WORKER_SPIN_ROUNDS
-    } else {
-        OVERSUBSCRIBED_SPIN_ROUNDS
-    }
-}
+/// Idle scan rounds a worker makes before parking. Deliberately small:
+/// a parked worker costs nothing, a spinning one steals CPU from the
+/// threads that have real work (pathological on single-core hosts).
+/// 512 rounds (about 200 µs, long enough to span a TMFG round's
+/// sequential selection) made `starlight-p10` no faster at 2 threads on a
+/// 2-core host.
+const WORKER_SPIN_ROUNDS: usize = 4;
 
 thread_local! {
     /// What the current thread *is* to the executor: a pool worker (which
@@ -546,7 +514,6 @@ fn worker_loop(state: Arc<PoolState>, index: usize) {
     // Parallel operations inside tasks dispatch back to this pool, and
     // `push_job` routes this thread's pushes to its own deque.
     CTX.with(|c| *c.borrow_mut() = Some(Ctx::Worker(Arc::clone(&state), index)));
-    let spin_rounds = worker_spin_rounds(state.num_threads);
     let mut idle_rounds = 0;
     loop {
         if let Some(job) = find_work(&state, Some(index)) {
@@ -558,7 +525,7 @@ fn worker_loop(state: Arc<PoolState>, index: usize) {
         if state.sleep.is_shut_down() {
             return;
         }
-        if idle_rounds < spin_rounds {
+        if idle_rounds < WORKER_SPIN_ROUNDS {
             std::thread::yield_now();
             idle_rounds += 1;
         } else {
@@ -856,20 +823,4 @@ where
     let total = slots.len();
     // SAFETY: `run_batch` invokes the closure exactly once per index.
     run_batch(total, |i| task(unsafe { slots.take(i) }))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn workers_spin_long_only_when_the_pool_fits_the_host() {
-        let cores = hardware_parallelism();
-        for threads in 1..=cores {
-            assert_eq!(worker_spin_rounds(threads), 512, "{threads} threads");
-        }
-        for threads in [cores + 1, 8 * cores] {
-            assert_eq!(worker_spin_rounds(threads), 4, "{threads} threads");
-        }
-    }
 }
