@@ -1,6 +1,7 @@
 //! Compares two directories of `BENCH_*.json` records (as written by the
-//! criterion shim and uploaded by CI) and flags mean-time regressions —
-//! the consumer of the bench-record trajectory.
+//! criterion shim and uploaded by CI) and flags time regressions — the
+//! consumer of the bench-record trajectory. A series compares medians
+//! when both records carry one, else means.
 //!
 //! Usage:
 //!   `cargo run -p pfg_bench --bin bench_diff -- <baseline_dir> [current_dir] [--threshold <pct>] [--allow <file>]`
@@ -10,8 +11,8 @@
 //! to 30 (percent). `--allow` names a per-series allowlist (the repo's
 //! `bench.allow`, mirroring `lint.allow`): allowed series still print
 //! their comparison but cannot fail the gate. Exits non-zero when any
-//! non-allowed benchmark's mean time regressed by more than the
-//! threshold, so CI can gate on it.
+//! non-allowed benchmark's time regressed by more than the threshold, so
+//! CI can gate on it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -222,13 +222,18 @@ pub fn write_json_array(path: &Path, lines: &[String]) -> std::io::Result<()> {
 }
 
 /// One benchmark present in both the baseline and the current records.
+///
+/// The two times are medians when both records carry a `median_ns`, and
+/// means otherwise. A series of 20 short samples moves its mean past the
+/// gate on one descheduled sample, while its median holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchComparison {
     /// `<file stem>/<label>` identifying the benchmark.
     pub key: String,
-    /// Baseline mean nanoseconds.
+    /// Baseline nanoseconds: the median, or the mean if either record
+    /// lacks a median.
     pub baseline_ns: f64,
-    /// Current mean nanoseconds.
+    /// Current nanoseconds, the same statistic as `baseline_ns`.
     pub current_ns: f64,
     /// Relative change in percent (positive = slower than baseline).
     pub change_pct: f64,
@@ -314,13 +319,20 @@ impl BenchAllowlist {
     }
 }
 
-/// Loads every `BENCH_*.json` file of `dir` into `(key, mean_ns)` pairs,
+/// The times of one record that the gate compares.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    mean_ns: f64,
+    median_ns: Option<f64>,
+}
+
+/// Loads every `BENCH_*.json` file of `dir` into `(key, timing)` pairs,
 /// with the key combining the record's `bench` field (falling back to the
 /// file stem) and its `label`.
-fn load_means(dir: &Path) -> BTreeMap<String, f64> {
-    let mut means = BTreeMap::new();
+fn load_timings(dir: &Path) -> BTreeMap<String, Timing> {
+    let mut timings = BTreeMap::new();
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return means;
+        return timings;
     };
     for entry in entries.flatten() {
         let path = entry.path();
@@ -343,23 +355,29 @@ fn load_means(dir: &Path) -> BTreeMap<String, f64> {
             let Some(label) = record.get("label").and_then(JsonScalar::as_str) else {
                 continue;
             };
-            let Some(mean) = record.get("mean_ns").and_then(JsonScalar::as_f64) else {
+            let Some(mean_ns) = record.get("mean_ns").and_then(JsonScalar::as_f64) else {
                 continue;
             };
-            means.insert(format!("{bench}/{label}"), mean);
+            let median_ns = record.get("median_ns").and_then(JsonScalar::as_f64);
+            timings.insert(format!("{bench}/{label}"), Timing { mean_ns, median_ns });
         }
     }
-    means
+    timings
 }
 
-/// Diffs the `BENCH_*.json` records of two directories by benchmark key.
+/// Diffs the `BENCH_*.json` records of two directories by benchmark key,
+/// on medians where both records carry one (see [`BenchComparison`]).
 pub fn diff_directories(baseline: &Path, current: &Path) -> DiffReport {
-    let baseline_means = load_means(baseline);
-    let mut current_means = load_means(current);
+    let baseline_timings = load_timings(baseline);
+    let mut current_timings = load_timings(current);
     let mut report = DiffReport::default();
-    for (key, baseline_ns) in baseline_means {
-        match current_means.remove(&key) {
-            Some(current_ns) => {
+    for (key, baseline) in baseline_timings {
+        match current_timings.remove(&key) {
+            Some(current) => {
+                let (baseline_ns, current_ns) = match (baseline.median_ns, current.median_ns) {
+                    (Some(b), Some(c)) => (b, c),
+                    _ => (baseline.mean_ns, current.mean_ns),
+                };
                 let change_pct = if baseline_ns > 0.0 {
                     (current_ns - baseline_ns) / baseline_ns * 100.0
                 } else {
@@ -375,7 +393,7 @@ pub fn diff_directories(baseline: &Path, current: &Path) -> DiffReport {
             None => report.only_baseline.push(key),
         }
     }
-    report.only_current = current_means.into_keys().collect();
+    report.only_current = current_timings.into_keys().collect();
     report.comparisons.sort_by(|a, b| {
         b.change_pct
             .total_cmp(&a.change_pct)
@@ -451,6 +469,47 @@ mod tests {
         assert_eq!(report.only_baseline, vec!["a/gone".to_string()]);
         assert_eq!(report.only_current, vec!["a/new".to_string()]);
         assert_eq!(report.regressions(30.0).len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn diff_compares_medians_when_both_records_carry_one() {
+        let dir = std::env::temp_dir().join(format!("pfg-bench-median-{}", std::process::id()));
+        let baseline = dir.join("baseline");
+        let current = dir.join("current");
+        std::fs::create_dir_all(&baseline).unwrap();
+        std::fs::create_dir_all(&current).unwrap();
+        // `noisy`: one slow sample triples the mean, the median holds.
+        // `slower`: the whole series doubles. `old`: the baseline has no
+        // median, so both sides compare means.
+        std::fs::write(
+            baseline.join("BENCH_a.json"),
+            r#"[{"bench":"a","label":"noisy","mean_ns":100,"median_ns":100},
+                {"bench":"a","label":"slower","mean_ns":100,"median_ns":90},
+                {"bench":"a","label":"old","mean_ns":100,"median_ns":null}]"#,
+        )
+        .unwrap();
+        std::fs::write(
+            current.join("BENCH_a.json"),
+            r#"[{"bench":"a","label":"noisy","mean_ns":300,"median_ns":110},
+                {"bench":"a","label":"slower","mean_ns":200,"median_ns":180},
+                {"bench":"a","label":"old","mean_ns":160,"median_ns":100}]"#,
+        )
+        .unwrap();
+        let report = diff_directories(&baseline, &current);
+        let by_key = |key: &str| {
+            let c = report.comparisons.iter().find(|c| c.key == key).unwrap();
+            (c.baseline_ns, c.current_ns, c.change_pct.round())
+        };
+        assert_eq!(by_key("a/noisy"), (100.0, 110.0, 10.0));
+        assert_eq!(by_key("a/slower"), (90.0, 180.0, 100.0));
+        assert_eq!(by_key("a/old"), (100.0, 160.0, 60.0));
+        let flagged: Vec<&str> = report
+            .regressions(40.0)
+            .iter()
+            .map(|c| c.key.as_str())
+            .collect();
+        assert_eq!(flagged, vec!["a/slower", "a/old"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

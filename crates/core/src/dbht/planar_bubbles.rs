@@ -8,6 +8,7 @@
 //! on-the-fly TMFG bubble tree (Algorithm 2) is validated against.
 
 use pfg_graph::{bfs_reachable_within, WeightedGraph};
+use rayon::prelude::*;
 
 use crate::face::Triangle;
 
@@ -30,15 +31,17 @@ pub fn decompose(graph: &WeightedGraph) -> PlanarBubbleDecomposition {
     debug_assert!(graph.has_maximal_planar_edge_count() || n < 4);
 
     // All 3-cliques of the graph; the separating ones define the splits.
+    // Each check is a BFS over the whole graph, so they run on the pool;
+    // the filter keeps the triangles' order.
     let triangles: Vec<Triangle> = graph
         .triangles()
         .into_iter()
         .map(|(a, b, c)| Triangle::new(a, b, c))
         .collect();
     let separating: Vec<Triangle> = triangles
-        .iter()
+        .par_iter()
         .copied()
-        .filter(|&t| is_separating(graph, t, None))
+        .filter(|&t| is_separating(graph, t))
         .collect();
 
     let mut bubbles: Vec<Vec<usize>> = Vec::new();
@@ -100,15 +103,18 @@ fn bubbles_containing(bubbles: &[Vec<usize>], t: Triangle) -> Vec<usize> {
         .collect()
 }
 
-/// Returns `true` if removing the corners of `t` disconnects the subgraph
-/// induced by `within` (or the whole graph when `within` is `None`).
-fn is_separating(graph: &WeightedGraph, t: Triangle, within: Option<&[usize]>) -> bool {
-    let n = graph.num_vertices();
-    let piece: Vec<usize> = match within {
-        Some(w) => w.to_vec(),
-        None => (0..n).collect(),
+/// Returns `true` if removing the corners of `t` disconnects the graph:
+/// one BFS from a vertex off the triangle leaves another unreached.
+fn is_separating(graph: &WeightedGraph, t: Triangle) -> bool {
+    let mut allowed = vec![true; graph.num_vertices()];
+    for c in t.corners() {
+        allowed[c] = false;
+    }
+    let Some(source) = allowed.iter().position(|&a| a) else {
+        return false;
     };
-    components_without_triangle(graph, &piece, t).len() >= 2
+    let reached = bfs_reachable_within(graph, source, &allowed);
+    allowed.iter().zip(&reached).any(|(&a, &r)| a && !r)
 }
 
 /// Connected components (as vertex lists) of the subgraph induced by
@@ -283,7 +289,7 @@ mod tests {
         g.add_edge(4, 1, 1.0);
         g.add_edge(4, 2, 1.0);
         g.add_edge(4, 3, 1.0);
-        assert!(is_separating(&g, Triangle::new(1, 2, 3), None));
-        assert!(!is_separating(&g, Triangle::new(0, 1, 2), None));
+        assert!(is_separating(&g, Triangle::new(1, 2, 3)));
+        assert!(!is_separating(&g, Triangle::new(0, 1, 2)));
     }
 }

@@ -8,15 +8,15 @@
 //! which is what makes the PMFG orders of magnitude slower than the TMFG
 //! — the runtime gap reproduced by the Figure 1/3 experiments. Following
 //! the parallel PMFG of Yu & Shun (ICDE 2023), [`pmfg`] attacks that cost
-//! with *speculative batches*, and skips the test wherever component
-//! counts already decide it:
+//! with *speculative batches*, skips the test wherever component or block
+//! counts already decide it, and tests one block where it can:
 //!
 //! 1. **Parallel phase.** Each round takes the next prefix of the
 //!    weight-sorted candidate list and decides every candidate against
-//!    the committed graph concurrently: by the component screen of point
-//!    4, or by a test through the borrowed one-extra-edge view of
-//!    [`pfg_graph::LrScratch`] (one warm scratch per pool worker, zero
-//!    allocation and zero graph mutation per test).
+//!    the committed graph concurrently: by the component and block
+//!    screens of point 4, or by a test through the borrowed
+//!    one-extra-edge view of [`pfg_graph::LrScratch`] (one warm scratch
+//!    per pool worker, zero allocation and zero graph mutation per test).
 //! 2. **Monotone rejection.** Planarity is monotone under edge addition:
 //!    a subgraph of a planar graph is planar, so if `G + e` is non-planar
 //!    then `G' + e` is non-planar for every supergraph `G' ⊇ G`. A
@@ -56,25 +56,50 @@
 //!    which is most of the `3n − 6` acceptances — exactly the
 //!    acceptance-heavy rounds where the old unconditional re-validation
 //!    concentrated.
-//! 4. **Component screen.** Before any planarity test — in the parallel
-//!    phase against the round-start components, and for a dirty survivor
-//!    against the current ones — the same union-find decides the
-//!    candidate `(u, v)` from component counts when it can:
+//! 4. **Component and block screens.** Before any planarity test — in
+//!    the parallel phase against the round-start components, and for a
+//!    dirty survivor against the current ones — the same union-find
+//!    decides the candidate `(u, v)` from component counts when it can:
 //!    * `u` and `v` in different components: **planar**, no test. A
 //!      bridge between two planar graphs keeps the graph planar.
 //!    * both in component `r` with `k ≥ 3` vertices that already holds
 //!      `3k − 6` edges: **non-planar**, no test. A simple planar graph on
 //!      `k ≥ 3` vertices has at most `3k − 6` edges, and planarity is
 //!      decided per component.
-//!    * otherwise: a left–right test, which covers only the component
-//!      the candidate lands in (see [`LrScratch::stays_planar_with_edge`]).
 //!
-//!    Both verdicts are exactly what the test would return, so parallel
-//!    rejections stay final, dirty survivors still count as commit
-//!    re-tests, and the output and counters are unchanged. On clustered
-//!    inputs the committed graph stays disconnected until nearly the
-//!    last acceptance, and most rejections fall in saturated components:
-//!    [`Pmfg::planarity_tests`] counts the tests that still run.
+//!    In the parallel phase, a candidate the component screen leaves open
+//!    goes to the *block screen*. A block is a biconnected component of
+//!    the committed graph `G`. At the start of each round in which `G`
+//!    has gained edges since the index was last built, an iterative
+//!    Hopcroft–Tarjan DFS on the calling thread rebuilds the index of the
+//!    blocks of `G` (`BlockIndex`, private to this module); the pool only
+//!    reads it. If `u` and `v` share a block `B` with `k` vertices:
+//!    * `k ≥ 3` and `B` already holds `3k − 6` edges: **non-planar**, no
+//!      test;
+//!    * `k ≤ 4`: **planar**, no test;
+//!    * otherwise: a left–right test of `B + (u, v)` alone, on a local
+//!      copy of `B`.
+//!
+//!    The verdict is exact. `G` is planar, because commits keep it so. A
+//!    graph is planar iff each of its blocks is, two vertices share at
+//!    most one block, and adding `(u, v)` inside `B` turns `B` into
+//!    `B + (u, v)` and leaves every other block as it was. So `G + (u, v)`
+//!    is planar iff `B + (u, v)` is: Euler's bound rules it out for a
+//!    saturated `B`, and every graph on at most 4 vertices is planar. A
+//!    candidate whose endpoints lie in different blocks takes a test of
+//!    its whole component (see [`LrScratch::stays_planar_with_edge`]), and
+//!    so does every dirty survivor: its graph gained edges this round,
+//!    and the round-start blocks say nothing about that graph.
+//!
+//!    Every screened verdict is exactly what the test would return, so
+//!    parallel rejections stay final, dirty survivors still count as
+//!    commit re-tests, and the output and counters are unchanged;
+//!    [`Pmfg::planarity_tests`] counts the tests that still run. On
+//!    clustered inputs the committed graph stays disconnected until
+//!    nearly the last acceptance, so most rejections fall in saturated
+//!    components. Where clusters join early, through bridges or cut
+//!    vertices, rejections fall in saturated blocks, and a test covers
+//!    one block instead of the component.
 //!
 //! The batch size adapts deterministically to the observed rejection rate:
 //! early rounds are acceptance-heavy (small batches avoid useless stale
@@ -129,7 +154,8 @@ pub struct Pmfg {
     /// this test. `0` for [`pmfg_sequential`].
     pub commit_retests: usize,
     /// Left–right planarity tests actually run, in the parallel phases and
-    /// at commit. Candidates the component screen decides (module docs,
+    /// at commit, whether on a whole component or on one block.
+    /// Candidates the component or block screen decides (module docs,
     /// point 4) run none. Equals `candidates_examined` for
     /// [`pmfg_sequential`], which tests every candidate.
     pub planarity_tests: usize,
@@ -351,20 +377,270 @@ impl RoundDsu {
     }
 }
 
+/// Sentinel for "unvisited", "no local id" and "no local graph" in
+/// [`BlockIndex`].
+const NONE: u32 = u32::MAX;
+
+/// One block (biconnected component) of a [`BlockIndex`].
+#[derive(Clone, Copy)]
+struct Block {
+    /// Vertices of the block.
+    vertices: u32,
+    /// Committed edges with both endpoints in the block.
+    edges: u32,
+    /// Index of the block's local graph in `BlockIndex::graphs`, or
+    /// `NONE` when counts decide every candidate inside the block.
+    graph: u32,
+}
+
+impl Block {
+    /// Whether the block holds Euler's maximum of `3k − 6` edges on its
+    /// `k ≥ 3` vertices, so that no edge can join it and stay planar.
+    fn is_saturated(&self) -> bool {
+        self.vertices >= 3 && self.edges >= 3 * self.vertices - 6
+    }
+}
+
+/// A DFS frame of [`BlockIndex::rebuild`].
+#[derive(Clone, Copy)]
+struct Frame {
+    v: u32,
+    /// Next position in `v`'s adjacency list.
+    next: u32,
+    /// Position of the tree edge into `v` on the edge stack (unused for a
+    /// root).
+    tree_edge: u32,
+}
+
+/// The blocks (biconnected components) of the committed graph at the
+/// start of a round: the index of the block screen (module docs, point
+/// 4).
+///
+/// It is built on the calling thread by one iterative Hopcroft–Tarjan
+/// DFS (roots in id order, neighbours in adjacency order, so it is a
+/// function of the graph alone), and the parallel phase only reads it.
+/// Its buffers live for the whole construction.
+#[derive(Default)]
+struct BlockIndex {
+    /// Committed edge count at the last rebuild, `None` before the first.
+    /// Edges are only added, so an unchanged count means an unchanged
+    /// graph.
+    built_at: Option<usize>,
+    /// Vertex `v`'s `(block, local id)` pairs, in block order, are
+    /// `member[start[v]..start[v + 1]]`. A cut vertex has several, an
+    /// isolated vertex none.
+    start: Vec<u32>,
+    member: Vec<(u32, u32)>,
+    blocks: Vec<Block>,
+    /// Local graphs, in local ids, of the blocks a test can still fail:
+    /// at least 5 vertices and fewer than `3k − 6` edges.
+    graphs: Vec<WeightedGraph>,
+    // DFS state, reused across rebuilds.
+    disc: Vec<u32>,
+    low: Vec<u32>,
+    frames: Vec<Frame>,
+    edge_stack: Vec<(u32, u32)>,
+    /// Local id of each vertex in the block being cut off (`NONE`
+    /// otherwise), and that block's vertices.
+    local: Vec<u32>,
+    block_vertices: Vec<u32>,
+    /// `(vertex, block, local id)` in block order, before the per-vertex
+    /// sort into `member`.
+    pairs: Vec<(u32, u32, u32)>,
+}
+
+impl BlockIndex {
+    /// Rebuilds the index for `graph` unless it was built at the same
+    /// committed edge count.
+    fn refresh(&mut self, graph: &WeightedGraph) {
+        if self.built_at != Some(graph.num_edges()) {
+            self.rebuild(graph);
+            self.built_at = Some(graph.num_edges());
+        }
+    }
+
+    fn rebuild(&mut self, graph: &WeightedGraph) {
+        let n = graph.num_vertices();
+        self.disc.clear();
+        self.disc.resize(n, NONE);
+        self.low.clear();
+        self.low.resize(n, 0);
+        self.local.clear();
+        self.local.resize(n, NONE);
+        self.blocks.clear();
+        self.graphs.clear();
+        self.pairs.clear();
+        let mut time = 0;
+        for root in 0..n {
+            if self.disc[root] != NONE || graph.degree(root) == 0 {
+                continue;
+            }
+            self.disc[root] = time;
+            self.low[root] = time;
+            time += 1;
+            self.frames.push(Frame {
+                v: root as u32,
+                next: 0,
+                tree_edge: NONE,
+            });
+            while let Some(&top) = self.frames.last() {
+                let v = top.v as usize;
+                if let Some(&(w, _)) = graph.neighbors(v).get(top.next as usize) {
+                    let depth = self.frames.len();
+                    self.frames[depth - 1].next += 1;
+                    if self.disc[w] == NONE {
+                        self.frames.push(Frame {
+                            v: w as u32,
+                            next: 0,
+                            tree_edge: self.edge_stack.len() as u32,
+                        });
+                        self.edge_stack.push((v as u32, w as u32));
+                        self.disc[w] = time;
+                        self.low[w] = time;
+                        time += 1;
+                    } else if self.disc[w] < self.disc[v]
+                        && (depth < 2 || self.frames[depth - 2].v as usize != w)
+                    {
+                        // A back edge to a proper ancestor; the edge to
+                        // the parent is the tree edge itself.
+                        self.edge_stack.push((v as u32, w as u32));
+                        self.low[v] = self.low[v].min(self.disc[w]);
+                    }
+                } else {
+                    self.frames.pop();
+                    if let Some(parent) = self.frames.last() {
+                        let p = parent.v as usize;
+                        self.low[p] = self.low[p].min(self.low[v]);
+                        if self.low[v] >= self.disc[p] {
+                            // `p` separates `v`'s subtree: the edges above
+                            // the tree edge (p, v) form one block.
+                            self.cut_block(top.tree_edge as usize);
+                        }
+                    }
+                }
+            }
+        }
+        // Stable counting sort of the pairs by vertex, so that each
+        // vertex's pairs stay in block order.
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        for &(x, _, _) in &self.pairs {
+            self.start[x as usize] += 1;
+        }
+        let mut end = 0;
+        for s in &mut self.start {
+            end += *s;
+            *s = end;
+        }
+        self.member.clear();
+        self.member.resize(self.pairs.len(), (0, 0));
+        for &(x, block, id) in self.pairs.iter().rev() {
+            self.start[x as usize] -= 1;
+            self.member[self.start[x as usize] as usize] = (block, id);
+        }
+    }
+
+    /// Pops the block whose edges sit on the edge stack from position
+    /// `from` up, and records its counts, its members and, if a test can
+    /// still fail inside it, its local graph.
+    fn cut_block(&mut self, from: usize) {
+        let Self {
+            blocks,
+            graphs,
+            edge_stack,
+            local,
+            block_vertices,
+            pairs,
+            ..
+        } = self;
+        let id = blocks.len() as u32;
+        for &(a, b) in &edge_stack[from..] {
+            for x in [a, b] {
+                if local[x as usize] == NONE {
+                    local[x as usize] = block_vertices.len() as u32;
+                    block_vertices.push(x);
+                }
+            }
+        }
+        let mut block = Block {
+            vertices: block_vertices.len() as u32,
+            edges: (edge_stack.len() - from) as u32,
+            graph: NONE,
+        };
+        if block.vertices >= 5 && !block.is_saturated() {
+            let mut g = WeightedGraph::new(block.vertices as usize);
+            for &(a, b) in &edge_stack[from..] {
+                g.add_edge(local[a as usize] as usize, local[b as usize] as usize, 1.0);
+            }
+            block.graph = graphs.len() as u32;
+            graphs.push(g);
+        }
+        blocks.push(block);
+        for x in block_vertices.drain(..) {
+            pairs.push((x, id, local[x as usize]));
+            local[x as usize] = NONE;
+        }
+        edge_stack.truncate(from);
+    }
+
+    /// Vertex `v`'s `(block, local id)` pairs, in block order.
+    fn memberships(&self, v: usize) -> &[(u32, u32)] {
+        &self.member[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+
+    /// The block `u` and `v` share, with their local ids in it. Two
+    /// distinct vertices share at most one block.
+    fn shared(&self, u: usize, v: usize) -> Option<(usize, usize, usize)> {
+        let (a, b) = (self.memberships(u), self.memberships(v));
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    return Some((a[i].0 as usize, a[i].1 as usize, b[j].1 as usize))
+                }
+            }
+        }
+        None
+    }
+
+    /// The block screen (module docs, point 4): `Some((planar, tested))`
+    /// when `u` and `v` share a block, which alone then decides whether
+    /// the indexed graph plus `(u, v)` is planar; `None` otherwise.
+    fn screen(&self, scratch: &mut LrScratch, u: usize, v: usize) -> Option<(bool, bool)> {
+        let (id, lu, lv) = self.shared(u, v)?;
+        let block = self.blocks[id];
+        Some(if block.is_saturated() {
+            (false, false)
+        } else if block.graph == NONE {
+            // At most 4 vertices: planar whatever the edges.
+            (true, false)
+        } else {
+            let local = &self.graphs[block.graph as usize];
+            (scratch.stays_planar_with_edge(local, lu, lv), true)
+        })
+    }
+}
+
 /// Decides whether the committed `graph` plus `(u, v)` is planar: by the
-/// component screen when it can, else by a left–right test on `scratch`.
+/// component screen when it can, then by the block screen when `blocks`
+/// indexes `graph`, else by a left–right test of `graph` on `scratch`.
 /// Returns the verdict and whether a test ran.
 fn decide(
     dsu: &RoundDsu,
+    blocks: Option<&BlockIndex>,
     scratch: &mut LrScratch,
     graph: &WeightedGraph,
     u: usize,
     v: usize,
 ) -> (bool, bool) {
-    match dsu.screen(u, v) {
-        Some(planar) => (planar, false),
-        None => (scratch.stays_planar_with_edge(graph, u, v), true),
+    if let Some(planar) = dsu.screen(u, v) {
+        return (planar, false);
     }
+    blocks
+        .and_then(|blocks| blocks.screen(scratch, u, v))
+        .unwrap_or_else(|| (scratch.stays_planar_with_edge(graph, u, v), true))
 }
 
 /// The round loop over the lazily sorted candidate stream, with round
@@ -377,6 +653,7 @@ fn pmfg_rounds<S: SimilaritySource>(s: &S, schedule: BatchSchedule) -> Pmfg {
     let mut graph = WeightedGraph::new(n);
     let mut commit_scratch = LrScratch::new();
     let mut dsu = RoundDsu::new(n);
+    let mut blocks = BlockIndex::default();
     let mut batch_size = schedule.initial;
     let mut candidates_examined = 0;
     let mut rejections = 0;
@@ -390,12 +667,13 @@ fn pmfg_rounds<S: SimilaritySource>(s: &S, schedule: BatchSchedule) -> Pmfg {
             break; // safety net: a full matrix always reaches 3n − 6 first
         }
         // Parallel phase: speculative verdicts against the committed graph,
-        // screened against its components (module docs, point 4).
-        // `with_max_len(1)` makes every candidate its own stealable leaf,
-        // so even the small early rounds spread across (and steal-balance
-        // over) the pool.
+        // screened against its components and its blocks (module docs,
+        // point 4). `with_max_len(1)` makes every candidate its own
+        // stealable leaf, so even the small early rounds spread across
+        // (and steal-balance over) the pool.
+        blocks.refresh(&graph);
         let verdicts: Vec<(bool, bool)> = {
-            let (graph, dsu) = (&graph, &dsu);
+            let (graph, dsu, blocks) = (&graph, &dsu, &blocks);
             batch
                 .par_iter()
                 .with_max_len(1)
@@ -403,6 +681,7 @@ fn pmfg_rounds<S: SimilaritySource>(s: &S, schedule: BatchSchedule) -> Pmfg {
                     SPECULATIVE_SCRATCH.with(|scratch| {
                         decide(
                             dsu,
+                            Some(blocks),
                             &mut scratch.borrow_mut(),
                             graph,
                             u as usize,
@@ -437,9 +716,10 @@ fn pmfg_rounds<S: SimilaritySource>(s: &S, schedule: BatchSchedule) -> Pmfg {
             let accepted = dsu.is_clean(u, v, round_id) || {
                 // The sequential algorithm would have decided this exact
                 // candidate against this exact graph: accept and reject
-                // outcomes are both final.
+                // outcomes are both final. The graph has gained edges
+                // this round, so the round-start blocks do not apply.
                 commit_retests += 1;
-                let (ok, tested) = decide(&dsu, &mut commit_scratch, &graph, u, v);
+                let (ok, tested) = decide(&dsu, None, &mut commit_scratch, &graph, u, v);
                 planarity_tests += usize::from(tested);
                 ok
             };
@@ -544,6 +824,27 @@ mod tests {
                     0.2
                 };
                 base + rng.gen_range(0.0..0.1)
+            }
+        })
+    }
+
+    /// `clusters` contiguous clusters of `size` vertices, strong within a
+    /// cluster and weak across, chained by one heaviest edge between the
+    /// first vertices of neighbouring clusters. Those bridges arrive
+    /// first, so the committed graph is connected early and only the
+    /// block screen can decide candidates inside a cluster.
+    fn chained_clusters(clusters: usize, size: usize, seed: u64) -> SymmetricMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        SymmetricMatrix::from_fn(clusters * size, |i, j| {
+            let (ci, cj) = (i / size, j / size);
+            if i == j {
+                1.0
+            } else if ci == cj {
+                0.7 + rng.gen_range(0.0..0.2)
+            } else if cj == ci + 1 && i % size == 0 && j % size == 0 {
+                0.95 + rng.gen_range(0.0..0.01)
+            } else {
+                0.1 + rng.gen_range(0.0..0.2)
             }
         })
     }
@@ -954,5 +1255,331 @@ mod tests {
         );
         // Speculation can overshoot the maximality point, never undershoot.
         assert!(p.candidates_examined >= seq.candidates_examined);
+    }
+
+    /// Whether `u` and `v` share a block of `g`, for every pair, by brute
+    /// force: two vertices share a block iff they are connected and either
+    /// adjacent or not separated by any single other vertex.
+    fn shared_block_oracle(g: &WeightedGraph) -> Vec<Vec<bool>> {
+        let n = g.num_vertices();
+        let reaches = |u: usize, v: usize, removed: usize| {
+            let allowed: Vec<bool> = (0..n).map(|x| x != removed).collect();
+            pfg_graph::bfs_reachable_within(g, u, &allowed)[v]
+        };
+        let shares = |u: usize, v: usize| {
+            reaches(u, v, n)
+                && (g.has_edge(u, v)
+                    || (0..n)
+                        .filter(|&w| w != u && w != v)
+                        .all(|w| reaches(u, v, w)))
+        };
+        (0..n)
+            .map(|u| (0..n).map(|v| u != v && shares(u, v)).collect())
+            .collect()
+    }
+
+    /// A random graph on at most 30 vertices, glued from pieces: paths
+    /// (trees), cycles with chords, triangulated clusters and isolated
+    /// vertices. A piece starts a new component or shares one vertex with
+    /// the graph so far, which makes that vertex a cut vertex. A few extra
+    /// edges merge blocks, and the labels are shuffled.
+    fn glued_pieces(rng: &mut StdRng) -> WeightedGraph {
+        let n = rng.gen_range(1..=30);
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        let mut placed = 0;
+        while placed < n {
+            let mut piece: Vec<usize> = Vec::new();
+            if placed > 0 && rng.gen_bool(0.7) {
+                piece.push(rng.gen_range(0..placed));
+            }
+            let size = rng.gen_range(1..=9);
+            while piece.len() < size && placed < n {
+                piece.push(placed);
+                placed += 1;
+            }
+            let k = piece.len();
+            match rng.gen_range(0..4) {
+                0 => edges.extend(piece.windows(2).map(|w| (w[0], w[1]))),
+                1 if k >= 3 => {
+                    edges.extend((0..k).map(|i| (piece[i], piece[(i + 1) % k])));
+                    for _ in 0..rng.gen_range(0..k) {
+                        edges.push((piece[rng.gen_range(0..k)], piece[rng.gen_range(0..k)]));
+                    }
+                }
+                2 if k >= 3 => {
+                    // Grow a triangle by stacking each further vertex on
+                    // a random face: a maximal planar cluster.
+                    let mut faces = vec![[piece[0], piece[1], piece[2]]; 2];
+                    edges.extend([
+                        (piece[0], piece[1]),
+                        (piece[1], piece[2]),
+                        (piece[0], piece[2]),
+                    ]);
+                    for &x in &piece[3..] {
+                        let [a, b, c] = faces.swap_remove(rng.gen_range(0..faces.len()));
+                        edges.extend([(x, a), (x, b), (x, c)]);
+                        faces.extend([[x, a, b], [x, b, c], [x, a, c]]);
+                    }
+                }
+                _ => {} // isolated vertices
+            }
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            edges.push((rng.gen_range(0..n), rng.gen_range(0..n)));
+        }
+        let mut label: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            label.swap(i, rng.gen_range(0..=i));
+        }
+        let mut g = WeightedGraph::new(n);
+        for (a, b) in edges {
+            let (a, b) = (label[a], label[b]);
+            if a != b && !g.has_edge(a, b) {
+                g.add_edge(a, b, 1.0);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn block_index_matches_brute_force_oracle() {
+        // Shapes the index must have met for the check to mean anything.
+        let (mut cut_vertices, mut isolated, mut saturated, mut local_graphs) = (0, 0, 0, 0);
+        let mut rng = StdRng::seed_from_u64(0x5eed_b10c);
+        for case in 0..60 {
+            let g = glued_pieces(&mut rng);
+            let n = g.num_vertices();
+            let share = shared_block_oracle(&g);
+            let mut index = BlockIndex::default();
+            index.refresh(&g);
+            let ctx = format!(
+                "case {case}: n={n}, edges {:?}",
+                g.edges().collect::<Vec<_>>()
+            );
+
+            // Each block's members carry the local ids 0..k, and its
+            // local graph, if any, is the block in those ids.
+            let mut members: Vec<Vec<(usize, usize)>> = vec![Vec::new(); index.blocks.len()];
+            for v in 0..n {
+                let m = index.memberships(v);
+                assert!(m.windows(2).all(|w| w[0].0 < w[1].0), "{ctx}: block order");
+                cut_vertices += usize::from(m.len() >= 2);
+                isolated += usize::from(m.is_empty());
+                for &(b, l) in m {
+                    members[b as usize].push((v, l as usize));
+                }
+            }
+            let mut edges = 0;
+            for (b, block) in index.blocks.iter().enumerate() {
+                let k = block.vertices as usize;
+                let mut ids: Vec<usize> = members[b].iter().map(|&(_, l)| l).collect();
+                ids.sort_unstable();
+                assert_eq!(ids, (0..k).collect::<Vec<_>>(), "{ctx}: block {b} ids");
+                edges += block.edges as usize;
+                saturated += usize::from(block.is_saturated());
+                let testable = k >= 5 && !block.is_saturated();
+                assert_eq!(block.graph != NONE, testable, "{ctx}: block {b}");
+                if testable {
+                    local_graphs += 1;
+                    let local = &index.graphs[block.graph as usize];
+                    assert_eq!(local.num_vertices(), k, "{ctx}: block {b}");
+                    assert_eq!(local.num_edges(), block.edges as usize, "{ctx}: block {b}");
+                    for &(x, lx) in &members[b] {
+                        for &(y, ly) in &members[b] {
+                            assert_eq!(local.has_edge(lx, ly), g.has_edge(x, y), "{ctx}");
+                        }
+                    }
+                }
+            }
+            assert_eq!(edges, g.num_edges(), "{ctx}: every edge in one block");
+
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    let shared = index.shared(u, v);
+                    assert_eq!(shared.is_some(), share[u][v], "{ctx}: ({u}, {v})");
+                    let Some((b, lu, lv)) = shared else {
+                        continue;
+                    };
+                    assert!(members[b].contains(&(u, lu)) && members[b].contains(&(v, lv)));
+                    // The oracle's block: u, v and every vertex that
+                    // shares a block with both.
+                    let inside: Vec<bool> = (0..n)
+                        .map(|w| w == u || w == v || (share[u][w] && share[v][w]))
+                        .collect();
+                    let k = inside.iter().filter(|&&x| x).count();
+                    let m = g
+                        .edges()
+                        .filter(|&(a, c, _)| inside[a] && inside[c])
+                        .count();
+                    let block = index.blocks[b];
+                    assert_eq!(
+                        (block.vertices as usize, block.edges as usize),
+                        (k, m),
+                        "{ctx}: block of ({u}, {v})"
+                    );
+                }
+            }
+        }
+        assert!(
+            cut_vertices > 0 && isolated > 0 && saturated > 0 && local_graphs > 0,
+            "shapes not covered: {cut_vertices} cut vertices, {isolated} isolated, \
+             {saturated} saturated blocks, {local_graphs} local graphs"
+        );
+    }
+
+    #[test]
+    fn block_index_handles_a_deep_path() {
+        // The DFS runs on an explicit stack: a path as deep as a large
+        // committed graph cannot overflow the call stack.
+        let n = 200_000;
+        let path: Vec<(usize, usize, f64)> = (1..n).map(|v| (v - 1, v, 1.0)).collect();
+        let mut index = BlockIndex::default();
+        index.refresh(&WeightedGraph::from_edges(n, &path));
+        assert_eq!(index.blocks.len(), n - 1);
+        assert!(index.shared(0, 2).is_none());
+        assert_eq!(index.blocks[index.shared(7, 8).unwrap().0].vertices, 2);
+    }
+
+    #[test]
+    fn block_screen_matches_full_test_on_pmfg_stages() {
+        // Every verdict `decide` gives with the block index, against the
+        // all-roots test of the grown graph, at four stages of the
+        // sequential PMFG (each prefix of its acceptance order is one of
+        // its intermediate graphs). The full PMFG is left out: it is one
+        // saturated component, which the component screen decides.
+        let mut scratch = LrScratch::new();
+        let (mut saturated, mut block_tests) = (0, 0);
+        for (name, s) in [
+            ("clustered", clustered_similarity(40, 4, 3)),
+            ("clustered", clustered_similarity(36, 3, 8)),
+            ("chained", chained_clusters(5, 8, 4)),
+            ("chained", chained_clusters(4, 10, 9)),
+        ] {
+            let n = s.n();
+            let mut accepted: Vec<(usize, usize, f64)> =
+                pmfg_sequential(&s).unwrap().graph.edges().collect();
+            accepted.sort_by(|a, b| b.2.total_cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
+            for (num, den) in [(9, 10), (3, 4), (1, 2), (1, 4)] {
+                let g = WeightedGraph::from_edges(n, &accepted[..accepted.len() * num / den]);
+                let mut dsu = RoundDsu::new(n);
+                for (u, v, _) in g.edges() {
+                    dsu.accept(u, v, 1);
+                }
+                let mut index = BlockIndex::default();
+                index.refresh(&g);
+                for u in 0..n {
+                    for v in (u + 1)..n {
+                        if g.has_edge(u, v) {
+                            continue;
+                        }
+                        let mut grown = g.clone();
+                        grown.add_edge(u, v, 1.0);
+                        let full = scratch.is_planar(&grown);
+                        let (planar, _) = decide(&dsu, Some(&index), &mut scratch, &g, u, v);
+                        assert_eq!(planar, full, "{name} n={n}, stage {num}/{den}, ({u}, {v})");
+                        if dsu.screen(u, v).is_none() {
+                            if let Some((b, _, _)) = index.shared(u, v) {
+                                let block = index.blocks[b];
+                                saturated += usize::from(block.is_saturated());
+                                block_tests += usize::from(block.graph != NONE);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            saturated > 0 && block_tests > 0,
+            "block screen idle: {saturated} saturated, {block_tests} tested"
+        );
+    }
+
+    #[test]
+    fn block_screen_decides_each_kind_of_block() {
+        // Cut vertex 0 joins K5 minus (6, 7) on {0, 4, 5, 6, 7}, which is
+        // saturated, and the 4-cycle 0-1-2-3; a bridge (3, 8) leads to the
+        // 5-cycle on 8..=12. One component of 13 vertices and 19 edges, far
+        // from saturated, so the component screen decides nothing here.
+        let mut g = WeightedGraph::new(13);
+        for (u, v) in [
+            (0, 4),
+            (0, 5),
+            (0, 6),
+            (0, 7),
+            (4, 5),
+            (4, 6),
+            (4, 7),
+            (5, 6),
+            (5, 7),
+        ] {
+            g.add_edge(u, v, 1.0);
+        }
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0), (3, 8)] {
+            g.add_edge(u, v, 1.0);
+        }
+        for (u, v) in [(8, 9), (9, 10), (10, 11), (11, 12), (12, 8)] {
+            g.add_edge(u, v, 1.0);
+        }
+        let mut dsu = RoundDsu::new(13);
+        for (u, v, _) in g.edges() {
+            dsu.accept(u, v, 1);
+        }
+        let mut index = BlockIndex::default();
+        index.refresh(&g);
+        let mut scratch = LrScratch::new();
+        // (candidate, verdict, tested): saturated block, block of 4
+        // vertices, block test, endpoints in different blocks.
+        for ((u, v), planar, tested) in [
+            ((6, 7), false, false),
+            ((0, 2), true, false),
+            ((9, 11), true, true),
+            ((1, 4), true, true),
+        ] {
+            assert_eq!(dsu.screen(u, v), None);
+            assert_eq!(index.shared(u, v).is_some(), (u, v) != (1, 4));
+            assert_eq!(
+                decide(&dsu, Some(&index), &mut scratch, &g, u, v),
+                (planar, tested),
+                "({u}, {v})"
+            );
+            let mut grown = g.clone();
+            grown.add_edge(u, v, 1.0);
+            assert_eq!(scratch.is_planar(&grown), planar, "({u}, {v})");
+        }
+    }
+
+    #[test]
+    fn block_screen_cuts_tests_on_chained_clusters() {
+        // Chained clusters connect early, so the component screen leaves
+        // the candidates inside a cluster to the block screen. The graph
+        // must equal the sequential one, and the other five counters are
+        // pinned to what `pmfg` gave before the block screen existed;
+        // it ran 3,509 tests then, and must now run fewer.
+        let s = chained_clusters(8, 12, 5);
+        let seq = pmfg_sequential(&s).unwrap();
+        for threads in [1, 2, 8] {
+            let p = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| pmfg(&s).unwrap());
+            assert_eq!(edge_list(&p), edge_list(&seq), "{threads} threads: edges");
+            assert_eq!(
+                (
+                    p.candidates_examined,
+                    p.rejections,
+                    p.rounds,
+                    p.parallel_rejections,
+                    p.commit_retests
+                ),
+                (3424, 3142, 34, 3105, 258),
+                "{threads} threads: counters"
+            );
+            assert!(
+                p.planarity_tests < 3509,
+                "{threads} threads: {} tests",
+                p.planarity_tests
+            );
+        }
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! The PMFG (§II of the paper) adds the heaviest remaining edge iff the
 //! graph stays planar, which means a planarity test per candidate edge
-//! (the parallel PMFG in `pfg_core` skips the ones component counts
-//! decide) — thousands of tests against graphs that differ by a single
-//! edge, many of them concurrent. This module is built for that access
-//! pattern:
+//! (the parallel PMFG in `pfg_core` skips the ones component or block
+//! counts decide, and tests others on one block) — thousands of tests
+//! against graphs that differ by a single edge, many of them concurrent.
+//! This module is built for that access pattern:
 //!
 //! * **Dense indexed state.** Every undirected edge gets an integer id
 //!   `0..m`; all per-edge tables of the LR algorithm (`lowpt`, `lowpt2`,
