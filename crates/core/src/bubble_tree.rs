@@ -1,75 +1,83 @@
-//! The bubble tree built on the fly during TMFG construction (Algorithm 2).
+//! The bubble tree of a maximal planar graph.
 //!
 //! A *bubble* is a maximal planar subgraph whose triangles are
-//! non-separating; for a TMFG every inserted vertex creates exactly one new
-//! bubble (the 4-clique formed by the vertex and the face it was inserted
-//! into) and one new bubble-tree edge (the face itself, which becomes a
-//! separating triangle). The tree is rooted and maintains the invariant
-//! that all descendants of an edge lie on the interior side of its
-//! separating triangle, which is what makes the linear-work direction
-//! computation of Algorithm 3 possible.
+//! non-separating, and two bubbles are joined by a tree edge when they
+//! share a separating triangle. The tree is rooted, and all descendants of
+//! an edge lie on the interior side of its separating triangle: the side
+//! away from the root. That invariant is what makes the Θ(n)-work direction
+//! computation of Algorithm 3 possible, for both filtered graphs.
+//!
+//! * The TMFG builds its tree on the fly (Algorithm 2): every inserted
+//!   vertex creates exactly one new bubble, the 4-clique formed by the
+//!   vertex and the face it was inserted into, and one new tree edge, the
+//!   face itself, which becomes a separating triangle.
+//! * Any other maximal planar graph, such as a PMFG, gets its tree from
+//!   [`crate::dbht::planar_bubbles::decompose`], which reads it off how the
+//!   separating triangles nest. Its bubbles can have any number of
+//!   vertices.
 
 use crate::face::Triangle;
 
-/// A node of the bubble tree: a 4-clique of the TMFG.
+/// A node of the bubble tree: a maximal planar piece of the graph with no
+/// separating triangle, a 4-clique for every TMFG bubble.
 #[derive(Debug, Clone)]
 pub struct Bubble {
-    /// The four vertices of the clique (sorted).
-    pub vertices: [usize; 4],
+    /// The bubble's vertices, sorted: four for a TMFG bubble.
+    pub vertices: Vec<usize>,
     /// Parent bubble in the rooted tree, if any.
     pub parent: Option<usize>,
     /// The separating triangle shared with the parent (the bubble-tree edge
     /// towards the parent). `None` iff this bubble is the root.
     pub parent_triangle: Option<Triangle>,
-    /// Children bubbles. Every non-root bubble has at most three children;
-    /// the root can have up to four.
+    /// Children bubbles. A bubble of k vertices has 2k − 4 faces, and each
+    /// child hangs off one of them; a non-root bubble's parent triangle is
+    /// one more. So a K4 has at most three children, or four at the root.
     pub children: Vec<usize>,
 }
 
 impl Bubble {
-    /// Returns `true` if `v` is one of the bubble's four vertices.
+    /// Returns `true` if `v` is one of the bubble's vertices.
     #[inline]
     pub fn contains(&self, v: usize) -> bool {
         self.vertices.contains(&v)
     }
 }
 
-/// The rooted (initially undirected) bubble tree of a TMFG.
+/// The rooted (initially undirected) bubble tree of a maximal planar graph.
 ///
-/// Bubble 0 always corresponds to the initial 4-clique, but is not
-/// necessarily the root: inserting a vertex into the outer face makes the
-/// new bubble the parent of the previous root (Algorithm 2, lines 4–7).
+/// For a TMFG, bubble 0 always corresponds to the initial 4-clique, but is
+/// not necessarily the root: inserting a vertex into the outer face makes
+/// the new bubble the parent of the previous root (Algorithm 2, lines
+/// 4–7). A decomposed tree is rooted at bubble 0.
 #[derive(Debug, Clone)]
 pub struct BubbleTree {
     bubbles: Vec<Bubble>,
     root: usize,
-    outer_face: Triangle,
     num_vertices: usize,
 }
 
 impl BubbleTree {
     /// Creates a bubble tree containing only the initial 4-clique.
-    /// `outer_face` must be a face of that clique; the paper chooses
-    /// `{v1, v2, v3}` (the choice does not affect the tree's topology).
-    pub fn new(initial_clique: [usize; 4], outer_face: Triangle, num_vertices: usize) -> Self {
-        debug_assert!(
-            outer_face
-                .corners()
-                .iter()
-                .all(|c| initial_clique.contains(c)),
-            "outer face must be a face of the initial clique"
-        );
-        let mut vertices = initial_clique;
+    pub fn new(initial_clique: [usize; 4], num_vertices: usize) -> Self {
+        let mut vertices = initial_clique.to_vec();
         vertices.sort_unstable();
-        Self {
-            bubbles: vec![Bubble {
+        Self::from_bubbles(
+            vec![Bubble {
                 vertices,
                 parent: None,
                 parent_triangle: None,
                 children: Vec::new(),
             }],
-            root: 0,
-            outer_face,
+            0,
+            num_vertices,
+        )
+    }
+
+    /// A tree from already linked bubbles.
+    pub(crate) fn from_bubbles(bubbles: Vec<Bubble>, root: usize, num_vertices: usize) -> Self {
+        Self {
+            bubbles,
+            root,
             num_vertices,
         }
     }
@@ -93,13 +101,7 @@ impl BubbleTree {
         self.root
     }
 
-    /// The current outer face of the TMFG under construction.
-    #[inline]
-    pub fn outer_face(&self) -> Triangle {
-        self.outer_face
-    }
-
-    /// Number of vertices of the underlying TMFG.
+    /// Number of vertices of the underlying graph.
     #[inline]
     pub fn num_vertices(&self) -> usize {
         self.num_vertices
@@ -114,16 +116,24 @@ impl BubbleTree {
     /// `UpdateBubbleTree(v, t, T)` from Algorithm 2: vertex `v` was inserted
     /// into face `t`, which lies in bubble `containing_bubble`. Creates the
     /// new bubble and links it into the tree. Returns the new bubble's id.
-    pub fn insert(&mut self, v: usize, t: Triangle, containing_bubble: usize) -> usize {
+    ///
+    /// `outer_face` says whether `t` is the TMFG's current outer face; the
+    /// builder keeps that face, because only construction has one.
+    pub fn insert(
+        &mut self,
+        v: usize,
+        t: Triangle,
+        containing_bubble: usize,
+        outer_face: bool,
+    ) -> usize {
         let new_id = self.bubbles.len();
         let [a, b, c] = t.corners();
-        let mut vertices = [v, a, b, c];
+        let mut vertices = vec![v, a, b, c];
         vertices.sort_unstable();
 
-        if t == self.outer_face {
+        if outer_face {
             // Inserting into the outer face: the new bubble becomes the
-            // parent of the current root, and the outer face advances to a
-            // face of the new 4-clique.
+            // parent of the current root.
             debug_assert_eq!(
                 containing_bubble, self.root,
                 "outer face must be in the root bubble"
@@ -138,7 +148,6 @@ impl BubbleTree {
             self.bubbles[containing_bubble].parent = Some(new_id);
             self.bubbles[containing_bubble].parent_triangle = Some(t);
             self.root = new_id;
-            self.outer_face = Triangle::new(v, a, b);
         } else {
             let new_bubble = Bubble {
                 vertices,
@@ -154,8 +163,9 @@ impl BubbleTree {
 
     /// Checks the structural invariants of the tree (used by tests and
     /// debug assertions): parent/child links are consistent, every non-root
-    /// bubble has a parent triangle that is shared with its parent, the
-    /// child count bounds hold, and the tree is connected.
+    /// bubble has a parent triangle that is shared with its parent, no
+    /// bubble has more children than free faces (2k − 4 at the root and
+    /// 2k − 5 elsewhere, for k vertices), and the tree is connected.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.bubbles.len();
         let mut seen = vec![false; n];
@@ -169,7 +179,12 @@ impl BubbleTree {
             }
             seen[b] = true;
             let bubble = &self.bubbles[b];
-            let max_children = if b == self.root { 4 } else { 3 };
+            let faces = (2 * bubble.vertices.len()).saturating_sub(4);
+            let max_children = if b == self.root {
+                faces
+            } else {
+                faces.saturating_sub(1)
+            };
             if bubble.children.len() > max_children {
                 return Err(format!(
                     "bubble {b} has {} children (max {max_children})",
@@ -206,17 +221,15 @@ mod tests {
     use super::*;
 
     /// Reproduces Example 1 / Figure 2 of the paper: start with the clique
-    /// {0,1,2,4}, insert 3 into {0,1,2} (the outer face), then 5 into
-    /// {1,2,3} and 6 into {0,1,3}.
+    /// {0,1,2,4}, insert 3 into {0,1,2} (the outer face), then 6 into
+    /// {0,1,3} (the outer face after that insertion) and 5 into {1,2,3}.
     fn paper_example_tree() -> BubbleTree {
-        let outer = Triangle::new(0, 1, 2);
-        let mut tree = BubbleTree::new([0, 1, 2, 4], outer, 7);
+        let mut tree = BubbleTree::new([0, 1, 2, 4], 7);
         // b1 = {0,1,2,4} is bubble 0.
-        let b2 = tree.insert(3, Triangle::new(0, 1, 2), 0);
-        // After inserting into the outer face, the outer face becomes {3,0,1}.
-        assert_eq!(tree.outer_face(), Triangle::new(0, 1, 3));
-        let b3 = tree.insert(6, Triangle::new(0, 1, 3), b2);
-        let b4 = tree.insert(5, Triangle::new(1, 2, 3), b2);
+        let b2 = tree.insert(3, Triangle::new(0, 1, 2), 0, true);
+        assert_eq!(tree.root(), b2);
+        let b3 = tree.insert(6, Triangle::new(0, 1, 3), b2, true);
+        let b4 = tree.insert(5, Triangle::new(1, 2, 3), b2, false);
         assert_eq!((b2, b3, b4), (1, 2, 3));
         tree
     }
@@ -278,19 +291,47 @@ mod tests {
 
     #[test]
     fn inner_face_insert_keeps_root() {
-        let outer = Triangle::new(0, 1, 2);
-        let mut tree = BubbleTree::new([0, 1, 2, 3], outer, 6);
+        let mut tree = BubbleTree::new([0, 1, 2, 3], 6);
         // Insert into an inner face: root unchanged.
-        let b = tree.insert(4, Triangle::new(1, 2, 3), 0);
+        let b = tree.insert(4, Triangle::new(1, 2, 3), 0, false);
         assert_eq!(tree.root(), 0);
         assert_eq!(tree.bubble(b).parent, Some(0));
-        assert_eq!(tree.outer_face(), outer);
         tree.check_invariants().unwrap();
     }
 
     #[test]
+    fn child_bound_follows_the_face_count() {
+        // A K4 root has four faces, so a fifth child breaks the bound.
+        let mut tree = BubbleTree::new([0, 1, 2, 3], 9);
+        for (v, [a, b, c]) in [
+            (4, [0, 1, 2]),
+            (5, [0, 1, 3]),
+            (6, [0, 2, 3]),
+            (7, [1, 2, 3]),
+        ] {
+            tree.insert(v, Triangle::new(a, b, c), 0, false);
+        }
+        tree.check_invariants().unwrap();
+        tree.insert(8, Triangle::new(0, 1, 2), 0, false);
+        let err = tree.check_invariants().unwrap_err();
+        assert!(err.contains("5 children (max 4)"), "{err}");
+        // A six-vertex root bubble has eight faces.
+        let wide = BubbleTree::from_bubbles(
+            vec![Bubble {
+                vertices: (0..6).collect(),
+                parent: None,
+                parent_triangle: None,
+                children: Vec::new(),
+            }],
+            0,
+            6,
+        );
+        wide.check_invariants().unwrap();
+    }
+
+    #[test]
     fn single_bubble_invariants() {
-        let tree = BubbleTree::new([2, 0, 3, 1], Triangle::new(0, 1, 2), 4);
+        let tree = BubbleTree::new([2, 0, 3, 1], 4);
         tree.check_invariants().unwrap();
         assert_eq!(tree.len(), 1);
         assert_eq!(depth(&tree, 0), 0);

@@ -1,9 +1,10 @@
 //! The directed bubble graph: bubbles (vertex sets) connected by directed
 //! edges labelled with their separating triangles.
 //!
-//! This is the structure Algorithm 4 operates on. For TMFG inputs it is
-//! produced by the fast direction computation of Algorithm 3; for arbitrary
-//! maximal planar graphs it is produced by the quadratic reference path.
+//! This is the structure Algorithm 4 operates on. The Θ(n) direction pass
+//! of Algorithm 3 produces it from a bubble tree: the TMFG's, or the one
+//! [`decompose`](crate::dbht::planar_bubbles::decompose) builds for any
+//! other maximal planar graph.
 
 use rayon::prelude::*;
 

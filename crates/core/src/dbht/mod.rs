@@ -6,9 +6,8 @@
 //!
 //! 1. [`direction`] — direct the bubble-tree edges by comparing, for each
 //!    separating triangle, the weight of its connections to the interior
-//!    and exterior (Algorithm 3; Θ(n) work for TMFG-built bubble trees,
-//!    with a quadratic reference implementation for arbitrary planar
-//!    graphs);
+//!    and exterior (Algorithm 3; Θ(n) work for every bubble tree, the
+//!    TMFG's and the one [`planar_bubbles`] builds);
 //! 2. [`assignment`] — assign every vertex to a converging bubble (its
 //!    *group*) and to a bubble (Algorithm 4, lines 1–23);
 //! 3. [`hierarchy`] — build the three-level complete-linkage hierarchy
@@ -34,10 +33,10 @@
 //! through the pipeline's report-only timer, and it is the one place that
 //! builds [`DbhtRunStats`].
 //!
-//! [`planar_bubbles`] implements the original (quadratic) bubble
-//! decomposition of an arbitrary maximal planar graph, which is what the
-//! PMFG+DBHT baseline uses and what the TMFG fast path is validated
-//! against.
+//! [`planar_bubbles`] builds the bubble tree of an arbitrary maximal
+//! planar graph from how its separating triangles nest, which is what the
+//! PMFG+DBHT baseline uses; [`dbht_for_planar_graph`] first checks that its
+//! graph is maximal planar.
 
 pub mod assignment;
 pub mod bubble_graph;
@@ -46,7 +45,7 @@ pub mod distances;
 pub mod hierarchy;
 pub mod planar_bubbles;
 
-use pfg_graph::{GroupBlocks, PairDistances, SourceRows, WeightedGraph};
+use pfg_graph::{is_planar, GroupBlocks, PairDistances, SourceRows, WeightedGraph};
 
 use crate::dendrogram::Dendrogram;
 use crate::error::CoreError;
@@ -124,15 +123,17 @@ pub fn dbht_for_tmfg<D: PairDistances>(tmfg: &Tmfg, dissimilarity: &D) -> Result
     )
 }
 
-/// Runs the DBHT on an arbitrary maximal planar graph (e.g. a PMFG), using
-/// the original quadratic bubble decomposition and direction computation.
+/// Runs the DBHT on an arbitrary maximal planar graph (e.g. a PMFG). Its
+/// bubble tree comes from [`planar_bubbles::decompose`], and the same
+/// Θ(n) direction pass as the TMFG's directs it.
 ///
 /// # Errors
-/// Returns [`CoreError::DimensionMismatch`] if the dissimilarity matrix
-/// size differs from the graph's vertex count,
-/// [`CoreError::TooFewVertices`] if the graph has fewer than 4 vertices,
-/// and [`CoreError::InvalidDissimilarity`] if an edge length is NaN,
-/// negative or infinite.
+/// Returns [`CoreError::TooFewVertices`] if the graph has fewer than 4
+/// vertices, [`CoreError::NotMaximalPlanar`] if it is not planar or has
+/// other than `3n − 6` edges, [`CoreError::DimensionMismatch`] if the
+/// dissimilarity matrix size differs from the graph's vertex count, and
+/// [`CoreError::InvalidDissimilarity`] if an edge length is NaN, negative
+/// or infinite.
 pub fn dbht_for_planar_graph<D: PairDistances>(
     graph: &WeightedGraph,
     dissimilarity: &D,
@@ -141,9 +142,16 @@ pub fn dbht_for_planar_graph<D: PairDistances>(
     if n < 4 {
         return Err(CoreError::TooFewVertices { got: n });
     }
+    // A planar graph with 3n − 6 edges is a triangulation, hence connected.
+    if !graph.has_maximal_planar_edge_count() || !is_planar(graph) {
+        return Err(CoreError::NotMaximalPlanar {
+            vertices: n,
+            edges: graph.num_edges(),
+        });
+    }
     run_back_half(
         graph,
-        || direction::direct_generic(&planar_bubbles::decompose(graph), graph),
+        || direction::direct_tmfg_bubble_tree(&planar_bubbles::decompose(graph), graph),
         dissimilarity,
         &mut StageTimings::default(),
     )
@@ -268,6 +276,19 @@ mod tests {
     use crate::tmfg::{tmfg, TmfgConfig};
     use pfg_graph::SymmetricMatrix;
 
+    // The names the oracles take from here.
+    use crate::bubble_tree::BubbleTree;
+    use crate::dbht::bubble_graph::DirectedBubbleEdge;
+    use crate::dbht::direction::direct_tmfg_bubble_tree;
+    use crate::face::Triangle;
+    use pfg_graph::bfs_reachable_within;
+
+    /// The split loop and the BFS direction that the bubble tree of
+    /// [`planar_bubbles`] and its direction are held to.
+    pub(super) mod oracles {
+        include!("../../tests/support/bubble_oracles.rs");
+    }
+
     /// A 20 × 20 three-block similarity and its dissimilarity.
     fn three_blocks() -> (SymmetricMatrix, SymmetricMatrix) {
         let s = SymmetricMatrix::from_fn(20, |i, j| {
@@ -299,6 +320,44 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    #[test]
+    fn a_graph_that_is_not_maximal_planar_is_rejected() {
+        let graph = |n: usize, edges: &[(usize, usize)]| {
+            let edges: Vec<_> = edges.iter().map(|&(u, v)| (u, v, 0.5)).collect();
+            WeightedGraph::from_edges(n, &edges)
+        };
+        let k5: Vec<_> = (0..5)
+            .flat_map(|u| (u + 1..5).map(move |v| (u, v)))
+            .collect();
+        // K3,3 between {0, 1, 2} and {3, 4, 5}, plus the triangle on
+        // {0, 1, 2}: 12 = 3n − 6 edges, and not planar.
+        let mut k33: Vec<_> = (0..3).flat_map(|u| (3..6).map(move |v| (u, v))).collect();
+        k33.extend([(0, 1), (0, 2), (1, 2)]);
+        // K4 on {0, 1, 2, 3}, and vertex 4 isolated.
+        let k4: Vec<_> = k5.iter().copied().filter(|&(_, v)| v < 4).collect();
+        let bad = [
+            graph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+            graph(5, &k5),
+            graph(5, &k4),
+            graph(6, &k33),
+        ];
+        for g in &bad {
+            let n = g.num_vertices();
+            let d = SymmetricMatrix::from_fn(n, |i, j| if i == j { 0.0 } else { 1.0 });
+            let expected = CoreError::NotMaximalPlanar {
+                vertices: n,
+                edges: g.num_edges(),
+            };
+            assert_eq!(dbht_for_planar_graph(g, &d).map(|_| ()), Err(expected));
+        }
+
+        let (s, d) = three_blocks();
+        let t = tmfg(&s, TmfgConfig::default()).unwrap();
+        assert!(dbht_for_planar_graph(&t.graph, &d).is_ok());
+        let p = crate::pmfg::pmfg(&s).unwrap();
+        assert!(dbht_for_planar_graph(&p.graph, &d).is_ok());
     }
 
     #[test]

@@ -43,6 +43,15 @@ pub enum CoreError {
         /// Larger endpoint of the offending edge.
         v: usize,
     },
+    /// The graph given to the planar DBHT is not maximal planar: it is not
+    /// planar, or it has other than `3n − 6` edges. Its bubble tree is
+    /// defined only for a triangulation.
+    NotMaximalPlanar {
+        /// Number of vertices of the graph.
+        vertices: usize,
+        /// Number of edges of the graph.
+        edges: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -65,6 +74,11 @@ impl fmt::Display for CoreError {
             CoreError::InvalidDissimilarity { u, v } => write!(
                 f,
                 "dissimilarity of edge ({u}, {v}) is not a finite non-negative number"
+            ),
+            CoreError::NotMaximalPlanar { vertices, edges } => write!(
+                f,
+                "graph with {vertices} vertices and {edges} edges is not maximal planar \
+                 (a planar graph with 3n - 6 edges)"
             ),
         }
     }
@@ -92,5 +106,12 @@ mod tests {
         assert!(e
             .to_string()
             .contains("edge (0, 3) is not a finite non-negative"));
+        let e = CoreError::NotMaximalPlanar {
+            vertices: 6,
+            edges: 5,
+        };
+        assert!(e
+            .to_string()
+            .contains("6 vertices and 5 edges is not maximal planar"));
     }
 }

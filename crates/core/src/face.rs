@@ -35,26 +35,6 @@ impl Triangle {
         self.corners.contains(&v)
     }
 
-    /// Given a 4-clique `clique` that contains this triangle, returns the
-    /// vertex of the clique that is *not* a corner (the "apex").
-    ///
-    /// # Panics
-    /// Panics if the triangle is not a subset of the clique.
-    pub fn apex_in(&self, clique: [usize; 4]) -> usize {
-        assert!(
-            self.corners.iter().all(|c| clique.contains(c)),
-            "triangle {:?} is not a face of clique {:?}",
-            self.corners,
-            clique
-        );
-        for &v in &clique {
-            if !self.contains(v) {
-                return v;
-            }
-        }
-        unreachable!("a 4-clique always has a vertex outside any of its triangles")
-    }
-
     /// The three triangles obtained by replacing one corner with `v`
     /// (i.e. the new faces created when `v` is inserted into this face).
     pub fn split_with(&self, v: usize) -> [Triangle; 3] {
@@ -94,17 +74,10 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_apex() {
+    fn contains_checks_the_corners() {
         let t = Triangle::new(0, 1, 2);
         assert!(t.contains(1));
         assert!(!t.contains(3));
-        assert_eq!(t.apex_in([0, 1, 2, 7]), 7);
-    }
-
-    #[test]
-    #[should_panic]
-    fn apex_panics_if_not_subset() {
-        Triangle::new(0, 1, 9).apex_in([0, 1, 2, 3]);
     }
 
     #[test]

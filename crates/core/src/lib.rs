@@ -11,10 +11,11 @@
 //!   parallel construction (speculative batch tests with final monotone
 //!   rejections), plus the sequential baseline it is differentially
 //!   tested against;
-//! * [`bubble_tree`] — the bubble tree built on the fly during TMFG
-//!   construction (Algorithm 2);
-//! * [`dbht`] — the parallel Directed Bubble Hierarchy Tree optimized for
-//!   TMFG inputs: edge direction (Algorithm 3), vertex assignment and the
+//! * [`bubble_tree`] — the bubble tree, built on the fly during TMFG
+//!   construction (Algorithm 2) or read off any other maximal planar graph
+//!   by [`dbht::planar_bubbles::decompose`];
+//! * [`dbht`] — the parallel Directed Bubble Hierarchy Tree: edge direction
+//!   (Algorithm 3, Θ(n) for every bubble tree), vertex assignment and the
 //!   three-level complete-linkage hierarchy (Algorithm 4);
 //! * [`dendrogram`] — the dendrogram output type with height assignment and
 //!   cluster-extraction utilities;

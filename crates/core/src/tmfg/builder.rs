@@ -352,6 +352,10 @@ struct Builder<'a, S: SimilaritySource> {
     /// this round; reset in [`Builder::apply_batch`].
     touched: Vec<usize>,
     tree: BubbleTree,
+    /// The current outer face (Algorithm 2): inserting into it makes the
+    /// new bubble the tree's root, and a face of the new clique takes its
+    /// place.
+    outer_face: Triangle,
     initial_clique: [usize; 4],
     insertions: Vec<Insertion>,
     rounds: usize,
@@ -387,10 +391,10 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         }
         let num_remaining = n - 4;
         let pool: Vec<usize> = (0..n).filter(|&v| remaining[v]).collect();
-        // Lines 6–7: the bubble tree starts with the initial clique and the
-        // outer face {v1, v2, v3}.
+        // Lines 6–7: the bubble tree starts with the initial clique, and the
+        // outer face is {v1, v2, v3}.
         let outer_face = Triangle::new(v1, v2, v3);
-        let tree = BubbleTree::new(initial_clique, outer_face, n);
+        let tree = BubbleTree::new(initial_clique, n);
         // Line 5: the candidate lists for each initial face.
         let mut gains = GainTable::new(n, config.prefix);
         let depth = gains.depth();
@@ -429,6 +433,7 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
             selector: Selector::new(3 * n - 8),
             touched: Vec::new(),
             tree,
+            outer_face,
             initial_clique,
             insertions: Vec::with_capacity(num_remaining),
             rounds: 0,
@@ -612,9 +617,14 @@ impl<'a, S: SimilaritySource> Builder<'a, S> {
         self.graph.add_edge(v, a, self.s.get(v, a));
         self.graph.add_edge(v, b, self.s.get(v, b));
         self.graph.add_edge(v, c, self.s.get(v, c));
-        // Line 17: update the bubble tree (Algorithm 2).
+        // Line 17: update the bubble tree (Algorithm 2). A vertex inserted
+        // into the outer face moves that face to {v, a, b}.
         let bubble = self.face_bubble[face_id];
-        let new_bubble = self.tree.insert(v, t, bubble);
+        let outer = t == self.outer_face;
+        let new_bubble = self.tree.insert(v, t, bubble, outer);
+        if outer {
+            self.outer_face = Triangle::new(v, a, b);
+        }
         // Line 14: replace face t by the three new faces.
         self.face_active[face_id] = false;
         self.touched.push(face_id);

@@ -1,11 +1,12 @@
 //! Breadth-first search over [`WeightedGraph`]s.
 //!
 //! The original DBHT algorithm uses BFS to split the graph into the interior
-//! and exterior of each separating triangle. The planar bubble
-//! decomposition and the generic direction computation in `pfg_core` still
-//! do: removing a separating triangle and flooding from one side yields
-//! that side's vertices. [`WeightedGraph::is_connected`] floods with every
-//! vertex allowed.
+//! and exterior of each separating triangle. `pfg_core`'s planar bubble
+//! decomposition still floods the graph minus each 3-clique once, to find
+//! the separating ones and the side each one cuts off; its tests hold it
+//! to the original split loop and BFS direction, which flood with this
+//! function too. [`WeightedGraph::is_connected`] floods with every vertex
+//! allowed.
 
 use crate::weighted_graph::WeightedGraph;
 use std::collections::VecDeque;

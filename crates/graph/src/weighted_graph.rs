@@ -141,8 +141,12 @@ impl WeightedGraph {
         n >= 3 && self.num_edges == 3 * n - 6
     }
 
-    /// Returns the set of triangles `(a, b, c)` with `a < b < c`. Quadratic
-    /// in the number of edges; intended for tests and small graphs.
+    /// Returns the set of triangles `(a, b, c)` with `a < b < c`. Each is
+    /// listed at its edge `(a, b)`, in [`WeightedGraph::edges`] order, and
+    /// by `c` within an edge. Each edge intersects its endpoints' sorted
+    /// neighbour lists, so the work is the sum of `deg(u) + deg(v)` over
+    /// the edges: `O(n · Δ)` on a planar graph of maximum degree `Δ`. The
+    /// PMFG's bubble decomposition runs it once per DBHT.
     pub fn triangles(&self) -> Vec<(usize, usize, usize)> {
         let mut out = Vec::new();
         // Sorted adjacency + two-pointer intersection: deterministic order

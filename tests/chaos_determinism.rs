@@ -8,13 +8,13 @@
 //! combination must reproduce the single-threaded result bit for bit —
 //! for the most order-sensitive primitives (float reduction), the
 //! parallel sort, the full tiled correlation/dissimilarity kernels, TMFG
-//! and PMFG construction, and the DBHT's demand-driven shortest-path
-//! stores.
+//! and PMFG construction, the DBHT on a PMFG, and the DBHT's
+//! demand-driven shortest-path stores.
 
 use pfg_core::dbht::{
     assignment, converging_vertices, direction, dissimilarity_graph, restricted_distances,
 };
-use pfg_core::{tmfg, Tmfg, TmfgConfig};
+use pfg_core::{tmfg, Dbht, Tmfg, TmfgConfig};
 use pfg_data::correlation::{correlation_matrix_with, TileConfig};
 use pfg_graph::{PairDistances, SourceRows, SymmetricMatrix, SymmetricMatrixF32};
 use rand::rngs::StdRng;
@@ -162,6 +162,63 @@ fn pmfg_construction_is_schedule_invariant() {
                 && a.parallel_rejections == b.parallel_rejections
                 && a.commit_retests == b.commit_retests
         },
+    );
+}
+
+/// Whether two DBHT runs agree bit for bit: every directed bubble edge,
+/// the assignment, the counters and every internal dendrogram node with
+/// its height bits.
+fn same_dbht(a: &Dbht, b: &Dbht) -> bool {
+    let edges = |d: &Dbht| -> Vec<_> {
+        d.bubble_graph
+            .edges()
+            .iter()
+            .map(|e| (e.from, e.to, e.triangle))
+            .collect()
+    };
+    let nodes = |d: &Dbht| -> Vec<_> {
+        d.dendrogram
+            .internal_nodes()
+            .map(|id| {
+                let node = d.dendrogram.node(id);
+                (id, node.left, node.right, node.height.to_bits())
+            })
+            .collect()
+    };
+    edges(a) == edges(b)
+        && a.assignment.group == b.assignment.group
+        && a.assignment.bubble == b.assignment.bubble
+        && a.stats == b.stats
+        && nodes(a) == nodes(b)
+}
+
+#[test]
+fn pmfg_dbht_is_schedule_invariant() {
+    // The DBHT on a PMFG under chaos: the separating-triangle filter runs
+    // on the pool (n = 240 gives more 3-cliques than the shim's 512-item
+    // gate), and so do the direction levels, the shortest-path stores and
+    // the per-group hierarchy. The bubble tree itself is built on the
+    // calling thread. Everything must match the 1-thread run bit for bit.
+    let mut rng = StdRng::seed_from_u64(37);
+    let n = 240;
+    let s = SymmetricMatrix::from_fn(n, |i, j| {
+        if i == j {
+            1.0
+        } else if i % 4 == j % 4 {
+            0.75 + rng.gen_range(0.0f64..0.2)
+        } else {
+            0.1 + rng.gen_range(0.0f64..0.2)
+        }
+    });
+    let d = s.map(|p| (2.0 * (1.0 - p)).sqrt());
+    let p = reference_pool().install(|| pfg_core::pmfg(&s).expect("pmfg builds"));
+    assert!(
+        p.graph.triangles().len() > 512,
+        "the filter must reach the pool"
+    );
+    assert_schedule_invariant(
+        || pfg_core::dbht_for_planar_graph(&p.graph, &d).expect("dbht runs"),
+        same_dbht,
     );
 }
 
